@@ -9,6 +9,7 @@ from .clinalg import (
     spectral_norm,
     spectral_norm_power,
 )
+from .conv import layer_matrix
 from .covering import (
     CoverReport,
     MaureyInstance,
@@ -42,7 +43,6 @@ from .spectral import (
     conv_spectral_norm,
     covering_bound_linear,
     covering_bound_network,
-    layer_matrix,
     pac_sample_size,
     rademacher_bound,
 )

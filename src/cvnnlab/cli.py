@@ -45,6 +45,7 @@ from .config import (
     parse_activation,
     parse_shape,
 )
+from .conv import DEFAULT_LOWERING_BUDGET
 from .covering import cover_check, cover_report_to_text
 from .datasets import Dataset, IdxError, load_idx, subsample, synthetic_regression
 from .network import (
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-shape", required=True, help="e.g. 28x28x1 or 784")
     p.add_argument("--out", default="")
     p.add_argument("--domain-bound", type=float, default=None)
-    p.add_argument("--memory-budget", type=int, default=1 << 24)
+    p.add_argument("--memory-budget", type=int, default=DEFAULT_LOWERING_BUDGET)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

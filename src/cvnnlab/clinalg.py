@@ -21,8 +21,6 @@ import numpy as np
 __all__ = [
     "as_cmatrix",
     "hermitian_transpose",
-    "matmul",
-    "entrywise_modulus",
     "frobenius_norm",
     "pq_norm",
     "real_embedding",
@@ -50,19 +48,6 @@ def as_cmatrix(a) -> np.ndarray:
 def hermitian_transpose(a) -> np.ndarray:
     """Conjugate transpose: result[j, i] = conj(a[i, j])."""
     return as_cmatrix(a).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def entrywise_modulus(a) -> np.ndarray:
-    """Real matrix of entry moduli |a[i, j]|."""
-    return np.abs(as_cmatrix(a))
 
 
 def frobenius_norm(a) -> float:

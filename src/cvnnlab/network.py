@@ -8,8 +8,10 @@ activation 2x2 Jacobians plug in uniformly (none of the supported
 activations is holomorphic).
 
 Dense layers store W with shape (in_dim, out_dim) and compute x @ W + H on
-row-major batches; conv layers run stride-1 valid cross-correlation with a
-(kh, kw, cin, cout) kernel on (n, h, w, c) batches.  Max pooling selects the
+row-major batches.  Conv layers run stride-1 valid cross-correlation with a
+(kh, kw, cin, cout) kernel on (n, h, w, c) batches; their forward pass,
+input gradient and kernel gradient all come from :mod:`cvnnlab.conv`, the
+one operator that spectral analysis also measures.  Max pooling selects the
 entry of largest modulus per window (ties: first in row-major order).  The
 abs head maps a complex feature vector to entry moduli followed by softmax.
 
@@ -25,8 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import conv
 from .activations import Activation, apply as act_apply, backprop as act_backprop
 
 __all__ = [
@@ -228,16 +230,6 @@ def max_width(net: Network, input_shape) -> int:
 # forward / backward
 
 
-def _conv_forward(x, kernel):
-    n, h, w, _ = x.shape
-    kh, kw, cin, cout = kernel.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, cin, kh, kw)
-    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh * ow, kh * kw * cin)
-    out = patches @ kernel.reshape(kh * kw * cin, cout)
-    return out.reshape(n, oh, ow, cout), patches
-
-
 def _pool_forward(x, window):
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
@@ -267,7 +259,7 @@ def _forward_walk(net: Network, x, keep_caches):
             if keep_caches:
                 cache.update(x=flat, pre=pre)
         elif isinstance(spec, Conv):
-            pre, patches = _conv_forward(cur, w)
+            pre, patches = conv.apply(cur, w)
             pre = pre + h
             out = act_apply(spec.activation, pre) if spec.activation else pre
             if keep_caches:
@@ -337,12 +329,17 @@ def per_sample_losses(output, target, loss: LossKind) -> np.ndarray:
     if np.iscomplexobj(output):
         raise ValueError("cross-entropy loss needs abs-head class probabilities")
     probs = np.atleast_2d(output)
+    labels = _checked_labels(target, probs)
+    return -np.log(probs[np.arange(probs.shape[0]), labels])
+
+
+def _checked_labels(target, probs):
     labels = np.asarray(target)
     if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
         raise ValueError("labels must be one integer per sample")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ValueError("label out of range")
-    return -np.log(probs[np.arange(probs.shape[0]), labels])
+    return labels
 
 
 def compute_loss(output, target, loss: LossKind, update_ceiling: bool = True) -> float:
@@ -389,9 +386,8 @@ def backward(net: Network, batch, targets, loss: LossKind):
     else:
         if not isinstance(net.layers[-1], AbsHead):
             raise ValueError("cross-entropy loss needs an abs head")
-        labels = np.asarray(targets)
-        probs = out
-        g_scores = probs.copy()
+        labels = _checked_labels(targets, out)
+        g_scores = out.copy()
         g_scores[np.arange(n), labels] -= 1.0
         g_scores /= n
         z = caches[-1]["x"]
@@ -416,20 +412,10 @@ def backward(net: Network, batch, targets, loss: LossKind):
             if spec.activation is not None:
                 grad = act_backprop(spec.activation, cache["pre"], grad)
             kernel = net.weights[pos]
-            kh, kw, cin, cout = kernel.shape
-            nb, oh, ow, _ = grad.shape
-            g2 = grad.reshape(nb, oh * ow, cout)
-            patches = cache["patches"]
-            p2 = patches.reshape(-1, kh * kw * cin)
-            dw = (p2.conj().T @ g2.reshape(-1, cout)).reshape(kernel.shape)
-            dh = g2.sum(axis=(0, 1))
+            dw = conv.weight_grad(cache["patches"], grad).reshape(kernel.shape)
+            dh = grad.sum(axis=(0, 1, 2))
             grads[pos] = (dw, dh)
-            dp = (g2 @ kernel.reshape(-1, cout).conj().T).reshape(nb, oh, ow, kh, kw, cin)
-            dx = np.zeros(cache["input_shape"], dtype=np.complex128)
-            for ky in range(kh):
-                for kx in range(kw):
-                    dx[:, ky : ky + oh, kx : kx + ow, :] += dp[:, :, :, ky, kx, :]
-            grad = dx
+            grad = conv.adjoint(grad, kernel, cache["input_shape"])
         elif isinstance(spec, MaxPoolModulus):
             wdw = spec.window
             nb, oh, ow, c = grad.shape

@@ -9,8 +9,9 @@ activation Lipschitz constants rho_i, spectral norms s_i = ||A_i||_sigma and
 Dense layers contribute their weight matrix directly (stored in the
 (d_{i-1}, d_i) orientation).  Convolutional layers act through the linear
 map they induce on a fixed input shape: the spectral norm comes from power
-iteration that applies the convolution and its adjoint implicitly, and the
-(2,1) norm from an explicit dense lowering of the map.  When the lowering
+iteration through the operator of :mod:`cvnnlab.conv` that training runs
+(its apply and adjoint on a batch of one), and the (2,1) norm from that
+module's explicit dense lowering of the map.  When the lowering
 exceeds the memory budget the report degrades to sn-product-only mode and
 R_A-based bounds refuse to run.  Modulus max-pooling and the abs head are
 1-Lipschitz and contribute neither s_i nor b_i.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conv
 from .activations import declared_lipschitz, lipschitz_probe
 from .clinalg import (
     PowerIterationResult,
@@ -35,17 +37,13 @@ from .clinalg import (
     pq_norm,
     spectral_norm_power,
 )
+from .conv import DEFAULT_LOWERING_BUDGET, LoweringBudgetError, layer_matrix
 from .network import AbsHead, Conv, Dense, MaxPoolModulus, Network, infer_shapes
 
 __all__ = [
     "LayerNorms",
     "SpectralReport",
     "BoundInputs",
-    "LoweringBudgetError",
-    "DEFAULT_LOWERING_BUDGET",
-    "conv_apply",
-    "conv_adjoint",
-    "layer_matrix",
     "conv_spectral_norm",
     "analyze",
     "bound_iid",
@@ -58,68 +56,8 @@ __all__ = [
     "report_from_text",
 ]
 
-DEFAULT_LOWERING_BUDGET = 1 << 24  # complex entries (~256 MiB)
-
-
-class LoweringBudgetError(Exception):
-    """Explicit conv lowering would exceed the configured memory budget."""
-
-
 # ---------------------------------------------------------------------------
-# convolution as a linear operator
-
-
-def conv_apply(kernel, x):
-    """Valid stride-1 cross-correlation of (h, w, cin) input with the kernel."""
-    kh, kw, _, cout = kernel.shape
-    h, w, _ = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    out = np.zeros((oh, ow, cout), dtype=np.complex128)
-    for ky in range(kh):
-        for kx in range(kw):
-            out += x[ky : ky + oh, kx : kx + ow, :] @ kernel[ky, kx]
-    return out
-
-
-def conv_adjoint(kernel, g, input_shape):
-    """Adjoint of :func:`conv_apply` (correlation with the conjugated kernel)."""
-    kh, kw, _, _ = kernel.shape
-    h, w, _ = input_shape
-    oh, ow = h - kh + 1, w - kw + 1
-    out = np.zeros(tuple(input_shape), dtype=np.complex128)
-    for ky in range(kh):
-        for kx in range(kw):
-            out[ky : ky + oh, kx : kx + ow, :] += g @ kernel[ky, kx].conj().T
-    return out
-
-
-def layer_matrix(kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERING_BUDGET):
-    """Dense matrix M with M @ vec(input) = vec(conv(input)), vec row-major (y, x, c)."""
-    kh, kw, cin, cout = kernel.shape
-    h, w, cin2 = input_shape
-    if cin2 != cin:
-        raise ValueError(f"kernel expects {cin} channels, input has {cin2}")
-    oh, ow = h - kh + 1, w - kw + 1
-    if oh < 1 or ow < 1:
-        raise ValueError("kernel larger than input")
-    out_size = oh * ow * cout
-    in_size = h * w * cin
-    if memory_budget is not None and out_size * in_size > memory_budget:
-        raise LoweringBudgetError(
-            f"lowering needs {out_size * in_size} entries, budget {memory_budget}"
-        )
-    m = np.zeros((out_size, in_size), dtype=np.complex128)
-    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    out_pos = (oy * ow + ox).ravel()
-    oc = np.arange(cout)
-    ic = np.arange(cin)
-    for ky in range(kh):
-        for kx in range(kw):
-            in_pos = ((oy + ky) * w + (ox + kx)).ravel()
-            rows = out_pos[:, None, None] * cout + oc[None, None, :]
-            cols = in_pos[:, None, None] * cin + ic[None, :, None]
-            m[rows, cols] = kernel[ky, kx][None, :, :]
-    return m
+# convolution spectral norm
 
 
 def conv_spectral_norm(
@@ -131,18 +69,19 @@ def conv_spectral_norm(
 ) -> PowerIterationResult:
     """Largest singular value of the induced linear map, matrix-free.
 
-    Power iteration applies the convolution and its adjoint directly; the
-    convergence rule is shared with the dense path
+    Power iteration runs the training operator (:func:`cvnnlab.conv.apply`
+    and :func:`cvnnlab.conv.adjoint`) on a batch of one; the convergence
+    rule is shared with the dense path
     (:func:`cvnnlab.clinalg.gram_power_iteration`).
     """
     kernel = np.asarray(kernel, dtype=np.complex128)
     if not np.any(kernel):
         return PowerIterationResult(0.0, 0, True)
     rng = np.random.default_rng(seed)
-    shape = tuple(input_shape)
+    shape = (1,) + tuple(input_shape)
     start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return gram_power_iteration(
-        lambda v: conv_adjoint(kernel, conv_apply(kernel, v), shape),
+        lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel, shape),
         start,
         tol,
         max_iter,

@@ -155,6 +155,30 @@ out_dir = {tmp_path / 'run'}
         )
         assert main(["train", "--config", cfg]) == 3
 
+    def test_label_beyond_head_is_input_error(self, tmp_path, capsys):
+        imgs, lbls = synthetic_glyphs(16, seed=1)
+        lbls[3] = 12  # the abs head below has 10 classes
+        write_idx_images(imgs, tmp_path / "ti")
+        write_idx_labels(lbls, tmp_path / "tl")
+        cfg = write_cfg(
+            tmp_path,
+            f"""
+dataset = idx
+train_images = {tmp_path / 'ti'}
+train_labels = {tmp_path / 'tl'}
+test_images = {tmp_path / 'ti'}
+test_labels = {tmp_path / 'tl'}
+arch = fc-10; abs
+activation = crelu
+loss = cross_entropy
+epochs = 1
+batch_size = 16
+out_dir = {tmp_path / 'run'}
+""",
+        )
+        assert main(["train", "--config", cfg]) == 2
+        assert "label out of range" in capsys.readouterr().err
+
     def test_loss_head_preflight(self, tmp_path):
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r") + "loss = cross_entropy\n"
         cfg = write_cfg(tmp_path, text)

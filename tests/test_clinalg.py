@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from cvnnlab.clinalg import (
     as_cmatrix,
-    entrywise_modulus,
     frobenius_norm,
     hermitian_transpose,
-    matmul,
     pq_norm,
     real_embedding,
     spectral_norm,
@@ -49,26 +47,6 @@ class TestHermitianTranspose:
                 assert h[j, i] == np.conj(a[i, j])
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        a = random_complex(rng, 3, 3)
-        npt.assert_array_equal(matmul(a, np.eye(3)), a)
-
-    def test_i_squared(self):
-        npt.assert_allclose(matmul([[1j]], [[1j]]), [[-1.0]])
-
-    def test_against_real_embedding(self, rng):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        prod = matmul(a, b)
-        emb = real_embedding(a) @ real_embedding(b)
-        npt.assert_allclose(real_embedding(prod), emb, atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(random_complex(rng, 2, 3), random_complex(rng, 2, 3))
-
-
 class TestFrobenius:
     def test_identity(self):
         assert frobenius_norm(np.eye(2)) == pytest.approx(math.sqrt(2), rel=1e-15)
@@ -78,7 +56,7 @@ class TestFrobenius:
 
     def test_against_modulus_matrix(self, rng):
         a = random_complex(rng, 5, 5)
-        real_frob = float(np.sqrt(np.sum(entrywise_modulus(a) ** 2)))
+        real_frob = float(np.sqrt(np.sum(np.abs(a) ** 2)))
         assert frobenius_norm(a) == pytest.approx(real_frob, rel=1e-13)
 
 
@@ -100,7 +78,7 @@ class TestPqNorm:
 
     def test_through_modulus_matrix(self, rng):
         a = random_complex(rng, 4, 4)
-        mods = entrywise_modulus(a)
+        mods = np.abs(a)
         assert pq_norm(a, 2, 1) == pytest.approx(pq_norm(mods, 2, 1), rel=1e-13)
 
 
@@ -110,6 +88,12 @@ class TestRealEmbedding:
 
     def test_identity(self):
         npt.assert_array_equal(real_embedding(np.eye(2)), np.eye(4))
+
+    def test_product_embeds_as_product(self, rng):
+        a = random_complex(rng, 3, 3)
+        b = random_complex(rng, 3, 3)
+        emb = real_embedding(a) @ real_embedding(b)
+        npt.assert_allclose(real_embedding(a @ b), emb, atol=1e-12)
 
     def test_norm_preserved(self, rng):
         a = random_complex(rng, 8, 8)

@@ -6,19 +6,16 @@ import pytest
 
 from cvnnlab.activations import CRELU, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
+from cvnnlab.conv import LoweringBudgetError, adjoint, apply, layer_matrix, weight_grad
 from cvnnlab.network import Conv, Dense, MaxPoolModulus, AbsHead, Network, build_network
 from cvnnlab.spectral import (
     BoundInputs,
-    LoweringBudgetError,
     analyze,
     bound_iid,
     bound_sequential,
-    conv_adjoint,
-    conv_apply,
     conv_spectral_norm,
     covering_bound_linear,
     covering_bound_network,
-    layer_matrix,
     pac_sample_size,
     rademacher_bound,
     report_from_text,
@@ -79,18 +76,49 @@ class TestLayerMatrix:
             layer_matrix(k, (10, 10, 1), memory_budget=10)
 
 
-class TestConvOperator:
-    def test_apply_matches_direct(self, rng):
-        k = random_kernel(rng, 3, 3, 2, 2)
-        x = rng.standard_normal((6, 7, 2)) + 1j * rng.standard_normal((6, 7, 2))
-        npt.assert_allclose(conv_apply(k, x), direct_conv(k, x), atol=1e-12)
+# (batch, kernel (kh, kw, cin, cout), input (h, w)) for the operator tests
+OPERATOR_CASES = [
+    pytest.param(1, (3, 3, 2, 2), (6, 7), id="single"),
+    pytest.param(4, (3, 3, 2, 2), (8, 8), id="batch4"),
+    pytest.param(2, (3, 2, 1, 1), (6, 6), id="kernel3x2"),
+    pytest.param(1, (2, 2, 2, 3), (5, 5), id="cin2-cout3"),
+    pytest.param(3, (3, 2, 2, 3), (7, 5), id="nonsquare-input"),
+]
 
-    def test_adjoint_identity(self, rng):
-        k = random_kernel(rng, 3, 3, 2, 2)
-        x = rng.standard_normal((8, 8, 2)) + 1j * rng.standard_normal((8, 8, 2))
-        y = rng.standard_normal((6, 6, 2)) + 1j * rng.standard_normal((6, 6, 2))
-        lhs = np.vdot(conv_apply(k, x).ravel(), y.ravel())
-        rhs = np.vdot(x.ravel(), conv_adjoint(k, y, (8, 8, 2)).ravel())
+
+def random_batch(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestConvOperator:
+    @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
+    def test_apply_matches_direct(self, rng, n, kshape, hw):
+        k = random_kernel(rng, *kshape)
+        x = random_batch(rng, (n, *hw, kshape[2]))
+        out, _ = apply(x, k)
+        for i in range(n):
+            npt.assert_allclose(out[i], direct_conv(k, x[i]), atol=1e-12)
+
+    @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
+    def test_adjoint_identity(self, rng, n, kshape, hw):
+        kh, kw, cin, cout = kshape
+        k = random_kernel(rng, *kshape)
+        x = random_batch(rng, (n, *hw, cin))
+        y = random_batch(rng, (n, hw[0] - kh + 1, hw[1] - kw + 1, cout))
+        lhs = np.vdot(apply(x, k)[0].ravel(), y.ravel())
+        rhs = np.vdot(x.ravel(), adjoint(y, k, x.shape).ravel())
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
+    def test_weight_grad_is_kernel_adjoint(self, rng, n, kshape, hw):
+        # <apply(x, K), g> = <K, weight_grad(patches, g)> for the map K -> apply(x, K)
+        kh, kw, cin, cout = kshape
+        k = random_kernel(rng, *kshape)
+        x = random_batch(rng, (n, *hw, cin))
+        g = random_batch(rng, (n, hw[0] - kh + 1, hw[1] - kw + 1, cout))
+        out, patches = apply(x, k)
+        lhs = np.vdot(out.ravel(), g.ravel())
+        rhs = np.vdot(k.ravel(), weight_grad(patches, g).ravel())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
