@@ -12,16 +12,18 @@ stats            Spearman correlation of sn_product vs excess_risk in a trace
 lipschitz-probe  empirical Lipschitz estimate vs the declared constant
 
 Exit codes: 0 success; 2 configuration/input error; 3 data error
-(datasets, checkpoints, traces); 4 numerical non-convergence under
---strict; 5 analysis completed with warnings.
+(datasets, checkpoints, traces); 4 numerical failure: a training run that
+diverged (non-finite loss or parameters; neither that epoch's row nor the
+checkpoint is written), or non-convergence under --strict; 5 analysis
+completed with warnings.
 
 The trace CSV schema is fixed:
 epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms
 where layer_norms is a ';'-joined list of per-layer spectral norms.  The
 sn_product, r_a, and layer_norms fields are empty on epochs without
 analysis, and r_a is empty in sn-product-only mode.  All floats carry 17
-significant digits.  Identical config and seed reproduce output files
-byte for byte.
+significant digits (:func:`cvnnlab.textio.f17`).  Identical config and seed
+reproduce output files byte for byte.
 
 For the l2/regression loss the accuracy columns are fixed at 0 (there is
 no classification accuracy to report) and excess risk is 0 accordingly.
@@ -76,6 +78,7 @@ from .spectral import (
     report_to_text,
 )
 from .stats import ConstantInputError, TrainingTrace, correlate_trace, excess_risk
+from .textio import f17, write_atomic
 
 TRACE_HEADER = "epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms"
 EVAL_BATCH = 256
@@ -83,10 +86,6 @@ EVAL_BATCH = 256
 
 class TraceError(Exception):
     pass
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _f12(x: float) -> str:
@@ -176,25 +175,30 @@ def run_training(cfg: ExperimentConfig):
                 sgd_step(net, grads, lr, cfg.momentum, state)
 
             train_loss, train_acc = _evaluate(net, train, loss, update_ceiling=True)
+            params = [p for p in net.weights + net.thresholds if p is not None]
+            if not (math.isfinite(train_loss) and all(np.isfinite(p).all() for p in params)):
+                raise FloatingPointError(
+                    f"epoch {epoch}: training diverged (non-finite loss or parameters)"
+                )
             _, test_acc = _evaluate(net, test, loss, update_ceiling=False)
             er = excess_risk(train_acc, test_acc)
 
             if epoch % cfg.analysis_every == 0:
                 report = analyze(net, input_shape)
                 warn_nonconverged |= not report.power_iteration_converged
-                sn_field = _f17(report.sn_product)
-                ra_field = "" if report.r_a is None else _f17(report.r_a)
-                layers_field = ";".join(_f17(rec.s) for rec in report.layers)
+                sn_field = f17(report.sn_product)
+                ra_field = "" if report.r_a is None else f17(report.r_a)
+                layers_field = ";".join(f17(rec.s) for rec in report.layers)
             else:
                 sn_field = ra_field = layers_field = ""
 
             row = ",".join(
                 [
                     str(epoch),
-                    _f17(train_loss),
-                    _f17(train_acc),
-                    _f17(test_acc),
-                    _f17(er),
+                    f17(train_loss),
+                    f17(train_acc),
+                    f17(test_acc),
+                    f17(er),
                     sn_field,
                     ra_field,
                     layers_field,
@@ -262,7 +266,7 @@ def cmd_train(args) -> int:
     result = run_training(cfg)
     print(f"trace = {result['trace']}")
     print(f"checkpoint = {result['checkpoint']}")
-    print(f"m_ceiling = {_f17(result['m_ceiling'])}")
+    print(f"m_ceiling = {f17(result['m_ceiling'])}")
     print(f"max_width = {result['max_width']}")
     if result["nonconverged"]:
         print("warning: power iteration did not converge in some epoch")
@@ -293,8 +297,7 @@ def cmd_analyze(args) -> int:
     )
     text = report_to_text(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_atomic(args.out, text)
         print(f"report = {args.out}")
     else:
         sys.stdout.write(text)
@@ -308,8 +311,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    with open(args.report, "r", encoding="ascii") as fh:
-        report = report_from_text(fh.read())
+    try:
+        with open(args.report, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read report: {exc}") from exc
+    report = report_from_text(text)
     if args.mode in ("iid", "sequential", "rademacher", "pac"):
         if report.r_a is None:
             print(
@@ -364,8 +371,7 @@ def cmd_cover_lab(args) -> int:
     )
     text = cover_report_to_text(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_atomic(args.out, text)
         print(f"report = {args.out}")
     else:
         sys.stdout.write(text)
@@ -375,8 +381,8 @@ def cmd_cover_lab(args) -> int:
 def cmd_stats(args) -> int:
     trace = parse_trace_csv(args.trace)
     result = correlate_trace(trace)
-    print(f"scc={_f17(result.scc)}")
-    print(f"p={_f17(result.p)}")
+    print(f"scc={f17(result.scc)}")
+    print(f"p={f17(result.p)}")
     return 0
 
 
@@ -391,8 +397,8 @@ def cmd_lipschitz_probe(args) -> int:
     print(f"kind = {args.kind}")
     print(f"domain_bound = {_f12(args.domain_bound)}")
     print(f"pairs = {args.pairs}")
-    print(f"probe_estimate = {_f17(estimate)}")
-    print(f"declared = {'unknown' if declared is None else _f17(declared)}")
+    print(f"probe_estimate = {f17(estimate)}")
+    print(f"declared = {'unknown' if declared is None else f17(declared)}")
     return 0
 
 
@@ -471,6 +477,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -101,7 +101,9 @@ def gram_power_iteration(gram_apply, start, tol, max_iter) -> PowerIterationResu
     extrapolated remainder falls below ``tol`` relative to the current
     quotient, and the remainder is folded into the returned value.  Plain
     last-increment stagnation tests stop too early when the top two
-    eigenvalues are close.
+    eigenvalues are close.  An overflow (non-finite quotient or iterate
+    norm) stops with value inf and ``converged=False`` rather than letting
+    the zeroed iterate pass for a null vector.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -114,6 +116,9 @@ def gram_power_iteration(gram_apply, start, tol, max_iter) -> PowerIterationResu
         w = gram_apply(v)
         lam = float(np.real(np.vdot(v.ravel(), w.ravel())))  # real for Hermitian PSD
         norm_w = np.linalg.norm(w)
+        if not (math.isfinite(lam) and math.isfinite(norm_w)):
+            # overflow: any estimate from here on would be meaningless
+            return PowerIterationResult(math.inf, it, False)
         if norm_w == 0.0:
             # v lies in the null space; the Rayleigh quotient is exactly 0
             return PowerIterationResult(0.0, it, True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .activations import Activation
 from .network import AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
+from .textio import read_kv
 
 __all__ = [
     "ConfigError",
@@ -79,24 +80,17 @@ CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    # annotations are strings here (postponed evaluation)
+    convert = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(cfg)}
+    try:
+        entries = read_kv(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for lineno, key, value in entries:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = types[key]
         try:
-            if kind in ("int", int):
-                setattr(cfg, key, int(value))
-            elif kind in ("float", float):
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            setattr(cfg, key, convert[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     _validate(cfg)

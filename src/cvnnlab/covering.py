@@ -31,6 +31,7 @@ import numpy as np
 
 from .clinalg import frobenius_norm, pq_norm
 from .spectral import covering_bound_linear
+from .textio import kv_text
 
 __all__ = [
     "MaureyInstance",
@@ -277,24 +278,22 @@ def cover_check(
 
 
 def cover_report_to_text(report: CoverReport) -> str:
-    def f17(x):
-        return format(float(x), ".17g")
-
-    lines = [
-        "format = cover-report-v1",
-        f"d = {report.d}",
-        f"m = {report.m}",
-        f"n = {report.n}",
-        f"a = {f17(report.a)}",
-        f"eps = {f17(report.eps)}",
-        f"r = {'inf' if math.isinf(report.r) else f17(report.r)}",
-        f"k = {report.k}",
-        f"trials = {report.trials}",
-        f"samples = {report.samples}",
-        f"achieved_error = {f17(report.achieved_error)}",
-        f"theoretical_error = {f17(report.theoretical_error)}",
-        f"frac_within_eps = {f17(report.frac_within_eps)}",
-        f"distinct_cover_points_used = {report.distinct_cover_points_used}",
-        f"bound_ln_cover = {f17(report.bound_ln_cover)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return kv_text(
+        [
+            ("format", "cover-report-v1"),
+            ("d", report.d),
+            ("m", report.m),
+            ("n", report.n),
+            ("a", report.a),
+            ("eps", report.eps),
+            ("r", report.r),
+            ("k", report.k),
+            ("trials", report.trials),
+            ("samples", report.samples),
+            ("achieved_error", report.achieved_error),
+            ("theoretical_error", report.theoretical_error),
+            ("frac_within_eps", report.frac_within_eps),
+            ("distinct_cover_points_used", report.distinct_cover_points_used),
+            ("bound_ln_cover", report.bound_ln_cover),
+        ]
+    )

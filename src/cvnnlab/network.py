@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import conv
 from .activations import Activation, apply as act_apply, backprop as act_backprop
+from .textio import json_text, write_atomic
 
 __all__ = [
     "Dense",
@@ -318,12 +319,7 @@ class LossKind:
 
 def per_sample_losses(output, target, loss: LossKind) -> np.ndarray:
     if loss.kind == "l2":
-        if not np.iscomplexobj(output):
-            raise ValueError("l2 loss needs complex network output (no abs head)")
-        out = np.atleast_2d(output)
-        tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
-        if out.shape != tgt.shape:
-            raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
+        out, tgt = _checked_l2_target(output, target)
         return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
     # cross entropy on abs-head softmax probabilities
     if np.iscomplexobj(output):
@@ -331,6 +327,16 @@ def per_sample_losses(output, target, loss: LossKind) -> np.ndarray:
     probs = np.atleast_2d(output)
     labels = _checked_labels(target, probs)
     return -np.log(probs[np.arange(probs.shape[0]), labels])
+
+
+def _checked_l2_target(output, target):
+    if not np.iscomplexobj(output):
+        raise ValueError("l2 loss needs complex network output (no abs head)")
+    out = np.atleast_2d(output)
+    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+    if out.shape != tgt.shape:
+        raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
+    return out, tgt
 
 
 def _checked_labels(target, probs):
@@ -375,9 +381,7 @@ def backward(net: Network, batch, targets, loss: LossKind):
 
     # gradient at the network output
     if loss.kind == "l2":
-        tgt = np.atleast_2d(np.asarray(targets, dtype=np.complex128))
-        if np.iscomplexobj(out) is False:
-            raise ValueError("l2 loss needs complex network output (no abs head)")
+        out, tgt = _checked_l2_target(out, targets)
         diff = out - tgt
         norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
         scale = np.where(norms > 0.0, 1.0 / (n * np.where(norms > 0, norms, 1.0)), 0.0)
@@ -494,47 +498,6 @@ class CheckpointShapeError(CheckpointError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    else:  # pragma: no cover
-        raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _activation_to_json(act: Activation | None):
-    if act is None:
-        return None
-    return {"kind": act.kind, "b": float(act.b)}
-
-
 def _activation_from_json(doc):
     if doc is None:
         return None
@@ -544,81 +507,49 @@ def _activation_from_json(doc):
         raise MalformedCheckpointError(f"bad activation record: {exc}") from exc
 
 
+_LAYER_TYPES = {"dense": Dense, "conv": Conv, "maxpool": MaxPoolModulus, "abshead": AbsHead}
+
+
 def _layer_to_json(spec: LayerSpec):
-    if isinstance(spec, Dense):
-        return {
-            "type": "dense",
-            "in_dim": spec.in_dim,
-            "out_dim": spec.out_dim,
-            "activation": _activation_to_json(spec.activation),
-        }
-    if isinstance(spec, Conv):
-        return {
-            "type": "conv",
-            "kernel_h": spec.kernel_h,
-            "kernel_w": spec.kernel_w,
-            "in_channels": spec.in_channels,
-            "out_channels": spec.out_channels,
-            "activation": _activation_to_json(spec.activation),
-        }
-    if isinstance(spec, MaxPoolModulus):
-        return {"type": "maxpool", "window": spec.window}
-    if isinstance(spec, AbsHead):
-        return {"type": "abshead", "out_classes": spec.out_classes}
-    raise TypeError(spec)  # pragma: no cover
+    """The spec's fields under its type name; an activation becomes {kind, b}."""
+    kind = next(name for name, cls in _LAYER_TYPES.items() if isinstance(spec, cls))
+    return {"type": kind, **asdict(spec)}
 
 
 def _layer_from_json(doc):
     try:
-        kind = doc["type"]
-        if kind == "dense":
-            return Dense(doc["in_dim"], doc["out_dim"], _activation_from_json(doc.get("activation")))
-        if kind == "conv":
-            return Conv(
-                doc["kernel_h"],
-                doc["kernel_w"],
-                doc["in_channels"],
-                doc["out_channels"],
-                _activation_from_json(doc.get("activation")),
-            )
-        if kind == "maxpool":
-            return MaxPoolModulus(doc["window"])
-        if kind == "abshead":
-            return AbsHead(doc["out_classes"])
+        cls = _LAYER_TYPES.get(doc["type"])
+        if cls is None:
+            raise MalformedCheckpointError(f"unknown layer type {doc['type']!r}")
+        args = {f.name: doc[f.name] for f in fields(cls) if f.name != "activation"}
+        if cls in (Dense, Conv):
+            args["activation"] = _activation_from_json(doc.get("activation"))
+        return cls(**args)
     except (KeyError, TypeError) as exc:
         raise MalformedCheckpointError(f"bad layer record: {exc}") from exc
-    raise MalformedCheckpointError(f"unknown layer type {doc.get('type')!r}")
+
+
+def _param_lists(key, arr):
+    return {key + "_re": arr.real.ravel().tolist(), key + "_im": arr.imag.ravel().tolist()}
 
 
 def save_checkpoint(net: Network, path) -> None:
     """Write the network as a self-describing JSON document.
 
-    Floats carry 17 significant digits, which round-trips doubles exactly.
+    Floats carry 17 significant digits, which round-trips doubles exactly;
+    the file is replaced atomically.
     """
-    params = []
-    for w, h in zip(net.weights, net.thresholds):
-        if w is None:
-            params.append(None)
-        else:
-            params.append(
-                {
-                    "weight_re": [float(v) for v in w.real.ravel()],
-                    "weight_im": [float(v) for v in w.imag.ravel()],
-                    "threshold_re": [float(v) for v in h.real.ravel()],
-                    "threshold_im": [float(v) for v in h.imag.ravel()],
-                }
-            )
+    params = [
+        None if w is None else {**_param_lists("weight", w), **_param_lists("threshold", h)}
+        for w, h in zip(net.weights, net.thresholds)
+    ]
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "train_thresholds": net.train_thresholds,
         "layers": [_layer_to_json(s) for s in net.layers],
         "params": params,
     }
-    out: list = []
-    _emit(doc, out)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(out))
-        fh.write("\n")
+    write_atomic(path, json_text(doc) + "\n")
 
 
 def _param_array(doc, key, shape):

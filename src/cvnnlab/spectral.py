@@ -25,7 +25,7 @@ PAC sample-size threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .clinalg import (
 )
 from .conv import DEFAULT_LOWERING_BUDGET, LoweringBudgetError, layer_matrix
 from .network import AbsHead, Conv, Dense, MaxPoolModulus, Network, infer_shapes
+from .textio import kv_text, read_kv
 
 __all__ = [
     "LayerNorms",
@@ -322,73 +323,57 @@ def pac_sample_size(
 # flat key-value serialization
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
+_REPORT_FLAGS = (
+    "sn_product_only", "empirical_rho", "thresholds_nonzero", "power_iteration_converged"
+)
 
 
 def report_to_text(report: SpectralReport) -> str:
-    lines = [
-        "format = spectral-report-v1",
-        f"layer_count = {len(report.layers)}",
-        f"sn_product_only = {str(report.sn_product_only).lower()}",
-        f"empirical_rho = {str(report.empirical_rho).lower()}",
-        f"thresholds_nonzero = {str(report.thresholds_nonzero).lower()}",
-        f"power_iteration_converged = {str(report.power_iteration_converged).lower()}",
-    ]
+    """Format ``spectral-report-v1``: the flags, each layer's fields under
+    ``layer.<i>.`` and the aggregates; a None ``b`` or ``r_a`` is left out."""
+    pairs = [("format", "spectral-report-v1"), ("layer_count", len(report.layers))]
+    pairs += [(name, getattr(report, name)) for name in _REPORT_FLAGS]
     for i, rec in enumerate(report.layers):
-        prefix = f"layer.{i}"
-        lines.append(f"{prefix}.position = {rec.position}")
-        lines.append(f"{prefix}.kind = {rec.kind}")
-        lines.append(f"{prefix}.s = {_f17(rec.s)}")
-        if rec.b is not None:
-            lines.append(f"{prefix}.b = {_f17(rec.b)}")
-        lines.append(f"{prefix}.rho = {_f17(rec.rho)}")
-        lines.append(f"{prefix}.empirical_rho = {str(rec.empirical_rho).lower()}")
-    lines.append(f"sn_product = {_f17(report.sn_product)}")
-    lines.append(f"lipschitz_product = {_f17(report.lipschitz_product)}")
-    if report.r_a is not None:
-        lines.append(f"r_a = {_f17(report.r_a)}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_flat_kv(text: str) -> dict:
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+        pairs += [(f"layer.{i}.{name}", value) for name, value in asdict(rec).items()]
+    pairs += [(name, getattr(report, name)) for name in ("sn_product", "lipschitz_product", "r_a")]
+    return kv_text(pairs)
 
 
 def report_from_text(text: str) -> SpectralReport:
-    kv = _parse_flat_kv(text)
+    """Inverse of :func:`report_to_text`; a missing key raises ValueError."""
+    kv = {key: value for _, key, value in read_kv(text)}
     if kv.get("format") != "spectral-report-v1":
         raise ValueError(f"unsupported report format {kv.get('format')!r}")
-    count = int(kv["layer_count"])
-    layers = []
-    for i in range(count):
-        prefix = f"layer.{i}"
-        layers.append(
-            LayerNorms(
-                position=int(kv[f"{prefix}.position"]),
-                kind=kv[f"{prefix}.kind"],
-                s=float(kv[f"{prefix}.s"]),
-                b=float(kv[f"{prefix}.b"]) if f"{prefix}.b" in kv else None,
-                rho=float(kv[f"{prefix}.rho"]),
-                empirical_rho=kv[f"{prefix}.empirical_rho"] == "true",
-            )
+
+    def get(key, convert=float):
+        if key not in kv:
+            raise ValueError(f"report lacks {key!r}")
+        return convert(kv[key])
+
+    def optional(key):
+        return get(key) if key in kv else None
+
+    def flag(key):
+        return get(key, str) == "true"
+
+    layers = tuple(
+        LayerNorms(
+            position=get(f"layer.{i}.position", int),
+            kind=get(f"layer.{i}.kind", str),
+            s=get(f"layer.{i}.s"),
+            b=optional(f"layer.{i}.b"),
+            rho=get(f"layer.{i}.rho"),
+            empirical_rho=flag(f"layer.{i}.empirical_rho"),
         )
+        for i in range(get("layer_count", int))
+    )
     return SpectralReport(
-        layers=tuple(layers),
-        sn_product=float(kv["sn_product"]),
-        lipschitz_product=float(kv["lipschitz_product"]),
-        r_a=float(kv["r_a"]) if "r_a" in kv else None,
-        sn_product_only=kv["sn_product_only"] == "true",
-        empirical_rho=kv["empirical_rho"] == "true",
-        thresholds_nonzero=kv["thresholds_nonzero"] == "true",
+        layers=layers,
+        sn_product=get("sn_product"),
+        lipschitz_product=get("lipschitz_product"),
+        r_a=optional("r_a"),
+        sn_product_only=flag("sn_product_only"),
+        empirical_rho=flag("empirical_rho"),
+        thresholds_nonzero=flag("thresholds_nonzero"),
         power_iteration_converged=kv.get("power_iteration_converged", "true") == "true",
     )

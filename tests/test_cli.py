@@ -3,10 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvnnlab.activations import CRELU
 from cvnnlab.cli import main, parse_trace_csv, run_training, TRACE_HEADER
 from cvnnlab.config import (
+    CONFIG_KEYS,
     ConfigError,
     build_layers,
     parse_activation,
@@ -55,6 +58,24 @@ class TestConfigParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("epochs = three\n")
+
+    def test_malformed_line_is_config_error(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config("dataset = synthetic\nepochs 3\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text()
+        | st.lists(
+            st.tuples(st.sampled_from(CONFIG_KEYS + ("bogus",)), st.text(max_size=12)),
+            max_size=6,
+        ).map(lambda kvs: "".join(f"{k} = {v}\n" for k, v in kvs))
+    )
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -178,6 +199,29 @@ out_dir = {tmp_path / 'run'}
         )
         assert main(["train", "--config", cfg]) == 2
         assert "label out of range" in capsys.readouterr().err
+
+    def test_diverged_run_exits_4_without_checkpoint(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            f"""
+dataset = synthetic
+arch = fc-16; fc-16; fc-4
+activation = crelu
+loss = l2
+lr = 1e3
+momentum = 0.99
+epochs = 6
+out_dir = {tmp_path / 'run'}
+""",
+        )
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", cfg]) == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+        trace = parse_trace_csv(tmp_path / "run" / "trace.csv")
+        assert 1 <= len(trace.epoch) < 6
+        for col in (trace.train_loss, trace.sn_product, trace.r_a):
+            assert np.all(np.isfinite(col)) and np.all(col > 0)
 
     def test_loss_head_preflight(self, tmp_path):
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r") + "loss = cross_entropy\n"
@@ -310,6 +354,23 @@ class TestBoundsCommand:
             "--m", "1", "--n", "100", "--w", "2", "--z-norm", "10", "--delta", "1.5",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", ["missing_key", "missing_file"])
+    def test_bad_report_is_input_error(self, tmp_path, capsys, case):
+        rep = self._report(tmp_path)
+        expected = "layer.0.position"
+        if case == "missing_key":
+            kept = [l for l in rep.read_text().splitlines() if not l.startswith(expected)]
+            rep.write_text("\n".join(kept) + "\n")
+        else:
+            rep, expected = tmp_path / "absent.txt", "cannot read report"
+        capsys.readouterr()
+        rc = main([
+            "bounds", "--report", str(rep), "--mode", "iid",
+            "--m", "1", "--n", "100", "--w", "2", "--z-norm", "10",
+        ])
+        assert rc == 2
+        assert expected in capsys.readouterr().err
 
     def test_sn_product_only_rejected(self, tmp_path):
         from cvnnlab.network import build_network

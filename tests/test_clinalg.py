@@ -131,6 +131,12 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm_power(np.eye(2), tol=0.0)
 
+    def test_overflow_is_not_a_silent_zero(self):
+        # ||A*A v||^2 overflows: the iterate must not pass for a null vector
+        with np.errstate(all="ignore"):
+            res = spectral_norm_power(np.full((4, 4), 1e77))
+        assert res.value == math.inf and not res.converged
+
 
 class TestValidation:
     def test_rejects_nan(self):

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cvnnlab.activations import CRELU, SPLIT_TANH
+from cvnnlab.activations import CRELU, SPLIT_TANH, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
     AbsHead,
@@ -254,6 +255,15 @@ class TestLosses:
         with pytest.raises(ValueError, match="complex"):
             per_sample_losses(np.full((2, 3), 0.3), np.zeros((2, 3), complex), LossKind("l2"))
 
+    def test_l2_target_shape_checked_in_backward_too(self, rng):
+        net = build_network([Dense(3, 2)], seed=0)
+        x = random_complex(rng, 4, 3)
+        target = np.zeros((1, 2), complex)  # one row for a batch of four
+        with pytest.raises(ValueError, match="shape mismatch"):
+            per_sample_losses(forward(net, x), target, LossKind("l2"))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            backward(net, x, target, LossKind("l2"))
+
 
 class TestSgd:
     def test_plain_step(self):
@@ -378,22 +388,43 @@ class TestCheckpoints:
         )
 
     def test_round_trip_bitwise(self, tmp_path):
-        net = self._net()
+        # extreme magnitudes, a modrelu threshold and trainable thresholds
+        extreme = Network(
+            [Dense(1, 2, modrelu(-0.25))],
+            [np.array([[5e-324 + 1.7976931348623157e308j, -1e-300 + 0.1j]])],
+            [np.array([3.0 - 7e-9j, -2.5e100 + 1j])],
+            train_thresholds=True,
+        )
+        for net in (self._net(), extreme):
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(net, path)
+            loaded = load_checkpoint(path)
+            assert loaded.train_thresholds == net.train_thresholds
+            assert loaded.layers == net.layers
+            for wa, wb in zip(net.weights, loaded.weights):
+                if wa is None:
+                    assert wb is None
+                else:
+                    npt.assert_array_equal(wa, wb)
+            for ha, hb in zip(net.thresholds, loaded.thresholds):
+                if ha is None:
+                    assert hb is None
+                else:
+                    npt.assert_array_equal(ha, hb)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        assert loaded.train_thresholds == net.train_thresholds
-        assert loaded.layers == net.layers
-        for wa, wb in zip(net.weights, loaded.weights):
-            if wa is None:
-                assert wb is None
-            else:
-                npt.assert_array_equal(wa, wb)
-        for ha, hb in zip(net.thresholds, loaded.thresholds):
-            if ha is None:
-                assert hb is None
-            else:
-                npt.assert_array_equal(ha, hb)
+        save_checkpoint(self._net(), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(build_network([Dense(2, 2)], seed=1), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.json"]
 
     def test_truncated_file(self, tmp_path):
         net = self._net()

@@ -131,6 +131,11 @@ class TestConvSpectralNorm:
         res = conv_spectral_norm(np.zeros((3, 3, 1, 1)), (6, 6, 1))
         assert res.value == 0.0 and res.converged
 
+    def test_overflow_is_reported_unconverged(self):
+        with np.errstate(all="ignore"):
+            res = conv_spectral_norm(np.full((2, 2, 1, 1), 1e160), (4, 4, 1))
+        assert res.value == math.inf and not res.converged
+
     def test_implicit_matches_lowering(self, rng):
         k = random_kernel(rng, 3, 3, 2, 2)
         implicit = conv_spectral_norm(k, (8, 8, 2), seed=1).value
@@ -401,6 +406,12 @@ class TestReportSerialization:
         text = report_to_text(rep)
         back = report_from_text(text)
         assert back == rep
+        # empirical rho and nonzero thresholds set the report's other flags
+        net = build_network([Dense(3, 4, modrelu(-0.5)), Dense(4, 2)], seed=3)
+        net.thresholds[0][:] = 0.25
+        rep = analyze(net, (3,), probe_pairs=2000)
+        assert rep.empirical_rho and rep.thresholds_nonzero
+        assert report_from_text(report_to_text(rep)) == rep
 
     def test_sn_product_only_round_trip(self, rng):
         layers = [Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)]
@@ -409,6 +420,14 @@ class TestReportSerialization:
         back = report_from_text(report_to_text(rep))
         assert back.r_a is None
         assert back.sn_product_only
+
+    @pytest.mark.parametrize("key", ["layer.0.position", "layer_count", "sn_product"])
+    def test_missing_key_is_named(self, key):
+        net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
+        text = report_to_text(analyze(net, (2,)))
+        lines = [l for l in text.splitlines() if not l.startswith(key + " =")]
+        with pytest.raises(ValueError, match=f"report lacks '{key}'"):
+            report_from_text("\n".join(lines))
 
     def test_flat_kv_shape(self):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
