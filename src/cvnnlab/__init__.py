@@ -16,7 +16,6 @@ from .covering import (
     cover_check,
     cover_target,
     maurey_sparsify,
-    signed_basis,
 )
 from .network import (
     AbsHead,

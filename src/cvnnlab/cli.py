@@ -57,7 +57,6 @@ from .network import (
     Network,
     backward,
     build_network,
-    compute_loss,
     forward,
     load_checkpoint,
     max_width,
@@ -222,7 +221,7 @@ def parse_trace_csv(path) -> TrainingTrace:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace: {exc}") from exc
     if not lines or lines[0] != TRACE_HEADER:
         raise TraceError("trace header does not match the schema")
@@ -245,16 +244,19 @@ def parse_trace_csv(path) -> TrainingTrace:
             )
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
-    return TrainingTrace(
-        epoch=np.asarray(cols["epoch"]),
-        train_loss=np.asarray(cols["train_loss"]),
-        train_acc=np.asarray(cols["train_acc"]),
-        test_acc=np.asarray(cols["test_acc"]),
-        excess_risk=np.asarray(cols["excess_risk"]),
-        sn_product=np.asarray(cols["sn_product"]),
-        r_a=np.asarray(cols["r_a"]),
-        layer_norms=layer_norms,
-    )
+    try:
+        return TrainingTrace(
+            epoch=np.asarray(cols["epoch"]),
+            train_loss=np.asarray(cols["train_loss"]),
+            train_acc=np.asarray(cols["train_acc"]),
+            test_acc=np.asarray(cols["test_acc"]),
+            excess_risk=np.asarray(cols["excess_risk"]),
+            sn_product=np.asarray(cols["sn_product"]),
+            r_a=np.asarray(cols["r_a"]),
+            layer_norms=layer_norms,
+        )
+    except ValueError as exc:
+        raise TraceError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ network is built.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, fields
@@ -90,7 +91,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, convert[key](value))
+            typed = convert[key](value)
+            if isinstance(typed, float) and not math.isfinite(typed):
+                raise ValueError(f"{value!r} is not finite")
+            setattr(cfg, key, typed)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     _validate(cfg)

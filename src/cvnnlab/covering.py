@@ -15,11 +15,14 @@ hitting the expectation itself is reported but never asserted.
 
 The cover check instantiates the construction behind the linear covering
 bound: targets ZA with ||A||_{2,1} <= a are decomposed over the 4dm signed
-basis directions built from the column-normalized data matrix, then
-sparsified with k = ceil(a^2 ||Z||^2 m^(2/r) / eps^2) atoms.  Coverage is
-verified pointwise on sampled targets (the full cover has N^k points and is
-never enumerated); the count of distinct sparsified points stands in for
-the cover cardinality.
+basis directions +-(y e_i) e_j^T and +-(i y e_i) e_j^T built from the
+column-normalized data matrix y, then sparsified with
+k = ceil(a^2 ||Z||^2 m^(2/r) / eps^2) atoms.  Weights over the basis act
+through their d x m coefficient matrix S (a sparsified point is y S_k), so
+the basis stays implicit and a check needs memory O(trials (d m + n m)).
+Coverage is verified pointwise on sampled targets (the full cover has N^k
+points and is never enumerated); the count of distinct sparsified points
+stands in for the cover cardinality.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "MaureyResult",
     "maurey_sparsify",
     "maurey_expectation_bound",
-    "signed_basis",
     "CoverReport",
     "cover_target",
     "cover_check",
@@ -114,35 +116,9 @@ def maurey_sparsify(inst: MaureyInstance, trials: int, seed: int = 0) -> MaureyR
     )
 
 
-def signed_basis(y, m: int):
-    """The 4dm signed basis directions built from a column-normalized matrix.
-
-    For each column index i of ``y`` and output index j < m the basis holds
-    +-(y e_i) e_j^T and +-(i * y e_i) e_j^T, ordered real-part block first,
-    each block sign-major then (i, j) row-major.  With unit 2-norm columns
-    every element has unit norm.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ValueError("y must be a matrix")
-    col_norms = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
-    if np.any(np.abs(col_norms - 1.0) > 1e-9):
-        raise ValueError("columns of y must have unit norm")
-    n, d = y.shape
-    basis = []
-    for unit in (1.0, 1.0j):
-        for sign in (1.0, -1.0):
-            for i in range(d):
-                col = sign * unit * y[:, i]
-                for j in range(m):
-                    v = np.zeros((n, m), dtype=np.complex128)
-                    v[:, j] = col
-                    basis.append(v)
-    return basis
-
-
 def _decomposition_weights(s, d: int, m: int) -> np.ndarray:
-    """Weights over :func:`signed_basis` order reproducing Y S exactly."""
+    """Weights over the signed basis reproducing Y S exactly, ordered
+    real-part block first, each block sign-major then (i, j) row-major."""
     re, im = s.real, s.imag
     blocks = [
         np.maximum(re, 0.0),  # +real directions
@@ -151,6 +127,13 @@ def _decomposition_weights(s, d: int, m: int) -> np.ndarray:
         np.maximum(-im, 0.0),  # -imag directions
     ]
     return np.concatenate([b.reshape(d * m) for b in blocks])
+
+
+def _coefficients(weights, d: int, m: int) -> np.ndarray:
+    """The d x m coefficient matrix (w+re - w-re) + i (w+im - w-im) of signed
+    basis weights along the last axis; leading axes are kept."""
+    w = np.reshape(weights, np.shape(weights)[:-1] + (4, d, m))
+    return (w[..., 0, :, :] - w[..., 1, :, :]) + 1j * (w[..., 2, :, :] - w[..., 3, :, :])
 
 
 @dataclass(frozen=True)
@@ -174,14 +157,15 @@ class CoverReport:
 def cover_target(z, a_mat, k: int, trials: int, seed: int = 0, alpha_cap: float | None = None):
     """Decompose ZA over the signed basis and sparsify one target.
 
-    Returns (error, counts).  A zero weight matrix is covered exactly by the
+    Returns (error, counts), counts in signed-basis order; the trial errors
+    are ||y (S_k - S)||_F.  A zero weight matrix is covered exactly by the
     zero cover point (all counts zero).  Raises AssertionError when the
     decomposition fails to reproduce ZA or the mass inequality
     ||S||_1 <= alpha_cap is violated.
     """
     z = np.asarray(z, dtype=np.complex128)
     a_mat = np.asarray(a_mat, dtype=np.complex128)
-    n, d = z.shape
+    _, d = z.shape
     d2, m = a_mat.shape
     if d2 != d:
         raise ValueError("A must have one row per column of Z")
@@ -189,21 +173,25 @@ def cover_target(z, a_mat, k: int, trials: int, seed: int = 0, alpha_cap: float 
     if np.any(col_norms == 0.0):
         raise ValueError("z must have no zero column")
     y = z / col_norms
-    basis = signed_basis(y, m)
     za = z @ a_mat
     s = col_norms[:, None] * a_mat  # Hadamard scaling: ZA = Y S
     if alpha_cap is not None and pq_norm(s, 1, 1) > alpha_cap * (1.0 + 1e-9):
         raise AssertionError("mass inequality ||S||_1 <= alpha violated")
     weights = _decomposition_weights(s, d, m)
-    flat_basis = np.stack([b.reshape(-1) for b in basis])
-    recon = (weights @ flat_basis).reshape(n, m)
+    recon = y @ _coefficients(weights, d, m)
     if frobenius_norm(recon - za) > 1e-10 * max(1.0, frobenius_norm(za)):
         raise AssertionError("basis decomposition does not reproduce ZA")
     if weights.sum() == 0.0:
-        return 0.0, np.zeros(len(basis), dtype=int)
-    inst = MaureyInstance(elements=tuple(basis), weights=weights, k=k)
-    res = maurey_sparsify(inst, trials=trials, seed=seed)
-    return res.error, res.counts
+        return 0.0, np.zeros(weights.shape, dtype=int)
+    if k < 1 or trials < 1:
+        raise ValueError("k and trials must be positive integers")
+    # the draw of maurey_sparsify on MaureyInstance(basis, weights, k)
+    alpha = float(weights.sum())
+    counts = np.random.default_rng(seed).multinomial(k, weights / alpha, size=trials)
+    residual = y @ (_coefficients(alpha * (counts / k), d, m) - s)
+    errors = np.sqrt(np.sum(np.abs(residual) ** 2, axis=(1, 2)))
+    best = int(np.argmin(errors))
+    return float(errors[best]), counts[best]
 
 
 def cover_check(

@@ -503,7 +503,7 @@ def _activation_from_json(doc):
         return None
     try:
         return Activation(doc["kind"], b=float(doc.get("b", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedCheckpointError(f"bad activation record: {exc}") from exc
 
 
@@ -522,10 +522,12 @@ def _layer_from_json(doc):
         if cls is None:
             raise MalformedCheckpointError(f"unknown layer type {doc['type']!r}")
         args = {f.name: doc[f.name] for f in fields(cls) if f.name != "activation"}
+        if not all(type(v) is int for v in args.values()):
+            raise MalformedCheckpointError(f"{doc['type']} dimensions must be integers")
         if cls in (Dense, Conv):
             args["activation"] = _activation_from_json(doc.get("activation"))
         return cls(**args)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCheckpointError(f"bad layer record: {exc}") from exc
 
 
@@ -556,24 +558,25 @@ def _param_array(doc, key, shape):
     try:
         re = np.asarray(doc[key + "_re"], dtype=float)
         im = np.asarray(doc[key + "_im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedCheckpointError(f"bad parameter arrays for {key}: {exc}") from exc
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if re.size != expected or im.size != expected:
         raise CheckpointShapeError(
             f"{key}: expected {expected} values, got {re.size}/{im.size}"
         )
-    arr = (re + 1j * im).reshape(shape)
+    arr = re.ravel().astype(np.complex128)  # re + 1j * im would turn -0.0 into 0.0
+    arr.imag = im.ravel()
     if not np.all(np.isfinite(arr)):
         raise MalformedCheckpointError(f"{key}: non-finite values")
-    return arr
+    return arr.reshape(shape)
 
 
 def load_checkpoint(path) -> Network:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long integers
         raise MalformedCheckpointError(f"cannot parse checkpoint: {exc}") from exc
     except OSError as exc:
         raise MalformedCheckpointError(f"cannot read checkpoint: {exc}") from exc

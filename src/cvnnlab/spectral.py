@@ -375,5 +375,5 @@ def report_from_text(text: str) -> SpectralReport:
         sn_product_only=flag("sn_product_only"),
         empirical_rho=flag("empirical_rho"),
         thresholds_nonzero=flag("thresholds_nonzero"),
-        power_iteration_converged=kv.get("power_iteration_converged", "true") == "true",
+        power_iteration_converged=flag("power_iteration_converged"),
     )

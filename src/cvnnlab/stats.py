@@ -2,16 +2,14 @@
 
 The correlation protocol ranks both series with midrank tie handling and
 takes the Pearson correlation of the ranks.  Two-sided p-values come from
-full permutation enumeration for short series and from the Student-t
-approximation t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom
-otherwise.  Full enumeration is the exact small-sample method; it is
-feasible up to n = EXACT_ENUM_MAX (n! permutations) and the t approximation
-takes over beyond that.
+the exact permutation distribution up to n = EXACT_ENUM_MAX, an integer
+count over all n! orderings that a dynamic program over subsets builds in
+2^n histograms, and beyond that from the Student-t approximation
+t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +28,7 @@ __all__ = [
     "correlate_trace",
 ]
 
-EXACT_ENUM_MAX = 10  # n! permutations are enumerated up to here
+EXACT_ENUM_MAX = 10  # exact p-values up to here: 2^n histograms
 
 
 class ConstantInputError(ValueError):
@@ -80,40 +78,41 @@ def _t_approx_p(rho: float, n: int) -> float:
     return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    """Two-sided permutation p by full enumeration of y-rank orderings.
+def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Two-sided permutation p: the share of the n! orderings of the y ranks
+    whose |T| is at least the observed one.
 
-    Pearson on ranks is monotone in sum(rx * permuted(ry)) because rank
-    means and variances are permutation-invariant, so only that statistic
-    is enumerated.
+    Pearson on ranks is monotone in T = sum(a_i * b_pi(i)) over the doubled
+    centred midranks a = 2 rx - (n+1), b = 2 ry - (n+1), because rank means
+    and variances are permutation-invariant.  ``counts[mask, T + top]`` is
+    the number of ways to pair the first popcount(mask) x positions with
+    the y positions in ``mask`` at partial sum T, so the full mask holds the
+    integer histogram of T.
     """
     n = len(rx)
-    xc = rx - rx.mean()
-    yc = ry - ry.mean()
-    denom = math.sqrt(float(np.sum(xc**2)) * float(np.sum(yc**2)))
-    target = abs(rho_obs) * denom * (1.0 - 1e-12)
-    hits = 0
-    total = 0
-    chunk = []
-    for perm in itertools.permutations(yc):
-        chunk.append(perm)
-        if len(chunk) == 40320:  # process in blocks
-            dots = np.abs(np.asarray(chunk) @ xc)
-            hits += int(np.count_nonzero(dots >= target))
-            total += len(chunk)
-            chunk = []
-    if chunk:
-        dots = np.abs(np.asarray(chunk) @ xc)
-        hits += int(np.count_nonzero(dots >= target))
-        total += len(chunk)
-    assert total == math.factorial(n)
-    return hits / total
+    a = np.rint(2.0 * rx).astype(np.int64) - (n + 1)
+    b = np.rint(2.0 * ry).astype(np.int64) - (n + 1)
+    top = int(np.sort(np.abs(a)) @ np.sort(np.abs(b)))  # |T| <= top (rearrangement)
+    width = 2 * top + 1
+    counts = np.zeros((1 << n, width), dtype=np.int64)
+    counts[0, top] = 1
+    level = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    for i in range(n):
+        rows = np.flatnonzero(level == i)
+        for j in range(n):
+            src = rows[(rows >> j) & 1 == 0]
+            shift = int(a[i] * b[j])
+            lo, hi = max(shift, 0), width + min(shift, 0)
+            counts[src | (1 << j), lo:hi] += counts[src, lo - shift : hi - shift]
+    stat = np.arange(width) - top
+    hits = int(counts[-1][np.abs(stat) >= abs(int(a @ b))].sum())
+    return hits / math.factorial(n)
 
 
 def spearman(x, y, p_method: str = "auto") -> SpearmanResult:
     """Spearman rank correlation with a two-sided p-value.
 
-    ``p_method``: "exact" (full permutation enumeration), "t"
+    ``p_method``: "exact" (exact permutation distribution), "t"
     (Student-t approximation), or "auto" (exact up to EXACT_ENUM_MAX).
     """
     x = np.asarray(x, dtype=float)
@@ -138,7 +137,7 @@ def spearman(x, y, p_method: str = "auto") -> SpearmanResult:
             raise ValueError(
                 f"exact enumeration of {n}! permutations is not feasible"
             )
-        p = _exact_permutation_p(rx, ry, rho)
+        p = _exact_permutation_p(rx, ry)
     elif p_method == "t":
         p = _t_approx_p(rho, n)
     else:

@@ -45,9 +45,11 @@ def kv_text(pairs) -> str:
 
 
 def json_text(doc) -> str:
-    """Compact JSON for ``doc`` with every float at 17 significant digits."""
+    """Compact JSON for ``doc``, every float at 17 significant digits and
+    negative zero as ``-0.0`` (JSON reads ``-0`` back as the integer 0)."""
     if isinstance(doc, float):
-        return f17(doc)
+        text = f17(doc)
+        return "-0.0" if text == "-0" else text
     if isinstance(doc, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{json_text(v)}" for k, v in doc.items()) + "}"
     if isinstance(doc, (list, tuple)):

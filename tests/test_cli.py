@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnnlab.activations import CRELU
-from cvnnlab.cli import main, parse_trace_csv, run_training, TRACE_HEADER
+from cvnnlab.cli import TraceError, main, parse_trace_csv, run_training, TRACE_HEADER
 from cvnnlab.config import (
     CONFIG_KEYS,
     ConfigError,
@@ -76,6 +79,12 @@ class TestConfigParsing:
             parse_config(text)
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("key", ["lr", "lr_decay_factor", "synthetic_noise", "momentum"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: .* is not finite"):
+            parse_config(f"dataset = synthetic\n{key} = {value}\n")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -309,6 +318,15 @@ class TestAnalyzeCommand:
         assert "sn_product_only = true" in text
         assert "r_a" not in [line.split(" = ")[0] for line in text.splitlines()]
 
+    def test_bad_layer_dimension_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        save_checkpoint(Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)]), ck)
+        doc = json.loads(ck.read_text())
+        doc["layers"][0]["in_dim"] = 0
+        ck.write_text(json.dumps(doc))
+        assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "2"]) == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3
 
@@ -411,6 +429,12 @@ class TestStatsCommand:
         trace.write_text("epoch,nope\n1,2\n")
         assert main(["stats", "--trace", str(trace)]) == 3
 
+    def test_repeated_epoch_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "r.csv"
+        trace.write_text(f"{TRACE_HEADER}\n1,0.1,1,0.9,0.1,2.0,,\n1,0.1,1,0.8,0.2,3.0,,\n")
+        assert main(["stats", "--trace", str(trace)]) == 3
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_constant_column(self, tmp_path):
         rows = [TRACE_HEADER]
         for i in range(1, 6):
@@ -459,3 +483,21 @@ class TestTraceParsing:
 
         with pytest.raises(TraceError):
             parse_trace_csv(bad)
+
+
+trace_fields = st.sampled_from(["", "1", "2", "-1", "0.5", "nan", "inf", "1;2", "x", "1e999", " 3"])
+trace_texts = st.text() | st.lists(
+    st.lists(trace_fields, min_size=7, max_size=9).map(",".join), max_size=5
+).map(lambda rows: "\n".join([TRACE_HEADER] + rows) + "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts)
+def test_trace_parser_on_arbitrary_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            parse_trace_csv(path)
+        except TraceError:
+            pass

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,13 +12,40 @@ from cvnnlab.covering import (
     cover_check,
     cover_report_to_text,
     cover_target,
-    signed_basis,
     maurey_expectation_bound,
     maurey_sparsify,
 )
 from cvnnlab.spectral import covering_bound_linear
 
 from conftest import random_complex
+
+
+def signed_basis(y, m: int):
+    """The 4dm signed basis directions built from a column-normalized matrix.
+
+    For each column index i of ``y`` and output index j < m the basis holds
+    +-(y e_i) e_j^T and +-(i * y e_i) e_j^T, ordered real-part block first,
+    each block sign-major then (i, j) row-major.  With unit 2-norm columns
+    every element has unit norm.  Dense oracle for the implicit basis of
+    ``cover_target``.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    if y.ndim != 2:
+        raise ValueError("y must be a matrix")
+    col_norms = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
+    if np.any(np.abs(col_norms - 1.0) > 1e-9):
+        raise ValueError("columns of y must have unit norm")
+    n, d = y.shape
+    basis = []
+    for unit in (1.0, 1.0j):
+        for sign in (1.0, -1.0):
+            for i in range(d):
+                col = sign * unit * y[:, i]
+                for j in range(m):
+                    v = np.zeros((n, m), dtype=np.complex128)
+                    v[:, j] = col
+                    basis.append(v)
+    return basis
 
 
 def brute_force_best(inst: MaureyInstance) -> float:
@@ -186,6 +214,37 @@ class TestCoverCheck:
         error, counts = cover_target(z, a_mat, k=50, trials=8, seed=5)
         assert error >= 0.0
         assert counts.sum() == 50
+
+    @pytest.mark.parametrize(
+        "d, m, n, k, seed", [(1, 1, 2, 3, 0), (2, 3, 4, 7, 1), (3, 2, 5, 40, 2), (4, 4, 6, 13, 3)]
+    )
+    def test_matches_dense_basis_sparsification(self, d, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        z = random_complex(rng, n, d)
+        a_mat = random_complex(rng, d, m)
+        col_norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+        s = col_norms[:, None] * a_mat
+        weights = np.concatenate(
+            [np.maximum(part, 0.0).ravel() for part in (s.real, -s.real, s.imag, -s.imag)]
+        )
+        inst = MaureyInstance(signed_basis(z / col_norms, m), weights, k)
+        npt.assert_allclose(inst.target(), z @ a_mat, rtol=1e-12, atol=1e-12)
+        ref = maurey_sparsify(inst, trials=16, seed=seed)
+        error, counts = cover_target(z, a_mat, k, trials=16, seed=seed)
+        npt.assert_array_equal(counts, ref.counts)
+        assert error == pytest.approx(ref.error, rel=1e-12)
+
+    def test_peak_memory_bounded(self):
+        # materialising the 4dm-element basis takes about 400 MiB at this size
+        rng = np.random.default_rng(0)
+        z = math.sqrt(0.5) * (rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32)))
+        tracemalloc.start()
+        try:
+            cover_check(z, a=1.0, eps=0.5, n_samples=2, trials=64, seed=0, m=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_mass_cap_violation_detected(self, rng):
         z = random_complex(rng, 3, 2)

@@ -1,8 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvnnlab.activations import SPLIT_TANH
 from cvnnlab.datasets import (
@@ -213,3 +217,35 @@ class TestGlyphs:
         ds = load_idx(tmp_path / "gi", tmp_path / "gl")
         assert ds.n == 32
         assert ds.image_shape == (28, 28, 1)
+
+
+# a right magic, or a whole small header, in front of arbitrary bytes
+# reaches the size checks and the payload reshape
+small = st.integers(0, 3)
+idx_bytes = (
+    st.binary(max_size=64)
+    | st.builds(
+        lambda magic, rest: struct.pack(">I", magic) + rest,
+        st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC]),
+        st.binary(max_size=64),
+    )
+    | st.builds(
+        lambda dims, rest: struct.pack(">IIII", IMAGE_MAGIC, *dims) + rest,
+        st.tuples(small, small, small),
+        st.binary(max_size=32),
+    )
+    | st.builds(lambda n, rest: struct.pack(">II", LABEL_MAGIC, n) + rest, small, st.binary(max_size=8))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(idx_bytes)
+def test_idx_readers_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.idx"
+        path.write_bytes(data)
+        for reader in (read_idx_images, read_idx_labels):
+            try:
+                reader(path)
+            except IdxError:
+                pass

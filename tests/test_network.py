@@ -1,15 +1,21 @@
+import functools
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvnnlab.activations import CRELU, SPLIT_TANH, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
     AbsHead,
+    CheckpointError,
     CheckpointShapeError,
     CheckpointVersionError,
     Conv,
@@ -395,22 +401,28 @@ class TestCheckpoints:
             [np.array([3.0 - 7e-9j, -2.5e100 + 1j])],
             train_thresholds=True,
         )
-        for net in (self._net(), extreme):
+        # negative zeros in both parts: the sign of zero must survive too
+        signed_zeros = Network(
+            [Dense(2, 1)],
+            [np.array([[complex(-0.0, 0.5)], [complex(0.25, -0.0)]])],
+            [np.array([complex(-0.0, -0.0)])],
+        )
+        for net in (self._net(), extreme, signed_zeros):
             path = tmp_path / "ckpt.json"
             save_checkpoint(net, path)
             loaded = load_checkpoint(path)
             assert loaded.train_thresholds == net.train_thresholds
             assert loaded.layers == net.layers
-            for wa, wb in zip(net.weights, loaded.weights):
-                if wa is None:
-                    assert wb is None
-                else:
-                    npt.assert_array_equal(wa, wb)
-            for ha, hb in zip(net.thresholds, loaded.thresholds):
-                if ha is None:
-                    assert hb is None
-                else:
-                    npt.assert_array_equal(ha, hb)
+            for params in ("weights", "thresholds"):
+                for pa, pb in zip(getattr(net, params), getattr(loaded, params)):
+                    if pa is None:
+                        assert pb is None
+                    else:
+                        assert pa.shape == pb.shape
+                        npt.assert_array_equal(
+                            np.ascontiguousarray(pa).view(np.uint64),
+                            np.ascontiguousarray(pb).view(np.uint64),
+                        )
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
@@ -445,6 +457,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("in_dim", [0, 2.0, True, "2", None])
+    def test_bad_layer_dimension_is_malformed(self, tmp_path, in_dim):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._net(), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][2]["in_dim"] = in_dim
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedCheckpointError):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         net = self._net()
         path = tmp_path / "ckpt.json"
@@ -463,3 +485,71 @@ class TestCheckpoints:
         assert "0.10000000000000001" in path.read_text()
         loaded = load_checkpoint(path)
         assert loaded.weights[0][0, 0] == 0.1 + 0.25j
+
+
+# --- garbage input: the loader raises only CheckpointError ---------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _load_text(text):
+    """load_checkpoint on ``text``; any error but a CheckpointError escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        path.write_text(text)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@functools.cache
+def _valid_checkpoint_text():
+    """A saved (3, 3, 1)-input network with every layer type."""
+    net = build_network(
+        [Conv(2, 2, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 3, modrelu(-0.5)), AbsHead(3)],
+        seed=4,
+        train_thresholds=True,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(net, path)
+        return path.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_checkpoint_loader_on_arbitrary_json(doc):
+    _load_text(json.dumps(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checkpoint_loader_on_mutated_checkpoint(data):
+    doc = json.loads(_valid_checkpoint_text())
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(st.just(None) | json_values | st.sampled_from([0, -1, 2.0, True, 10**40]))
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    _load_text(json.dumps(doc))

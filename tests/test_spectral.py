@@ -421,7 +421,9 @@ class TestReportSerialization:
         assert back.r_a is None
         assert back.sn_product_only
 
-    @pytest.mark.parametrize("key", ["layer.0.position", "layer_count", "sn_product"])
+    @pytest.mark.parametrize(
+        "key", ["layer.0.position", "layer_count", "sn_product", "power_iteration_converged"]
+    )
     def test_missing_key_is_named(self, key):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
         text = report_to_text(analyze(net, (2,)))

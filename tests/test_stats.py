@@ -55,6 +55,18 @@ def enum_permutation_p(x, y):
     return hits / total
 
 
+def enum_doubled_rank_hits(x, y):
+    """Orderings of y whose |sum a_i b_pi(i)| over the doubled centred
+    midranks a, b (integers, ties included) reaches the observed value."""
+    n = len(x)
+    a = [round(2 * r) - (n + 1) for r in brute_rank(list(x))]
+    b = [round(2 * r) - (n + 1) for r in brute_rank(list(y))]
+    observed = abs(sum(p * q for p, q in zip(a, b)))
+    return sum(
+        1 for perm in itertools.permutations(b) if abs(sum(p * q for p, q in zip(a, perm))) >= observed
+    )
+
+
 class TestRanks:
     def test_no_ties(self):
         np.testing.assert_array_equal(average_ranks([30.0, 10.0, 20.0]), [3.0, 1.0, 2.0])
@@ -119,6 +131,20 @@ class TestPValues:
                 continue
             mine = spearman(x, y, p_method="exact").p
             assert mine == pytest.approx(enum_permutation_p(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_exact_is_integer_count_over_n_factorial(self, rng, ties):
+        for n in (3, 4, 5, 6, 7, 8, 8):
+            if ties:
+                x = rng.integers(0, 3, size=n).astype(float)
+                y = rng.integers(0, 3, size=n).astype(float)
+                if len(set(x)) < 2 or len(set(y)) < 2:
+                    continue
+            else:
+                x = rng.standard_normal(n)
+                y = rng.standard_normal(n) + 0.5 * x
+            p = spearman(x, y, p_method="exact").p
+            assert p == enum_doubled_rank_hits(x, y) / math.factorial(n)
 
     def test_exact_t_overlap_zone(self, rng):
         # agreement between the exact and asymptotic methods at the largest
