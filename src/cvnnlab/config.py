@@ -11,7 +11,9 @@ separated by semicolons using the model-table shorthand:
 
 The configured activation follows every weighted layer except the final
 one.  Dimensions are resolved against the dataset's input shape when the
-network is built.
+network is built: each layer's input dimension is the running feature
+shape, and the next shape comes from the spec's ``output_shape``, the one
+statement of layer geometry (:mod:`cvnnlab.network`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .activations import Activation
 from .network import AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
@@ -110,17 +110,22 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
+# the smallest accepted value of each integer size; a subsample of 0 keeps everything
+_MINIMUMS = dict(
+    epochs=1, batch_size=1, analysis_every=1, synthetic_train_n=1, synthetic_test_n=1,
+    synthetic_dim=1, train_subsample=0, test_subsample=0
+)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.dataset not in ("idx", "synthetic"):
         raise ConfigError(f"dataset must be idx or synthetic, got {cfg.dataset!r}")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if cfg.analysis_every < 1:
-        raise ConfigError("analysis_every must be >= 1")
-    if cfg.lr <= 0:
-        raise ConfigError("lr must be positive")
+    for key, low in _MINIMUMS.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    for key in ("lr", "lr_decay_factor"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
     if not 0.0 <= cfg.momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
     if cfg.loss not in ("cross_entropy", "l2"):
@@ -183,35 +188,24 @@ def build_layers(arch: str, activation: Activation, input_shape) -> list[LayerSp
     cur = tuple(input_shape)
     for pos, tok in enumerate(tokens):
         act = activation if pos != last_weighted else None
-        if m := _CONV_RE.match(tok):
-            kh, kw, cout = (int(g) for g in m.groups())
-            if len(cur) != 3:
-                raise ConfigError(f"layer {pos}: conv needs image input, have {cur}")
-            h, w, cin = cur
-            if h < kh or w < kw:
-                raise ConfigError(f"layer {pos}: kernel {kh}x{kw} exceeds input {cur}")
-            layers.append(Conv(kh, kw, cin, cout, activation=act))
-            cur = (h - kh + 1, w - kw + 1, cout)
-        elif m := _POOL_RE.match(tok):
-            wy, wx = (int(g) for g in m.groups())
-            if wy != wx:
-                raise ConfigError(f"layer {pos}: only square pooling windows")
-            if len(cur) != 3:
-                raise ConfigError(f"layer {pos}: pool needs image input, have {cur}")
-            layers.append(MaxPoolModulus(window=wy))
-            cur = (cur[0] // wy, cur[1] // wx, cur[2])
-            if cur[0] < 1 or cur[1] < 1:
-                raise ConfigError(f"layer {pos}: pooled away the whole input")
-        elif m := _FC_RE.match(tok):
-            out_dim = int(m.group(1))
-            in_dim = int(np.prod(cur))
-            layers.append(Dense(in_dim, out_dim, activation=act))
-            cur = (out_dim,)
-        elif tok == "abs":
-            if pos != len(tokens) - 1:
-                raise ConfigError("abs head must be the final layer")
-            classes = int(np.prod(cur))
-            layers.append(AbsHead(classes))
-        else:
+        conv, pool, fc = _CONV_RE.match(tok), _POOL_RE.match(tok), _FC_RE.match(tok)
+        if not (conv or pool or fc or tok == "abs"):
             raise ConfigError(f"layer {pos}: cannot parse token {tok!r}")
+        if pool and int(pool[1]) != int(pool[2]):
+            raise ConfigError(f"layer {pos}: only square pooling windows")
+        if tok == "abs" and pos != len(tokens) - 1:
+            raise ConfigError("abs head must be the final layer")
+        try:
+            if conv:
+                spec = Conv(int(conv[1]), int(conv[2]), cur[-1], int(conv[3]), activation=act)
+            elif pool:
+                spec = MaxPoolModulus(window=int(pool[1]))
+            elif fc:
+                spec = Dense(math.prod(cur), int(fc[1]), activation=act)
+            else:
+                spec = AbsHead(math.prod(cur))
+            cur = spec.output_shape(cur)
+        except ValueError as exc:
+            raise ConfigError(f"layer {pos}: {exc}") from None
+        layers.append(spec)
     return layers

@@ -219,8 +219,8 @@ def cover_check(
     n, d = z.shape
     if m is None:
         m = d
-    if m < 1:
-        raise ValueError("m must be positive")
+    if m < 1 or n_samples < 1:
+        raise ValueError("m and n_samples must be positive")
     col_norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
     if np.any(col_norms == 0.0):
         raise ValueError("z must have no zero column")

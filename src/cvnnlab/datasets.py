@@ -134,6 +134,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         raise CountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise IdxError(f"{images_path}: no samples")
     pixels = images.astype(np.float64) / 255.0
     inputs = to_complex(pixels[..., None])  # (n, h, w, 1)
     return Dataset(

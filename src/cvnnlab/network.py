@@ -1,6 +1,10 @@
 """Complex-valued networks: construction, forward pass, backprop, SGD, checkpoints.
 
 Layers are immutable specs; a :class:`Network` owns the complex parameters.
+Each spec's ``param_shapes()`` (weight and threshold shapes, or None) and
+``output_shape(shape)`` are the one statement of layer geometry: shape
+inference, construction, parameter validation, checkpoint loading and the
+config's architecture builder all read them.
 Backprop runs as real backprop on (re, im) pairs: loss gradients with respect
 to a complex quantity q = a + bi are carried as the complex number
 dL/da + i dL/db, so complex arrays serve as gradient containers and the
@@ -65,6 +69,12 @@ CHECKPOINT_VERSION = 1
 # layer specs
 
 
+def _image_shape(kind, shape):
+    if len(shape) != 3:
+        raise ValueError(f"{kind} needs image input (h, w, c), got {tuple(shape)}")
+    return shape
+
+
 @dataclass(frozen=True)
 class Dense:
     in_dim: int
@@ -74,6 +84,15 @@ class Dense:
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("dense dimensions must be positive")
+
+    def param_shapes(self):
+        return (self.in_dim, self.out_dim), (self.out_dim,)
+
+    def output_shape(self, shape):
+        flat = math.prod(shape)
+        if flat != self.in_dim:
+            raise ValueError(f"dense expects {self.in_dim} inputs, got {flat}")
+        return (self.out_dim,)
 
 
 @dataclass(frozen=True)
@@ -90,6 +109,19 @@ class Conv:
         if min(self.kernel_h, self.kernel_w, self.in_channels, self.out_channels) < 1:
             raise ValueError("conv dimensions must be positive")
 
+    def param_shapes(self):
+        kshape = (self.kernel_h, self.kernel_w, self.in_channels, self.out_channels)
+        return kshape, (self.out_channels,)
+
+    def output_shape(self, shape):
+        h, w, c = _image_shape("conv", shape)
+        if c != self.in_channels:
+            raise ValueError(f"conv expects {self.in_channels} channels, got {c}")
+        oh, ow = h - self.kernel_h + 1, w - self.kernel_w + 1
+        if oh < 1 or ow < 1:
+            raise ValueError(f"kernel larger than input {tuple(shape)}")
+        return (oh, ow, self.out_channels)
+
 
 @dataclass(frozen=True)
 class MaxPoolModulus:
@@ -99,6 +131,16 @@ class MaxPoolModulus:
         if self.window < 1:
             raise ValueError("pool window must be positive")
 
+    def param_shapes(self):
+        return None
+
+    def output_shape(self, shape):
+        h, w, c = _image_shape("pool", shape)
+        oh, ow = h // self.window, w // self.window
+        if oh < 1 or ow < 1:
+            raise ValueError(f"pool window {self.window} exceeds input {tuple(shape)}")
+        return (oh, ow, c)
+
 
 @dataclass(frozen=True)
 class AbsHead:
@@ -107,6 +149,15 @@ class AbsHead:
     def __post_init__(self):
         if self.out_classes < 1:
             raise ValueError("out_classes must be positive")
+
+    def param_shapes(self):
+        return None
+
+    def output_shape(self, shape):
+        flat = math.prod(shape)
+        if flat != self.out_classes:
+            raise ValueError(f"abs head expects {self.out_classes} features, got {flat}")
+        return (self.out_classes,)
 
 
 LayerSpec = Dense | Conv | MaxPoolModulus | AbsHead
@@ -120,47 +171,15 @@ def infer_shapes(layers, input_shape):
     AbsHead appears anywhere but last.
     """
     shapes = [tuple(int(s) for s in input_shape)]
-    cur = shapes[0]
     for pos, spec in enumerate(layers):
+        if not isinstance(spec, LayerSpec):
+            raise TypeError(f"unknown layer spec {spec!r}")
         if isinstance(spec, AbsHead) and pos != len(layers) - 1:
             raise ValueError("abs head must be the final layer")
-        if isinstance(spec, Dense):
-            flat = int(np.prod(cur))
-            if flat != spec.in_dim:
-                raise ValueError(
-                    f"layer {pos}: dense expects {spec.in_dim} inputs, got {flat}"
-                )
-            cur = (spec.out_dim,)
-        elif isinstance(spec, Conv):
-            if len(cur) != 3:
-                raise ValueError(f"layer {pos}: conv needs (h, w, c) input, got {cur}")
-            h, w, c = cur
-            if c != spec.in_channels:
-                raise ValueError(
-                    f"layer {pos}: conv expects {spec.in_channels} channels, got {c}"
-                )
-            oh, ow = h - spec.kernel_h + 1, w - spec.kernel_w + 1
-            if oh < 1 or ow < 1:
-                raise ValueError(f"layer {pos}: kernel larger than input {cur}")
-            cur = (oh, ow, spec.out_channels)
-        elif isinstance(spec, MaxPoolModulus):
-            if len(cur) != 3:
-                raise ValueError(f"layer {pos}: pool needs (h, w, c) input, got {cur}")
-            h, w, c = cur
-            oh, ow = h // spec.window, w // spec.window
-            if oh < 1 or ow < 1:
-                raise ValueError(f"layer {pos}: pool window exceeds input {cur}")
-            cur = (oh, ow, c)
-        elif isinstance(spec, AbsHead):
-            flat = int(np.prod(cur))
-            if flat != spec.out_classes:
-                raise ValueError(
-                    f"abs head expects {spec.out_classes} features, got {flat}"
-                )
-            cur = (spec.out_classes,)
-        else:
-            raise TypeError(f"unknown layer spec {spec!r}")
-        shapes.append(cur)
+        try:
+            shapes.append(spec.output_shape(shapes[-1]))
+        except ValueError as exc:
+            raise ValueError(f"layer {pos}: {exc}") from None
     return shapes
 
 
@@ -175,22 +194,21 @@ class Network:
         if len(self.weights) != len(self.layers) or len(self.thresholds) != len(self.layers):
             raise ValueError("parameter lists must align with layers")
         for spec, w, h in zip(self.layers, self.weights, self.thresholds):
-            if isinstance(spec, Dense):
-                if w is None or w.shape != (spec.in_dim, spec.out_dim):
-                    raise ValueError(f"dense weight shape mismatch for {spec}")
-                if h is None or h.shape != (spec.out_dim,):
-                    raise ValueError(f"dense threshold shape mismatch for {spec}")
-            elif isinstance(spec, Conv):
-                kshape = (spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels)
-                if w is None or w.shape != kshape:
-                    raise ValueError(f"conv kernel shape mismatch for {spec}")
-                if h is None or h.shape != (spec.out_channels,):
-                    raise ValueError(f"conv threshold shape mismatch for {spec}")
-            elif w is not None or h is not None:
-                raise ValueError(f"{type(spec).__name__} carries no parameters")
+            got = tuple(None if a is None else a.shape for a in (w, h))
+            expected = spec.param_shapes() or (None, None)
+            if got != expected:
+                raise ValueError(f"{spec}: parameter shapes {got}, expected {expected}")
         for arr in self.weights + self.thresholds:
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
+        # every shape from the first dense layer on is fixed; conv prefixes
+        # depend on the input shape and are checked when one is given
+        first = next((i for i, s in enumerate(self.layers) if isinstance(s, Dense)), None)
+        if first is not None:
+            try:
+                infer_shapes(self.layers[first:], (self.layers[first].in_dim,))
+            except ValueError as exc:
+                raise ValueError(f"{exc} (counting from layer {first})") from None
 
 
 def build_network(layers, seed=0, train_thresholds=False) -> Network:
@@ -198,33 +216,26 @@ def build_network(layers, seed=0, train_thresholds=False) -> Network:
     rng = np.random.default_rng(seed)
     weights, thresholds = [], []
     for spec in layers:
-        if isinstance(spec, Dense):
-            std = math.sqrt(1.0 / (2.0 * spec.in_dim))
-            shape = (spec.in_dim, spec.out_dim)
-            w = std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            weights.append(w)
-            thresholds.append(np.zeros(spec.out_dim, dtype=np.complex128))
-        elif isinstance(spec, Conv):
-            fan_in = spec.kernel_h * spec.kernel_w * spec.in_channels
-            std = math.sqrt(1.0 / (2.0 * fan_in))
-            shape = (spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels)
-            w = std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            weights.append(w)
-            thresholds.append(np.zeros(spec.out_channels, dtype=np.complex128))
-        else:
+        shapes = spec.param_shapes()
+        if shapes is None:
             weights.append(None)
             thresholds.append(None)
+            continue
+        wshape, hshape = shapes
+        std = math.sqrt(1.0 / (2.0 * math.prod(wshape[:-1])))  # fan-in
+        weights.append(std * (rng.standard_normal(wshape) + 1j * rng.standard_normal(wshape)))
+        thresholds.append(np.zeros(hshape, dtype=np.complex128))
     return Network(layers, weights, thresholds, train_thresholds=train_thresholds)
 
 
 def weighted_layer_count(net: Network) -> int:
-    return sum(isinstance(s, (Dense, Conv)) for s in net.layers)
+    return sum(s.param_shapes() is not None for s in net.layers)
 
 
 def max_width(net: Network, input_shape) -> int:
     """Largest flattened feature dimension at any layer boundary."""
     shapes = infer_shapes(net.layers, input_shape)
-    return max(int(np.prod(s)) for s in shapes)
+    return max(math.prod(s) for s in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +296,19 @@ def _forward_walk(net: Network, x, keep_caches):
 def forward(net: Network, batch):
     """Network output for a batch; real softmax probabilities after an abs head,
     a complex feature matrix otherwise."""
-    batch = np.asarray(batch)
-    if not np.iscomplexobj(batch):
-        batch = batch.astype(np.complex128)
-    infer_shapes(net.layers, _input_shape_of(net, batch))  # validates composition
-    out, _ = _forward_walk(net, batch, keep_caches=False)
+    out, _ = _forward_walk(net, _checked_batch(net, batch), keep_caches=False)
     return out
 
 
-def _input_shape_of(net: Network, batch):
-    if batch.ndim == 2:
-        return (batch.shape[1],)
-    if batch.ndim == 4:
-        return batch.shape[1:]
-    raise ValueError(f"batch must be (n, d) or (n, h, w, c), got {batch.shape}")
+def _checked_batch(net: Network, batch):
+    """The batch as a complex array whose sample shape composes with the layers."""
+    batch = np.asarray(batch)
+    if not np.iscomplexobj(batch):
+        batch = batch.astype(np.complex128)
+    if batch.ndim not in (2, 4):
+        raise ValueError(f"batch must be (n, d) or (n, h, w, c), got {batch.shape}")
+    infer_shapes(net.layers, batch.shape[1:])
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +381,7 @@ def backward(net: Network, batch, targets, loss: LossKind):
     for weighted layers (re/im parts pair the partials w.r.t. the re/im
     parameter components), ``None`` elsewhere.
     """
-    batch = np.asarray(batch)
-    if not np.iscomplexobj(batch):
-        batch = batch.astype(np.complex128)
-    infer_shapes(net.layers, _input_shape_of(net, batch))
+    batch = _checked_batch(net, batch)
     out, caches = _forward_walk(net, batch, keep_caches=True)
     n = batch.shape[0]
     grads: list = [None] * len(net.layers)
@@ -594,24 +601,12 @@ def load_checkpoint(path) -> Network:
     layers = [_layer_from_json(d) for d in layers_doc]
     weights, thresholds = [], []
     for spec, pdoc in zip(layers, params_doc):
-        if isinstance(spec, Dense):
-            if pdoc is None:
-                raise CheckpointShapeError("dense layer without parameters")
-            weights.append(_param_array(pdoc, "weight", (spec.in_dim, spec.out_dim)))
-            thresholds.append(_param_array(pdoc, "threshold", (spec.out_dim,)))
-        elif isinstance(spec, Conv):
-            if pdoc is None:
-                raise CheckpointShapeError("conv layer without parameters")
-            kshape = (spec.kernel_h, spec.kernel_w, spec.in_channels, spec.out_channels)
-            weights.append(_param_array(pdoc, "weight", kshape))
-            thresholds.append(_param_array(pdoc, "threshold", (spec.out_channels,)))
-        else:
-            if pdoc is not None:
-                raise CheckpointShapeError(
-                    f"{type(spec).__name__} must not carry parameters"
-                )
-            weights.append(None)
-            thresholds.append(None)
+        shapes = spec.param_shapes()
+        if (shapes is None) != (pdoc is None):
+            state = "lacks" if pdoc is None else "must not carry"
+            raise CheckpointShapeError(f"{type(spec).__name__} layer {state} parameters")
+        weights.append(None if shapes is None else _param_array(pdoc, "weight", shapes[0]))
+        thresholds.append(None if shapes is None else _param_array(pdoc, "threshold", shapes[1]))
     try:
         return Network(layers, weights, thresholds, bool(doc.get("train_thresholds", False)))
     except ValueError as exc:

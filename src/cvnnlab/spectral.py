@@ -38,7 +38,7 @@ from .clinalg import (
     spectral_norm_power,
 )
 from .conv import DEFAULT_LOWERING_BUDGET, LoweringBudgetError, layer_matrix
-from .network import AbsHead, Conv, Dense, MaxPoolModulus, Network, infer_shapes
+from .network import Conv, Dense, Network, infer_shapes
 from .textio import kv_text, read_kv
 
 __all__ = [
@@ -149,7 +149,7 @@ def analyze(
     sn_product_only = False
     converged = True
     for pos, spec in enumerate(net.layers):
-        if isinstance(spec, (MaxPoolModulus, AbsHead)):
+        if spec.param_shapes() is None:
             continue  # 1-Lipschitz, no weight: contributes nothing to R_A
         if isinstance(spec, Dense):
             a = net.weights[pos]

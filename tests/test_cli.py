@@ -20,7 +20,15 @@ from cvnnlab.config import (
     parse_shape,
 )
 from cvnnlab.datasets import synthetic_glyphs, write_idx_images, write_idx_labels
-from cvnnlab.network import AbsHead, Conv, Dense, MaxPoolModulus, Network, save_checkpoint
+from cvnnlab.network import (
+    AbsHead,
+    Conv,
+    Dense,
+    MaxPoolModulus,
+    Network,
+    build_network,
+    save_checkpoint,
+)
 
 
 SYNTH_CFG = """
@@ -141,6 +149,35 @@ class TestArchBuilder:
         with pytest.raises(ConfigError, match="cannot parse"):
             build_layers("conv5", CRELU, (8, 8, 1))
 
+    @pytest.mark.parametrize(
+        "arch, pos",
+        [
+            ("9x9,2", 0),
+            ("3x3,2; maxpool,8x8", 1),
+            ("3x3,2; maxpool,2x3", 1),
+            ("fc-4; 3x3,2", 1),
+            ("3x3,0", 0),
+        ],
+        ids=["kernel_exceeds_input", "pooled_away", "non_square_pool", "conv_after_fc", "zero_channels"],
+    )
+    def test_shape_error_names_the_layer(self, arch, pos):
+        with pytest.raises(ConfigError, match=f"^layer {pos}: "):
+            build_layers(arch, CRELU, (8, 8, 1))
+
+    @pytest.mark.parametrize(
+        "arch, shape",
+        [
+            ("5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs", (28, 28, 1)),
+            ("fc-8; fc-4", (6,)),
+        ],
+        ids=["desk", "dense"],
+    )
+    def test_built_parameters_have_spec_shapes(self, arch, shape):
+        net = build_network(build_layers(arch, CRELU, shape), seed=0)
+        for spec, w, h in zip(net.layers, net.weights, net.thresholds):
+            got = (None, None) if w is None else (w.shape, h.shape)
+            assert got == (spec.param_shapes() or (None, None))
+
 
 class TestTrainCommand:
     def test_one_epoch_one_row(self, tmp_path, capsys):
@@ -184,6 +221,52 @@ out_dir = {tmp_path / 'run'}
 """,
         )
         assert main(["train", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "dataset, extra, code",
+        [
+            ("synthetic", "synthetic_train_n = 0", 2),
+            ("synthetic", "synthetic_test_n = 0", 2),
+            ("synthetic", "synthetic_dim = 0", 2),
+            ("synthetic", "lr_decay_step = 1\nlr_decay_factor = 0", 2),
+            ("idx", "train_subsample = -1", 2),
+            ("idx", "test_subsample = -1", 2),
+            ("empty_idx_test", "", 3),
+        ],
+        ids=[
+            "train_n", "test_n", "dim", "decay_factor", "train_subsample", "test_subsample",
+            "empty_idx_test",
+        ],
+    )
+    def test_empty_or_non_positive_size_stops_before_training(
+        self, tmp_path, capsys, dataset, extra, code
+    ):
+        run = tmp_path / "run"
+        if dataset == "synthetic":
+            text = SYNTH_CFG.format(epochs=2, out_dir=run)
+        else:
+            imgs, lbls = synthetic_glyphs(16, seed=1)
+            n_test = 0 if dataset == "empty_idx_test" else 16
+            write_idx_images(imgs, tmp_path / "ti")
+            write_idx_labels(lbls, tmp_path / "tl")
+            write_idx_images(imgs[:n_test], tmp_path / "si")
+            write_idx_labels(lbls[:n_test], tmp_path / "sl")
+            text = f"""
+dataset = idx
+train_images = {tmp_path / 'ti'}
+train_labels = {tmp_path / 'tl'}
+test_images = {tmp_path / 'si'}
+test_labels = {tmp_path / 'sl'}
+arch = fc-10; abs
+loss = cross_entropy
+epochs = 1
+batch_size = 16
+out_dir = {run}
+"""
+        cfg = write_cfg(tmp_path, text + extra + "\n")
+        assert main(["train", "--config", cfg]) == code
+        assert ("config error" if code == 2 else "data error") in capsys.readouterr().err
+        assert not (run / "trace.csv").exists()
 
     def test_label_beyond_head_is_input_error(self, tmp_path, capsys):
         imgs, lbls = synthetic_glyphs(16, seed=1)
@@ -327,6 +410,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "2"]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_non_composing_layers_are_data_error(self, tmp_path, capsys):
+        net = Network(
+            [Dense(3, 2), Dense(2, 1)],
+            [np.ones((3, 2), complex), np.ones((2, 1), complex)],
+            [np.zeros(2, complex), np.zeros(1, complex)],
+        )
+        ck = tmp_path / "ck.json"
+        save_checkpoint(net, ck)
+        doc = json.loads(ck.read_text())
+        doc["layers"][1]["in_dim"] = 5  # the first layer gives 2 features
+        doc["params"][1].update(weight_re=[1.0] * 5, weight_im=[0.0] * 5)
+        ck.write_text(json.dumps(doc))
+        assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "3"]) == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3
 
@@ -453,6 +551,14 @@ class TestOtherCommands:
         ])
         assert rc == 0
         assert out.read_text().startswith("format = cover-report-v1")
+
+    def test_cover_lab_zero_samples_is_input_error(self, capsys):
+        rc = main([
+            "cover-lab", "--d", "2", "--m", "2", "--n", "3", "--a", "1", "--eps", "0.5",
+            "--samples", "0", "--trials", "4",
+        ])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_lipschitz_probe_output(self, capsys):
         rc = main(["lipschitz-probe", "--kind", "split_tanh", "--domain-bound", "2", "--pairs", "5000", "--seed", "1"])

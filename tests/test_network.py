@@ -385,6 +385,28 @@ class TestShapesAndMetadata:
         with pytest.raises(ValueError, match="expects"):
             infer_shapes([Dense(4, 3), Dense(4, 2)], (4,))
 
+    @pytest.mark.parametrize(
+        "case", ["weight_shape", "threshold_shape", "pool_with_params", "dense_without_params"]
+    )
+    def test_network_checks_parameter_shapes(self, case):
+        w, h = np.zeros((3, 2), complex), np.zeros(2, complex)
+        layers, weights, thresholds = {
+            "weight_shape": ([Dense(3, 2)], [w.T], [h]),
+            "threshold_shape": ([Dense(3, 2)], [w], [np.zeros(3, complex)]),
+            "pool_with_params": ([MaxPoolModulus(2)], [w], [h]),
+            "dense_without_params": ([Dense(3, 2)], [None], [None]),
+        }[case]
+        with pytest.raises(ValueError, match="parameter shapes"):
+            Network(layers, weights, thresholds)
+
+    def test_network_checks_dense_composition(self):
+        with pytest.raises(ValueError, match="dense expects 5 inputs, got 2"):
+            Network(
+                [Dense(3, 2), Dense(5, 1)],
+                [np.zeros((3, 2), complex), np.zeros((5, 1), complex)],
+                [np.zeros(2, complex), np.zeros(1, complex)],
+            )
+
 
 class TestCheckpoints:
     def _net(self):
