@@ -3,7 +3,6 @@
 from .activations import Activation, declared_lipschitz, lipschitz_probe
 from .clinalg import (
     frobenius_norm,
-    hermitian_transpose,
     pq_norm,
     real_embedding,
     spectral_norm,

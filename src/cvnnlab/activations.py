@@ -7,9 +7,13 @@ Four activations are supported:
 * ``modrelu``    -- ReLU on the modulus with threshold b, phase preserved.
 * ``amp_tanh``   -- tanh on the modulus, phase preserved.
 
-split_tanh and crelu are 1-Lipschitz.  amp_tanh is (2*alpha + 1)-Lipschitz
-on the square domain {|Re z| <= alpha, |Im z| <= alpha}.  No constant is
-declared for modrelu; an empirical probe stands in for it.
+Each activation declares one Lipschitz constant valid on all of C, and
+spectral analysis reads that constant.  split_tanh, crelu and amp_tanh are
+1-Lipschitz (amp_tanh's Jacobian has singular values sech^2(r) and
+tanh(r)/r, both <= 1).  modrelu with b <= 0 is the proximal map of -b|z|,
+hence 1-Lipschitz; with b > 0 it jumps at 0 and has no finite constant.
+The sampling probe only bounds a constant from below; it checks the
+declared values and is never an input to the analysis.
 
 Jacobians are the partials of (Re out, Im out) with respect to
 (Re in, Im in), the object complex backprop consumes.  At kinks (modrelu
@@ -19,6 +23,7 @@ for the inactive coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,6 @@ __all__ = [
     "modrelu",
     "ACTIVATION_KINDS",
     "apply",
-    "jacobian",
     "jacobian_fields",
     "backprop",
     "declared_lipschitz",
@@ -119,12 +123,6 @@ def jacobian_fields(act: Activation, z):
     raise ValueError(act.kind)  # pragma: no cover
 
 
-def jacobian(act: Activation, z: complex) -> np.ndarray:
-    """2x2 real Jacobian of the activation at a scalar point."""
-    j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, complex(z))
-    return np.array([[float(j_rr), float(j_ri)], [float(j_ir), float(j_ii)]])
-
-
 def backprop(act: Activation, z, grad):
     """Pull a loss gradient back through the activation.
 
@@ -137,21 +135,9 @@ def backprop(act: Activation, z, grad):
     return (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)
 
 
-def declared_lipschitz(act: Activation, domain_bound: float | None = None):
-    """Declared Lipschitz constant, or None where none is known.
-
-    split_tanh and crelu are 1-Lipschitz everywhere.  amp_tanh carries the
-    constant 2*alpha + 1, valid only on {|Re z|, |Im z| <= alpha}, so a
-    finite ``domain_bound`` alpha is required.  modrelu has no declared
-    constant and returns None.
-    """
-    if act.kind in ("split_tanh", "crelu"):
-        return 1.0
-    if act.kind == "amp_tanh":
-        if domain_bound is None or not np.isfinite(domain_bound):
-            raise ValueError("amp_tanh requires a finite domain_bound")
-        return 2.0 * float(domain_bound) + 1.0
-    return None  # modrelu
+def declared_lipschitz(act: Activation) -> float:
+    """Lipschitz constant on all of C: 1, or inf for modrelu with b > 0."""
+    return math.inf if act.kind == "modrelu" and act.b > 0.0 else 1.0
 
 
 def lipschitz_probe(

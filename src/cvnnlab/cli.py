@@ -9,7 +9,8 @@ analyze          spectral report for a checkpoint at a given input shape
 bounds           evaluate a closed-form bound from a spectral report
 cover-lab        run the sparsification cover check on random data
 stats            Spearman correlation of sn_product vs excess_risk in a trace
-lipschitz-probe  empirical Lipschitz estimate vs the declared constant
+lipschitz-probe  sampled Lipschitz lower bound vs the declared constant
+                 that analysis uses
 
 Exit codes: 0 success; 2 configuration/input error; 3 data error
 (datasets, checkpoints, traces); 4 numerical failure: a training run that
@@ -21,8 +22,10 @@ The trace CSV schema is fixed:
 epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms
 where layer_norms is a ';'-joined list of per-layer spectral norms.  The
 sn_product, r_a, and layer_norms fields are empty on epochs without
-analysis, and r_a is empty in sn-product-only mode.  All floats carry 17
-significant digits (:func:`cvnnlab.textio.f17`).  Identical config and seed
+analysis, and r_a is empty in sn-product-only mode (a conv lowering over
+the memory budget, or an activation with no finite Lipschitz constant).
+All printed and written floats carry 17 significant digits
+(:func:`cvnnlab.textio.f17`).  Identical config and seed
 reproduce output files byte for byte.
 
 For the l2/regression loss the accuracy columns are fixed at 0 (there is
@@ -85,10 +88,6 @@ EVAL_BATCH = 256
 
 class TraceError(Exception):
     pass
-
-
-def _f12(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +278,10 @@ def cmd_train(args) -> int:
 
 def _report_warnings(report: SpectralReport) -> list[str]:
     warnings = []
-    if report.sn_product_only:
+    if any(rec.b is None for rec in report.layers):
         warnings.append("sn-product-only: conv lowering exceeded the memory budget")
-    if report.empirical_rho:
-        warnings.append("empirical-rho: probe-based Lipschitz constant, non-rigorous")
+    if any(math.isinf(rec.rho) for rec in report.layers):
+        warnings.append("sn-product-only: an activation has no finite Lipschitz constant")
     if report.thresholds_nonzero:
         warnings.append("thresholds-nonzero: bound theory assumes threshold-free nets")
     return warnings
@@ -291,12 +290,7 @@ def _report_warnings(report: SpectralReport) -> list[str]:
 def cmd_analyze(args) -> int:
     net = load_checkpoint(args.checkpoint)
     input_shape = parse_shape(args.input_shape)
-    report = analyze(
-        net,
-        input_shape,
-        domain_bound=args.domain_bound,
-        memory_budget=args.memory_budget,
-    )
+    report = analyze(net, input_shape, memory_budget=args.memory_budget)
     text = report_to_text(report)
     if args.out:
         write_atomic(args.out, text)
@@ -329,30 +323,30 @@ def cmd_bounds(args) -> int:
             return 2
     r_a = report.r_a
     print(f"mode = {args.mode}")
-    print(f"m = {_f12(args.m)}")
+    print(f"m = {f17(args.m)}")
     print(f"n = {args.n}")
     print(f"w = {args.w}")
-    print(f"z_norm = {_f12(args.z_norm)}")
-    print(f"r_a = {_f12(r_a)}")
+    print(f"z_norm = {f17(args.z_norm)}")
+    print(f"r_a = {f17(r_a)}")
     if args.mode == "rademacher":
         value = rademacher_bound(args.m, args.n, args.w, args.z_norm, r_a)
-        print(f"rademacher_bound = {_f12(value)}")
+        print(f"rademacher_bound = {f17(value)}")
         return 0
     if args.mode == "pac":
         if args.eps is None:
             print("error: mode=pac needs --eps", file=sys.stderr)
             return 2
-        print(f"eps = {_f12(args.eps)}")
-        print(f"delta = {_f12(args.delta)}")
+        print(f"eps = {f17(args.eps)}")
+        print(f"delta = {f17(args.delta)}")
         value = pac_sample_size(args.eps, args.delta, args.m, args.z_norm, args.w, r_a)
         print(f"pac_sample_size = {value}")
         return 0
     inp = BoundInputs(m=args.m, n=args.n, w=args.w, z_norm=args.z_norm, r_a=r_a, delta=args.delta)
-    print(f"delta = {_f12(inp.delta)}")
+    print(f"delta = {f17(inp.delta)}")
     if args.mode == "iid":
-        print(f"bound_iid = {_f12(bound_iid(inp))}")
+        print(f"bound_iid = {f17(bound_iid(inp))}")
     else:
-        print(f"bound_sequential = {_f12(bound_sequential(inp))}")
+        print(f"bound_sequential = {f17(bound_sequential(inp))}")
     return 0
 
 
@@ -391,16 +385,11 @@ def cmd_stats(args) -> int:
 def cmd_lipschitz_probe(args) -> int:
     act = parse_activation(args.kind)
     estimate = lipschitz_probe(act, args.domain_bound, args.pairs, seed=args.seed)
-    declared = (
-        declared_lipschitz(act, domain_bound=args.domain_bound)
-        if act.kind != "modrelu"
-        else None
-    )
     print(f"kind = {args.kind}")
-    print(f"domain_bound = {_f12(args.domain_bound)}")
+    print(f"domain_bound = {f17(args.domain_bound)}")
     print(f"pairs = {args.pairs}")
     print(f"probe_estimate = {f17(estimate)}")
-    print(f"declared = {'unknown' if declared is None else f17(declared)}")
+    print(f"declared = {f17(declared_lipschitz(act))}")
     return 0
 
 
@@ -424,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input-shape", required=True, help="e.g. 28x28x1 or 784")
     p.add_argument("--out", default="")
-    p.add_argument("--domain-bound", type=float, default=None)
     p.add_argument("--memory-budget", type=int, default=DEFAULT_LOWERING_BUDGET)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -456,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("lipschitz-probe", help="empirical Lipschitz estimate")
+    p = sub.add_parser("lipschitz-probe", help="sampled Lipschitz lower bound")
     p.add_argument("--kind", required=True, help="split_tanh|crelu|amp_tanh|modrelu:<b>")
     p.add_argument("--domain-bound", type=float, required=True)
     p.add_argument("--pairs", type=int, default=100_000)

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "as_cmatrix",
-    "hermitian_transpose",
     "frobenius_norm",
     "pq_norm",
     "real_embedding",
@@ -43,11 +42,6 @@ def as_cmatrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def hermitian_transpose(a) -> np.ndarray:
-    """Conjugate transpose: result[j, i] = conj(a[i, j])."""
-    return as_cmatrix(a).conj().T.copy()
 
 
 def frobenius_norm(a) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .clinalg import frobenius_norm, pq_norm
 from .spectral import covering_bound_linear
-from .textio import kv_text
+from .textio import f17, kv_text
 
 __all__ = [
     "MaureyInstance",
@@ -245,7 +245,7 @@ def cover_check(
         distinct.add(tuple(int(c) for c in counts))
     if worst > math.sqrt(2.0) * eps:
         raise AssertionError(
-            f"worst error {worst:.6g} exceeds sqrt(2) * eps = {math.sqrt(2.0) * eps:.6g}"
+            f"worst error {f17(worst)} exceeds sqrt(2) * eps = {f17(math.sqrt(2.0) * eps)}"
         )
     return CoverReport(
         d=d,

@@ -45,7 +45,6 @@ __all__ = [
     "LossKind",
     "build_network",
     "infer_shapes",
-    "weighted_layer_count",
     "max_width",
     "forward",
     "backward",
@@ -226,10 +225,6 @@ def build_network(layers, seed=0, train_thresholds=False) -> Network:
         weights.append(std * (rng.standard_normal(wshape) + 1j * rng.standard_normal(wshape)))
         thresholds.append(np.zeros(hshape, dtype=np.complex128))
     return Network(layers, weights, thresholds, train_thresholds=train_thresholds)
-
-
-def weighted_layer_count(net: Network) -> int:
-    return sum(s.param_shapes() is not None for s in net.layers)
 
 
 def max_width(net: Network, input_shape) -> int:

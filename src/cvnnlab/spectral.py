@@ -11,10 +11,13 @@ Dense layers contribute their weight matrix directly (stored in the
 map they induce on a fixed input shape: the spectral norm comes from power
 iteration through the operator of :mod:`cvnnlab.conv` that training runs
 (its apply and adjoint on a batch of one), and the (2,1) norm from that
-module's explicit dense lowering of the map.  When the lowering
-exceeds the memory budget the report degrades to sn-product-only mode and
-R_A-based bounds refuse to run.  Modulus max-pooling and the abs head are
-1-Lipschitz and contribute neither s_i nor b_i.
+module's explicit dense lowering of the map.  Each rho_i is the
+activation's declared constant on all of C
+(:func:`cvnnlab.activations.declared_lipschitz`); nothing is probed.  When
+a lowering exceeds the memory budget, or an activation has no finite
+constant (modrelu with b > 0), the report degrades to sn-product-only mode
+and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
+are 1-Lipschitz and contribute neither s_i nor b_i.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
 empirical Rademacher complexity ceiling behind the i.i.d. bound, covering
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import conv
-from .activations import declared_lipschitz, lipschitz_probe
+from .activations import declared_lipschitz
 from .clinalg import (
     PowerIterationResult,
     gram_power_iteration,
@@ -100,7 +103,6 @@ class LayerNorms:
     s: float
     b: float | None
     rho: float
-    empirical_rho: bool
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,8 @@ class SpectralReport:
     lipschitz_product: float
     r_a: float | None
     sn_product_only: bool
-    empirical_rho: bool
     thresholds_nonzero: bool
     power_iteration_converged: bool
-
-
-def _layer_rho(activation, domain_bound, probe_pairs, probe_seed):
-    """(rho, is_empirical) for a layer's activation; identity counts as 1."""
-    if activation is None:
-        return 1.0, False
-    declared = declared_lipschitz(activation, domain_bound=domain_bound)
-    if declared is not None:
-        return float(declared), False
-    bound = 10.0 if domain_bound is None else float(domain_bound)
-    return lipschitz_probe(activation, bound, probe_pairs, seed=probe_seed), True
 
 
 def analyze(
@@ -134,15 +124,11 @@ def analyze(
     max_iter: int = 1000,
     seed: int = 0,
     memory_budget: int | None = DEFAULT_LOWERING_BUDGET,
-    domain_bound: float | None = None,
-    probe_pairs: int = 50_000,
 ) -> SpectralReport:
     """Per-layer spectral data and the aggregate complexity of a network.
 
-    ``input_shape`` fixes the linear map induced by each conv layer.  For
-    amp_tanh activations a ``domain_bound`` is required (their constant only
-    holds on a bounded square); modrelu layers fall back to the empirical
-    probe and mark the report non-rigorous.
+    ``input_shape`` fixes the linear map induced by each conv layer; an
+    identity activation counts as rho = 1.
     """
     shapes = infer_shapes(net.layers, input_shape)
     records = []
@@ -172,24 +158,18 @@ def analyze(
                 b = None
                 sn_product_only = True
         converged = converged and res.converged
-        rho, empirical = _layer_rho(spec.activation, domain_bound, probe_pairs, seed)
-        records.append(
-            LayerNorms(
-                position=pos,
-                kind="dense" if isinstance(spec, Dense) else "conv",
-                s=s,
-                b=b,
-                rho=rho,
-                empirical_rho=empirical,
-            )
-        )
+        rho = 1.0 if spec.activation is None else declared_lipschitz(spec.activation)
+        sn_product_only |= math.isinf(rho)
+        kind = "dense" if isinstance(spec, Dense) else "conv"
+        records.append(LayerNorms(position=pos, kind=kind, s=s, b=b, rho=rho))
     if not records:
         raise ValueError("network has no weighted layers")
     sn_product = 1.0
     lipschitz_product = 1.0
     for rec in records:
         sn_product *= rec.s
-        lipschitz_product *= rec.rho * rec.s
+        # a zero map makes the network constant, even after rho = inf
+        lipschitz_product *= rec.rho * rec.s if rec.s else 0.0
     if sn_product_only:
         r_a = None
     elif any(rec.s == 0.0 for rec in records):
@@ -206,7 +186,6 @@ def analyze(
         lipschitz_product=lipschitz_product,
         r_a=r_a,
         sn_product_only=sn_product_only,
-        empirical_rho=any(rec.empirical_rho for rec in records),
         thresholds_nonzero=thresholds_nonzero,
         power_iteration_converged=converged,
     )
@@ -322,16 +301,15 @@ def pac_sample_size(
 # ---------------------------------------------------------------------------
 # flat key-value serialization
 
+REPORT_FORMAT = "spectral-report-v2"
 
-_REPORT_FLAGS = (
-    "sn_product_only", "empirical_rho", "thresholds_nonzero", "power_iteration_converged"
-)
+_REPORT_FLAGS = ("sn_product_only", "thresholds_nonzero", "power_iteration_converged")
 
 
 def report_to_text(report: SpectralReport) -> str:
-    """Format ``spectral-report-v1``: the flags, each layer's fields under
+    """Format ``spectral-report-v2``: the flags, each layer's fields under
     ``layer.<i>.`` and the aggregates; a None ``b`` or ``r_a`` is left out."""
-    pairs = [("format", "spectral-report-v1"), ("layer_count", len(report.layers))]
+    pairs = [("format", REPORT_FORMAT), ("layer_count", len(report.layers))]
     pairs += [(name, getattr(report, name)) for name in _REPORT_FLAGS]
     for i, rec in enumerate(report.layers):
         pairs += [(f"layer.{i}.{name}", value) for name, value in asdict(rec).items()]
@@ -340,9 +318,12 @@ def report_to_text(report: SpectralReport) -> str:
 
 
 def report_from_text(text: str) -> SpectralReport:
-    """Inverse of :func:`report_to_text`; a missing key raises ValueError."""
+    """Inverse of :func:`report_to_text`; a missing key raises ValueError.
+
+    A ``spectral-report-v1`` text is refused: it may carry a probed rho and
+    an r_a built from it."""
     kv = {key: value for _, key, value in read_kv(text)}
-    if kv.get("format") != "spectral-report-v1":
+    if kv.get("format") != REPORT_FORMAT:
         raise ValueError(f"unsupported report format {kv.get('format')!r}")
 
     def get(key, convert=float):
@@ -363,7 +344,6 @@ def report_from_text(text: str) -> SpectralReport:
             s=get(f"layer.{i}.s"),
             b=optional(f"layer.{i}.b"),
             rho=get(f"layer.{i}.rho"),
-            empirical_rho=flag(f"layer.{i}.empirical_rho"),
         )
         for i in range(get("layer_count", int))
     )
@@ -373,7 +353,6 @@ def report_from_text(text: str) -> SpectralReport:
         lipschitz_product=get("lipschitz_product"),
         r_a=optional("r_a"),
         sn_product_only=flag("sn_product_only"),
-        empirical_rho=flag("empirical_rho"),
         thresholds_nonzero=flag("thresholds_nonzero"),
         power_iteration_converged=flag("power_iteration_converged"),
     )

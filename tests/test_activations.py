@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,13 +12,17 @@ from cvnnlab.activations import (
     apply,
     backprop,
     declared_lipschitz,
-    jacobian,
     jacobian_fields,
     lipschitz_probe,
     modrelu,
 )
 
 ALL_KINDS = [SPLIT_TANH, CRELU, modrelu(-0.5), AMP_TANH]
+
+
+def jacobian(act, z):
+    """2x2 real Jacobian at a scalar point, from the vectorized fields."""
+    return np.array(jacobian_fields(act, complex(z)), dtype=float).reshape(2, 2)
 
 
 def fd_jacobian(act, z, h=1e-6):
@@ -134,14 +140,29 @@ class TestDeclaredLipschitz:
         assert declared_lipschitz(CRELU) == 1.0
 
     def test_amp_tanh_instantiated(self):
-        assert declared_lipschitz(AMP_TANH, domain_bound=2.0) == 5.0
-
-    def test_amp_tanh_requires_bound(self):
-        with pytest.raises(ValueError, match="domain_bound"):
-            declared_lipschitz(AMP_TANH)
+        assert declared_lipschitz(AMP_TANH) == 1.0
 
     def test_modrelu_unknown(self):
-        assert declared_lipschitz(modrelu(-1.0)) is None
+        assert declared_lipschitz(modrelu(-1.0)) == 1.0
+        assert declared_lipschitz(modrelu(0.5)) == math.inf
+
+    @pytest.mark.parametrize(
+        "act", [SPLIT_TANH, CRELU, AMP_TANH, modrelu(0.0), modrelu(-0.5), modrelu(-3.0)]
+    )
+    def test_declared_covers_jacobian_norm_on_grid(self, act):
+        # off the kinks the Lipschitz constant is the sup of the Jacobian's
+        # spectral norm; the grid passes within 0.003 of the origin and
+        # across every modrelu radius
+        t = np.linspace(-6.0, 6.0, 601) + 0.002
+        z = (t[:, None] + 1j * t[None, :]).ravel()
+        jac = np.stack(jacobian_fields(act, z), axis=-1).reshape(-1, 2, 2)
+        worst = float(np.linalg.norm(jac, ord=2, axis=(1, 2)).max())
+        assert 0.0 < worst <= declared_lipschitz(act) + 1e-12  # rounding only
+
+    @pytest.mark.parametrize("act", [AMP_TANH, modrelu(-0.5)])
+    @pytest.mark.parametrize("alpha", [1.0, 5.0, 50.0])
+    def test_probe_under_declared(self, act, alpha):
+        assert lipschitz_probe(act, alpha, 50_000, seed=4) <= declared_lipschitz(act) + 1e-12
 
 
 class TestProbe:

@@ -315,6 +315,13 @@ out_dir = {tmp_path / 'run'}
         for col in (trace.train_loss, trace.sn_product, trace.r_a):
             assert np.all(np.isfinite(col)) and np.all(col > 0)
 
+    def test_amp_tanh_run_has_finite_r_a(self, tmp_path):
+        text = SYNTH_CFG.format(epochs=2, out_dir=tmp_path / "amp")
+        cfg = write_cfg(tmp_path, text.replace("split_tanh", "amp_tanh"))
+        assert main(["train", "--config", cfg]) == 0
+        trace = parse_trace_csv(tmp_path / "amp" / "trace.csv")
+        assert len(trace.r_a) == 2 and np.all(np.isfinite(trace.r_a))
+
     def test_loss_head_preflight(self, tmp_path):
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r") + "loss = cross_entropy\n"
         cfg = write_cfg(tmp_path, text)
@@ -401,6 +408,28 @@ class TestAnalyzeCommand:
         assert "sn_product_only = true" in text
         assert "r_a" not in [line.split(" = ")[0] for line in text.splitlines()]
 
+    def test_discontinuous_modrelu_has_no_r_a(self, tmp_path, capsys):
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "mod")
+        cfg = write_cfg(tmp_path, text.replace("split_tanh", "modrelu:0.5"))
+        assert main(["train", "--config", cfg]) == 0
+        row = (tmp_path / "mod" / "trace.csv").read_text().splitlines()[1].split(",")
+        assert row[5] != "" and row[6] == ""  # sn_product kept, r_a empty
+        out = tmp_path / "rep.txt"
+        rc = main([
+            "analyze", "--checkpoint", str(tmp_path / "mod" / "checkpoint.json"),
+            "--input-shape", "6", "--out", str(out),
+        ])
+        assert rc == 5
+        text = out.read_text()
+        assert "layer.0.rho = inf\n" in text
+        assert "r_a" not in [line.split(" = ")[0] for line in text.splitlines()]
+        assert "no finite Lipschitz constant" in capsys.readouterr().out
+        rc = main([
+            "bounds", "--report", str(out), "--mode", "iid",
+            "--m", "1", "--n", "100", "--w", "8", "--z-norm", "10", "--delta", "0.1",
+        ])
+        assert rc == 2
+
     def test_bad_layer_dimension_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
         save_checkpoint(Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)]), ck)
@@ -452,6 +481,20 @@ class TestBoundsCommand:
         expected = bound_iid(BoundInputs(m=1, n=100, w=2, z_norm=10, r_a=r_a, delta=0.1))
         line = [l for l in out.splitlines() if l.startswith("bound_iid = ")][0]
         assert float(line.split(" = ")[1]) == pytest.approx(expected, rel=1e-11)
+
+    def test_iid_prints_the_exact_double(self, tmp_path, capsys):
+        rep = self._report(tmp_path)
+        args = dict(m=1.3, n=4000, w=2, z_norm=42.5, delta=0.01)
+        rc = main([
+            "bounds", "--report", str(rep), "--mode", "iid",
+            *(f"--{k.replace('_', '-')}={v}" for k, v in args.items()),
+        ])
+        assert rc == 0
+        from cvnnlab.spectral import BoundInputs, bound_iid, report_from_text
+
+        r_a = report_from_text(rep.read_text()).r_a
+        line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bound_iid = ")]
+        assert float(line[0].split(" = ")[1]) == bound_iid(BoundInputs(r_a=r_a, **args))
 
     def test_pac_echoes_minimal_n(self, tmp_path, capsys):
         rep = self._report(tmp_path)
@@ -571,7 +614,10 @@ class TestOtherCommands:
     def test_probe_modrelu_declared_unknown(self, capsys):
         rc = main(["lipschitz-probe", "--kind", "modrelu:-0.5", "--domain-bound", "2", "--pairs", "2000", "--seed", "1"])
         assert rc == 0
-        assert "declared = unknown" in capsys.readouterr().out
+        assert "declared = 1\n" in capsys.readouterr().out
+        rc = main(["lipschitz-probe", "--kind", "modrelu:0.5", "--domain-bound", "2", "--pairs", "2000"])
+        assert rc == 0
+        assert "declared = inf\n" in capsys.readouterr().out
 
 
 class TestTraceParsing:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cvnnlab.clinalg import (
     as_cmatrix,
     frobenius_norm,
-    hermitian_transpose,
     pq_norm,
     real_embedding,
     spectral_norm,
@@ -26,25 +25,6 @@ def complex_matrices(max_dim=8, scale=3.0):
     ).map(
         lambda t: random_complex(np.random.default_rng(t[2]), t[0], t[1], scale=scale)
     )
-
-
-class TestHermitianTranspose:
-    def test_identity(self):
-        npt.assert_array_equal(hermitian_transpose(np.eye(2)), np.eye(2))
-
-    def test_pure_imaginary(self):
-        npt.assert_array_equal(hermitian_transpose([[1j]]), [[-1j]])
-
-    def test_involution_exact(self, rng):
-        a = random_complex(rng, 4, 3)
-        npt.assert_array_equal(hermitian_transpose(hermitian_transpose(a)), a)
-
-    def test_entries_conjugated(self, rng):
-        a = random_complex(rng, 3, 5)
-        h = hermitian_transpose(a)
-        for i in range(3):
-            for j in range(5):
-                assert h[j, i] == np.conj(a[i, j])
 
 
 class TestFrobenius:
@@ -162,7 +142,7 @@ def test_norm_inequality_chain(a):
 @given(complex_matrices())
 def test_spectral_norm_transpose_invariant(a):
     sa = spectral_norm(a, seed=0)
-    sh = spectral_norm(hermitian_transpose(a), seed=1)
+    sh = spectral_norm(a.conj().T, seed=1)
     assert abs(sa - sh) <= 1e-8 * max(sa, 1e-12)
 
 

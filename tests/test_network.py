@@ -35,7 +35,6 @@ from cvnnlab.network import (
     save_checkpoint,
     sgd_init,
     sgd_step,
-    weighted_layer_count,
 )
 
 from conftest import random_complex
@@ -374,7 +373,6 @@ class TestShapesAndMetadata:
         assert shapes[4] == (4, 4, 20)
         assert shapes[-1] == (10,)
         net = build_network(layers, seed=0)
-        assert weighted_layer_count(net) == 4
         assert max_width(net, (28, 28, 1)) == 24 * 24 * 10
 
     def test_abs_head_must_be_last(self):

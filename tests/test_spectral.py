@@ -202,9 +202,20 @@ class TestAnalyze:
 
     def test_modrelu_marks_empirical(self, rng):
         net = build_network([Dense(3, 3, modrelu(-0.5))], seed=4)
-        rep = analyze(net, (3,), domain_bound=4.0, probe_pairs=2000)
-        assert rep.empirical_rho
-        assert rep.layers[0].empirical_rho
+        rep = analyze(net, (3,))
+        assert rep.layers[0].rho == 1.0
+        assert rep.r_a is not None and not rep.sn_product_only
+
+    def test_modrelu_positive_threshold_has_no_r_a(self):
+        net = build_network([Dense(3, 3, modrelu(0.5)), Dense(3, 2)], seed=4)
+        rep = analyze(net, (3,))
+        assert rep.layers[0].rho == math.inf
+        assert rep.sn_product_only and rep.r_a is None
+        assert math.isfinite(rep.sn_product)
+        net.weights[0][:] = 0.0  # a zero map is constant whatever rho
+        rep = analyze(net, (3,))
+        assert rep.lipschitz_product == 0.0
+        assert report_from_text(report_to_text(rep)) == rep
 
     def test_threshold_warning_flag(self):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.array([0.5, 0j])])
@@ -406,11 +417,11 @@ class TestReportSerialization:
         text = report_to_text(rep)
         back = report_from_text(text)
         assert back == rep
-        # empirical rho and nonzero thresholds set the report's other flags
-        net = build_network([Dense(3, 4, modrelu(-0.5)), Dense(4, 2)], seed=3)
+        # an infinite rho and nonzero thresholds set the report's other flags
+        net = build_network([Dense(3, 4, modrelu(0.5)), Dense(4, 2)], seed=3)
         net.thresholds[0][:] = 0.25
-        rep = analyze(net, (3,), probe_pairs=2000)
-        assert rep.empirical_rho and rep.thresholds_nonzero
+        rep = analyze(net, (3,))
+        assert rep.sn_product_only and rep.thresholds_nonzero
         assert report_from_text(report_to_text(rep)) == rep
 
     def test_sn_product_only_round_trip(self, rng):
@@ -435,4 +446,11 @@ class TestReportSerialization:
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
         text = report_to_text(analyze(net, (2,)))
         assert "layer.0.s = 1\n" in text
-        assert text.startswith("format = spectral-report-v1\n")
+        assert text.startswith("format = spectral-report-v2\n")
+        assert "empirical_rho" not in text
+
+    def test_v1_report_rejected(self):
+        net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
+        text = report_to_text(analyze(net, (2,))).replace("-v2\n", "-v1\n", 1)
+        with pytest.raises(ValueError, match="unsupported report format 'spectral-report-v1'"):
+            report_from_text(text)

@@ -58,7 +58,6 @@ layer_norms = st.builds(
     s=no_nan,
     b=st.none() | no_nan,
     rho=no_nan,
-    empirical_rho=st.booleans(),
 )
 spectral_reports = st.builds(
     SpectralReport,
@@ -67,7 +66,6 @@ spectral_reports = st.builds(
     lipschitz_product=no_nan,
     r_a=st.none() | no_nan,
     sn_product_only=st.booleans(),
-    empirical_rho=st.booleans(),
     thresholds_nonzero=st.booleans(),
     power_iteration_converged=st.booleans(),
 )
