@@ -15,12 +15,14 @@ lipschitz-probe  sampled Lipschitz lower bound vs the declared constant
 Exit codes: 0 success; 2 configuration/input error; 3 data error
 (datasets, checkpoints, traces); 4 numerical failure: a training run that
 diverged (non-finite loss or parameters; neither that epoch's row nor the
-checkpoint is written), or non-convergence under --strict; 5 analysis
-completed with warnings.
+checkpoint is written), or a spectral norm whose Lanczos solve did not
+converge (or overflowed) under --strict; 5 analysis completed with
+warnings.
 
 The trace CSV schema is fixed:
 epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms
 where layer_norms is a ';'-joined list of per-layer spectral norms.  The
+loss, accuracy and excess-risk fields are always finite; the
 sn_product, r_a, and layer_norms fields are empty on epochs without
 analysis, and r_a is empty in sn-product-only mode (a conv lowering over
 the memory budget, or an activation with no finite Lipschitz constant).
@@ -80,7 +82,7 @@ from .spectral import (
     report_to_text,
 )
 from .stats import ConstantInputError, TrainingTrace, correlate_trace, excess_risk
-from .textio import f17, write_atomic
+from .textio import f17, kv_text, write_atomic
 
 TRACE_HEADER = "epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms"
 EVAL_BATCH = 256
@@ -235,7 +237,10 @@ def parse_trace_csv(path) -> TrainingTrace:
             for name, val in zip(
                 ("train_loss", "train_acc", "test_acc", "excess_risk"), parts[1:5]
             ):
-                cols[name].append(float(val))
+                value = float(val)
+                if not math.isfinite(value):  # a diverging run stops before its row
+                    raise ValueError(f"{name} is not finite: {val!r}")
+                cols[name].append(value)
             cols["sn_product"].append(float(parts[5]) if parts[5] else math.nan)
             cols["r_a"].append(float(parts[6]) if parts[6] else math.nan)
             layer_norms.append(
@@ -270,7 +275,7 @@ def cmd_train(args) -> int:
     print(f"m_ceiling = {f17(result['m_ceiling'])}")
     print(f"max_width = {result['max_width']}")
     if result["nonconverged"]:
-        print("warning: power iteration did not converge in some epoch")
+        print("warning: the spectral-norm solver did not converge in some epoch")
         if args.strict:
             return 4
     return 0
@@ -301,7 +306,7 @@ def cmd_analyze(args) -> int:
     for w in warnings:
         print(f"warning: {w}")
     if args.strict and not report.power_iteration_converged:
-        print("warning: power iteration did not converge")
+        print("warning: the spectral-norm solver did not converge")
         return 4
     return 5 if warnings else 0
 
@@ -313,40 +318,30 @@ def cmd_bounds(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read report: {exc}") from exc
     report = report_from_text(text)
-    if args.mode in ("iid", "sequential", "rademacher", "pac"):
-        if report.r_a is None:
-            print(
-                "error: report is sn-product-only; spectral-complexity bounds"
-                " are unavailable",
-                file=sys.stderr,
-            )
-            return 2
     r_a = report.r_a
-    print(f"mode = {args.mode}")
-    print(f"m = {f17(args.m)}")
-    print(f"n = {args.n}")
-    print(f"w = {args.w}")
-    print(f"z_norm = {f17(args.z_norm)}")
-    print(f"r_a = {f17(r_a)}")
+    if r_a is None:
+        print(
+            "error: report is sn-product-only; spectral-complexity bounds are unavailable",
+            file=sys.stderr,
+        )
+        return 2
+    # every check runs before the first line is printed
+    pairs = [("mode", args.mode), ("m", args.m), ("n", args.n), ("w", args.w),
+             ("z_norm", args.z_norm), ("r_a", r_a)]
     if args.mode == "rademacher":
         value = rademacher_bound(args.m, args.n, args.w, args.z_norm, r_a)
-        print(f"rademacher_bound = {f17(value)}")
-        return 0
-    if args.mode == "pac":
+        pairs.append(("rademacher_bound", value))
+    elif args.mode == "pac":
         if args.eps is None:
             print("error: mode=pac needs --eps", file=sys.stderr)
             return 2
-        print(f"eps = {f17(args.eps)}")
-        print(f"delta = {f17(args.delta)}")
         value = pac_sample_size(args.eps, args.delta, args.m, args.z_norm, args.w, r_a)
-        print(f"pac_sample_size = {value}")
-        return 0
-    inp = BoundInputs(m=args.m, n=args.n, w=args.w, z_norm=args.z_norm, r_a=r_a, delta=args.delta)
-    print(f"delta = {f17(inp.delta)}")
-    if args.mode == "iid":
-        print(f"bound_iid = {f17(bound_iid(inp))}")
+        pairs += [("eps", args.eps), ("delta", args.delta), ("pac_sample_size", value)]
     else:
-        print(f"bound_sequential = {f17(bound_sequential(inp))}")
+        inp = BoundInputs(m=args.m, n=args.n, w=args.w, z_norm=args.z_norm, r_a=r_a, delta=args.delta)
+        bound = bound_iid if args.mode == "iid" else bound_sequential
+        pairs += [("delta", inp.delta), (f"bound_{args.mode}", bound(inp))]
+    sys.stdout.write(kv_text(pairs))
     return 0
 
 

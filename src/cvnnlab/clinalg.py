@@ -3,9 +3,9 @@
 All matrices are dense ``numpy`` arrays of dtype complex128.  Norms follow
 the entry-modulus convention: the norm of a complex matrix is the norm of
 the real matrix of entrywise moduli.  The spectral norm is the largest
-singular value, computed here by power iteration on the Hermitian product
-A*A; an independent dense route through the real embedding is provided as
-an oracle.
+singular value, computed here by Lanczos on the Hermitian product A*A;
+an independent dense route through the real embedding is provided as an
+oracle.
 
 Everything in this module is a pure function over immutable inputs and is
 safe to call concurrently.
@@ -24,7 +24,7 @@ __all__ = [
     "pq_norm",
     "real_embedding",
     "PowerIterationResult",
-    "gram_power_iteration",
+    "gram_lanczos",
     "spectral_norm_power",
     "spectral_norm",
     "spectral_norm_oracle",
@@ -32,6 +32,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+_BASIS_BLOCK = 32  # Lanczos basis rows allocated at a time
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -86,49 +87,49 @@ class PowerIterationResult:
     converged: bool
 
 
-def gram_power_iteration(gram_apply, start, tol, max_iter) -> PowerIterationResult:
-    """Power iteration on a Hermitian PSD operator (a Gram map w = A*A v).
+def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> PowerIterationResult:
+    """sqrt of the largest eigenvalue of a Hermitian PSD operator (a Gram map
+    w = A*A v on arrays of ``shape``), by Lanczos from a seeded random start.
 
-    The Rayleigh quotients increase monotonically and converge geometrically,
-    so the remaining gap to the limit is estimated by extrapolating
-    consecutive increments (Aitken's delta-squared); iteration stops once the
-    extrapolated remainder falls below ``tol`` relative to the current
-    quotient, and the remainder is folded into the returned value.  Plain
-    last-increment stagnation tests stop too early when the top two
-    eigenvalues are close.  An overflow (non-finite quotient or iterate
-    norm) stops with value inf and ``converged=False`` rather than letting
-    the zeroed iterate pass for a null vector.
+    The basis is kept orthonormal by two Gram-Schmidt passes per step.  The
+    top Ritz value theta of the tridiagonal is a lower bound on the
+    eigenvalue; iteration stops once its residual beta_k |e_k^T s| falls to
+    ``tol * theta`` (beta_k = 0 means an invariant subspace: theta is exact).
+    The Krylov dimension is capped at min(max_iter, size); reaching the size
+    is exact, so it counts as converged.  ``iterations`` counts operator
+    applications.  An overflow stops with value inf and ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = start / np.linalg.norm(start)
-    floor = np.finfo(float).tiny
-    lam = 0.0
-    lam_prev = None
-    delta_prev = None
-    for it in range(1, max_iter + 1):
-        w = gram_apply(v)
-        lam = float(np.real(np.vdot(v.ravel(), w.ravel())))  # real for Hermitian PSD
-        norm_w = np.linalg.norm(w)
-        if not (math.isfinite(lam) and math.isfinite(norm_w)):
-            # overflow: any estimate from here on would be meaningless
-            return PowerIterationResult(math.inf, it, False)
-        if norm_w == 0.0:
-            # v lies in the null space; the Rayleigh quotient is exactly 0
-            return PowerIterationResult(0.0, it, True)
-        v = w / norm_w
-        if lam_prev is not None:
-            delta = lam - lam_prev
-            if delta <= floor:
-                return PowerIterationResult(math.sqrt(max(lam, 0.0)), it, True)
-            if delta_prev is not None and delta < delta_prev:
-                ratio = delta / delta_prev
-                remainder = delta * ratio / (1.0 - ratio)
-                if remainder <= tol * max(lam, floor):
-                    return PowerIterationResult(math.sqrt(lam + remainder), it, True)
-            delta_prev = delta
-        lam_prev = lam
-    return PowerIterationResult(math.sqrt(max(lam, 0.0)), max_iter, False)
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q = start.ravel() / np.linalg.norm(start)
+    n = q.size
+    k_max = min(max_iter, n)
+    basis = np.empty((0, n), dtype=np.complex128)
+    alphas, betas = [], []
+    theta = 0.0
+    for k in range(1, k_max + 1):
+        if k > len(basis):  # grown in blocks: memory follows the steps taken
+            block = np.empty((min(_BASIS_BLOCK, k_max - len(basis)), n), np.complex128)
+            basis = np.concatenate([basis, block])
+        basis[k - 1] = q
+        w = gram_apply(q.reshape(shape)).ravel()
+        if not math.isfinite(np.linalg.norm(w)):
+            return PowerIterationResult(math.inf, k, False)
+        # divide by the computed |q|^2 so that the identity gives exactly 1
+        alphas.append(np.vdot(q, w).real / np.vdot(q, q).real)
+        done = basis[:k]
+        for _ in range(2):  # classical Gram-Schmidt against the whole basis
+            w = w - (done @ w.conj()).conj() @ done
+        beta = float(np.linalg.norm(w))
+        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = max(float(evals[-1]), 0.0)
+        if beta * abs(evecs[-1, -1]) <= tol * theta or k == n:
+            return PowerIterationResult(math.sqrt(theta), k, True)
+        betas.append(beta)
+        q = w / beta
+    return PowerIterationResult(math.sqrt(theta), k_max, False)
 
 
 def spectral_norm_power(
@@ -137,21 +138,16 @@ def spectral_norm_power(
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
 ) -> PowerIterationResult:
-    """Largest singular value via power iteration on A*A.
+    """Largest singular value by :func:`gram_lanczos` on A*A.
 
-    Starts from a seeded random complex vector; see
-    :func:`gram_power_iteration` for the convergence rule.  The zero matrix
-    short-circuits to 0 (power iteration is undefined on the zero map).
-    Non-convergence within ``max_iter`` is reported through the
-    ``converged`` flag; the last estimate is still returned.
+    The zero matrix short-circuits to 0.  Non-convergence within
+    ``max_iter`` is reported through the ``converged`` flag; the last
+    estimate is still returned.
     """
     a = as_cmatrix(a)
     if a.size == 0 or not np.any(a):
         return PowerIterationResult(0.0, 0, True)
-    rng = np.random.default_rng(seed)
-    n = a.shape[1]
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return gram_power_iteration(lambda v: a.conj().T @ (a @ v), start, tol, max_iter)
+    return gram_lanczos(lambda v: a.conj().T @ (a @ v), a.shape[1], tol, max_iter, seed)
 
 
 def spectral_norm(
@@ -168,7 +164,7 @@ def spectral_norm_oracle(a) -> float:
     """Independent dense route: largest singular value of the real embedding.
 
     Uses a LAPACK singular-value decomposition, sharing no code with the
-    power-iteration path.
+    Lanczos path.
     """
     emb = real_embedding(a)
     if emb.size == 0:

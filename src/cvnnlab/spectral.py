@@ -8,8 +8,8 @@ activation Lipschitz constants rho_i, spectral norms s_i = ||A_i||_sigma and
 
 Dense layers contribute their weight matrix directly (stored in the
 (d_{i-1}, d_i) orientation).  Convolutional layers act through the linear
-map they induce on a fixed input shape: the spectral norm comes from power
-iteration through the operator of :mod:`cvnnlab.conv` that training runs
+map they induce on a fixed input shape: the spectral norm comes from
+Lanczos through the operator of :mod:`cvnnlab.conv` that training runs
 (its apply and adjoint on a batch of one), and the (2,1) norm from that
 module's explicit dense lowering of the map.  Each rho_i is the
 activation's declared constant on all of C
@@ -35,8 +35,10 @@ import numpy as np
 from . import conv
 from .activations import declared_lipschitz
 from .clinalg import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     PowerIterationResult,
-    gram_power_iteration,
+    gram_lanczos,
     pq_norm,
     spectral_norm_power,
 )
@@ -67,28 +69,23 @@ __all__ = [
 def conv_spectral_norm(
     kernel,
     input_shape,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
 ) -> PowerIterationResult:
     """Largest singular value of the induced linear map, matrix-free.
 
-    Power iteration runs the training operator (:func:`cvnnlab.conv.apply`
-    and :func:`cvnnlab.conv.adjoint`) on a batch of one; the convergence
-    rule is shared with the dense path
-    (:func:`cvnnlab.clinalg.gram_power_iteration`).
+    Lanczos (:func:`cvnnlab.clinalg.gram_lanczos`, as on the dense path)
+    runs the training operator (:func:`cvnnlab.conv.apply` and
+    :func:`cvnnlab.conv.adjoint`) on a batch of one.
     """
     kernel = np.asarray(kernel, dtype=np.complex128)
     if not np.any(kernel):
         return PowerIterationResult(0.0, 0, True)
-    rng = np.random.default_rng(seed)
     shape = (1,) + tuple(input_shape)
-    start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return gram_power_iteration(
+    return gram_lanczos(
         lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel, shape),
-        start,
-        tol,
-        max_iter,
+        shape, tol, max_iter, seed,
     )
 
 
@@ -113,16 +110,13 @@ class SpectralReport:
     r_a: float | None
     sn_product_only: bool
     thresholds_nonzero: bool
-    power_iteration_converged: bool
+    power_iteration_converged: bool  # every layer's solve; the name is report format v2's
 
 
 def analyze(
     net: Network,
     input_shape,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    seed: int = 0,
     memory_budget: int | None = DEFAULT_LOWERING_BUDGET,
 ) -> SpectralReport:
     """Per-layer spectral data and the aggregate complexity of a network.
@@ -139,14 +133,12 @@ def analyze(
             continue  # 1-Lipschitz, no weight: contributes nothing to R_A
         if isinstance(spec, Dense):
             a = net.weights[pos]
-            res = spectral_norm_power(a, tol=tol, max_iter=max_iter, seed=seed)
+            res = spectral_norm_power(a)
             s = res.value
             b = pq_norm(a.T, 2, 1)
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
-            res = conv_spectral_norm(
-                kernel, shapes[pos], tol=tol, max_iter=max_iter, seed=seed
-            )
+            res = conv_spectral_norm(kernel, shapes[pos])
             s = res.value
             try:
                 m = layer_matrix(kernel, shapes[pos], memory_budget=memory_budget)

@@ -457,6 +457,17 @@ class TestAnalyzeCommand:
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3
 
+    def test_strict_overflow_exits_4(self, tmp_path, capsys):
+        # A*A v overflows: the solver reports inf, unconverged
+        net = Network([Dense(2, 2)], [np.full((2, 2), 1e160, complex)], [np.zeros(2, complex)])
+        ck = tmp_path / "big.json"
+        save_checkpoint(net, ck)
+        args = ["analyze", "--checkpoint", str(ck), "--input-shape", "2", "--out", str(tmp_path / "r")]
+        with np.errstate(all="ignore"):
+            assert main(args + ["--strict"]) == 4
+        assert "spectral-norm solver did not converge" in capsys.readouterr().out
+        assert "power_iteration_converged = false\n" in (tmp_path / "r").read_text()
+
 
 class TestBoundsCommand:
     def _report(self, tmp_path):
@@ -505,6 +516,21 @@ class TestBoundsCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert any(l.startswith("pac_sample_size = ") for l in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--mode", "pac"], ["--mode", "pac", "--eps", "2"], ["--mode", "iid", "--delta", "1.5"],
+         ["--mode", "rademacher", "--m", "-1"]],
+    )
+    def test_input_error_prints_nothing(self, tmp_path, capsys, extra):
+        rep = self._report(tmp_path)
+        capsys.readouterr()
+        rc = main([
+            "bounds", "--report", str(rep), "--m", "1", "--n", "100", "--w", "2",
+            "--z-norm", "10", *extra,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
     def test_delta_out_of_range(self, tmp_path):
         rep = self._report(tmp_path)
@@ -564,6 +590,26 @@ class TestStatsCommand:
         p = float([l for l in out.splitlines() if l.startswith("p=")][0][2:])
         assert scc == 1.0
         assert 0 < p < 0.005
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_is_data_error(self, tmp_path, capsys, column, value):
+        rows = [TRACE_HEADER]
+        for i in range(1, 5):
+            fields = [str(i), "0.1", "1", f"{1 - 0.1 * i}", f"{0.1 * i}", f"{i}.5", "", ""]
+            if i == 1:
+                fields[column] = value
+            rows.append(",".join(fields))
+        trace = tmp_path / "t.csv"
+        trace.write_text("\n".join(rows) + "\n")
+        assert main(["stats", "--trace", str(trace)]) == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_empty_or_infinite_spectral_fields_stay_legal(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"{TRACE_HEADER}\n1,0.1,1,0.9,0.1,,,\n2,0.1,1,0.8,0.2,inf,,inf;2\n")
+        parsed = parse_trace_csv(trace)
+        assert math.isnan(parsed.sn_product[0]) and parsed.sn_product[1] == math.inf
 
     def test_malformed_csv(self, tmp_path):
         trace = tmp_path / "bad.csv"

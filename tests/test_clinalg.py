@@ -111,6 +111,29 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm_power(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6])
+    def test_small_top_gap(self, gap):
+        # power iteration needs ~1/gap steps here and can stall while
+        # looking converged; Lanczos needs ~1/sqrt(gap)
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(random_complex(rng, 32, 32))
+        v, _ = np.linalg.qr(random_complex(rng, 32, 32))
+        s = np.linspace(0.9, 0.1, 32)
+        s[:2] = 1.0, 1.0 - gap
+        a = u @ np.diag(s) @ v.conj().T
+        res = spectral_norm_power(a)
+        assert res.converged
+        oracle = spectral_norm_oracle(a)
+        assert abs(res.value - oracle) <= 1e-10 * oracle
+
+    def test_krylov_dimension_capped_at_size(self, rng):
+        # 3 steps span the whole space, so the result is exact and converged
+        # whatever max_iter allows
+        a = random_complex(rng, 5, 3)
+        res = spectral_norm_power(a, tol=1e-300, max_iter=50)
+        assert res.converged and res.iterations <= 3
+        assert abs(res.value - spectral_norm_oracle(a)) <= 1e-12 * res.value
+
     def test_overflow_is_not_a_silent_zero(self):
         # ||A*A v||^2 overflows: the iterate must not pass for a null vector
         with np.errstate(all="ignore"):

@@ -5,9 +5,18 @@ import numpy.testing as npt
 import pytest
 
 from cvnnlab.activations import CRELU, modrelu
-from cvnnlab.clinalg import spectral_norm_oracle
+from cvnnlab.clinalg import spectral_norm_oracle, spectral_norm_power
+from cvnnlab.config import build_layers
 from cvnnlab.conv import LoweringBudgetError, adjoint, apply, layer_matrix, weight_grad
-from cvnnlab.network import Conv, Dense, MaxPoolModulus, AbsHead, Network, build_network
+from cvnnlab.network import (
+    AbsHead,
+    Conv,
+    Dense,
+    MaxPoolModulus,
+    Network,
+    build_network,
+    infer_shapes,
+)
 from cvnnlab.spectral import (
     BoundInputs,
     analyze,
@@ -141,6 +150,38 @@ class TestConvSpectralNorm:
         implicit = conv_spectral_norm(k, (8, 8, 2), seed=1).value
         explicit = spectral_norm_oracle(layer_matrix(k, (8, 8, 2)))
         assert abs(implicit - explicit) <= 1e-8 * explicit
+
+
+class TestFreshDeskNetworks:
+    """The desk architecture as initialised, before any training step: its
+    conv layers have top spectral gaps small enough to stall power iteration."""
+
+    SHAPE = (28, 28, 1)
+    LAYERS = build_layers(
+        "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs", CRELU, SHAPE
+    )
+
+    def test_every_layer_converges(self):
+        shapes = infer_shapes(self.LAYERS, self.SHAPE)
+        for seed in range(24):
+            net = build_network(self.LAYERS, seed=seed)
+            for pos, spec in enumerate(self.LAYERS):
+                if isinstance(spec, Conv):
+                    res = conv_spectral_norm(net.weights[pos], shapes[pos])
+                elif isinstance(spec, Dense):
+                    res = spectral_norm_power(net.weights[pos])
+                else:
+                    continue
+                assert res.converged, f"init seed {seed}, layer {pos}: {res}"
+
+    def test_init_seed_12_conv2_matches_oracle(self):
+        # 1000 steps of power iteration stop 8e-6 low here
+        shapes = infer_shapes(self.LAYERS, self.SHAPE)
+        kernel = build_network(self.LAYERS, seed=12).weights[2]
+        res = conv_spectral_norm(kernel, shapes[2])
+        oracle = spectral_norm_oracle(layer_matrix(kernel, shapes[2], memory_budget=None))
+        assert res.converged
+        assert abs(res.value - oracle) <= 1e-8 * oracle
 
 
 class TestAnalyze:
