@@ -19,6 +19,12 @@ Jacobians are the partials of (Re out, Im out) with respect to
 (Re in, Im in), the object complex backprop consumes.  At kinks (modrelu
 at |z| + b = 0, crelu on the axes) the subgradient choice is a zero row
 for the inactive coordinate.
+
+split_tanh and crelu act on each real coordinate alone, so their Jacobian
+is diagonal in the interleaved float64 (re, im) view of a complex array:
+:func:`apply` and :func:`backprop` run them as one real elementwise pass on
+that view.  :func:`jacobian_fields` is the general path, taken by modrelu
+and amp_tanh, and the test oracle for the two diagonal ones.
 """
 
 from __future__ import annotations
@@ -68,13 +74,22 @@ def modrelu(b: float) -> Activation:
     return Activation("modrelu", b=float(b))
 
 
+def _floats(z):
+    """The interleaved (re, im) float64 view of a complex array (at least 1-d)."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+
+
+def _complex(f, shape):
+    return f.view(np.complex128).reshape(shape)
+
+
 def apply(act: Activation, z):
     """Elementwise activation value; works on scalars and arrays."""
     z = np.asarray(z, dtype=np.complex128)
     if act.kind == "split_tanh":
-        out = np.tanh(z.real) + 1j * np.tanh(z.imag)
+        out = _complex(np.tanh(_floats(z)), z.shape)
     elif act.kind == "crelu":
-        out = np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0)
+        out = _complex(np.maximum(_floats(z), 0.0), z.shape)
     elif act.kind == "modrelu":
         r = np.abs(z)
         safe_r = np.where(r > 0.0, r, 1.0)
@@ -128,8 +143,16 @@ def backprop(act: Activation, z, grad):
 
     ``grad`` pairs (dL/dRe out) + i (dL/dIm out); the return value pairs the
     same partials with respect to the activation input.  This is J^T g with
-    the Jacobian evaluated at pre-activation ``z``.
+    the Jacobian evaluated at pre-activation ``z``; ``z`` and ``grad`` share
+    one shape.
     """
+    if act.kind in ("split_tanh", "crelu"):
+        zf, gf = _floats(z), _floats(grad)
+        if act.kind == "crelu":
+            out = np.where(zf > 0.0, gf, 0.0)
+        else:
+            out = gf * (1.0 - np.tanh(zf) ** 2)
+        return _complex(out, np.shape(z))
     j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, z)
     g_re, g_im = np.real(grad), np.imag(grad)
     return (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)

@@ -17,7 +17,8 @@ Exit codes: 0 success; 2 configuration/input error; 3 data error
 diverged (non-finite loss or parameters; neither that epoch's row nor the
 checkpoint is written), or a spectral norm whose Lanczos solve did not
 converge (or overflowed) under --strict; 5 analysis completed with
-warnings.
+warnings (an unconverged or overflowed solve without --strict among
+them).
 
 The trace CSV schema is fixed:
 epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms
@@ -289,6 +290,8 @@ def _report_warnings(report: SpectralReport) -> list[str]:
         warnings.append("sn-product-only: an activation has no finite Lipschitz constant")
     if report.thresholds_nonzero:
         warnings.append("thresholds-nonzero: bound theory assumes threshold-free nets")
+    if not report.power_iteration_converged:
+        warnings.append("the spectral-norm solver did not converge")
     return warnings
 
 
@@ -306,7 +309,6 @@ def cmd_analyze(args) -> int:
     for w in warnings:
         print(f"warning: {w}")
     if args.strict and not report.power_iteration_converged:
-        print("warning: the spectral-norm solver did not converge")
         return 4
     return 5 if warnings else 0
 

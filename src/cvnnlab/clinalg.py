@@ -1,6 +1,7 @@
 """Complex matrix arithmetic and the norms used throughout the suite.
 
-All matrices are dense ``numpy`` arrays of dtype complex128.  Norms follow
+All matrices are dense ``numpy`` arrays of dtype complex128, except the
+real left operand that :func:`matmul_complex` accepts.  Norms follow
 the entry-modulus convention: the norm of a complex matrix is the norm of
 the real matrix of entrywise moduli.  The spectral norm is the largest
 singular value, computed here by Lanczos on the Hermitian product A*A;
@@ -23,6 +24,7 @@ __all__ = [
     "frobenius_norm",
     "pq_norm",
     "real_embedding",
+    "matmul_complex",
     "PowerIterationResult",
     "gram_lanczos",
     "spectral_norm_power",
@@ -50,21 +52,35 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(np.abs(as_cmatrix(a)) ** 2)))
 
 
+def _p_norms(mods, p):
+    """p-norms of the columns of a nonnegative matrix, which is overwritten.
+
+    Each column is first divided by the power of two at its largest entry,
+    so the powers of a finite matrix cannot overflow; for p in {1, 2} the
+    scaling is exact and the result is that of the unscaled formula.
+    """
+    if mods.shape[0] == 0:
+        return np.zeros(mods.shape[1])
+    top = mods.max(axis=0)
+    if math.isinf(p):
+        return top
+    _, exp = np.frexp(top)
+    exp = np.maximum(exp, -1022)  # 2**-exp stays finite for a subnormal top
+    mods *= np.ldexp(1.0, -exp)
+    mods **= p
+    return np.ldexp(np.sum(mods, axis=0) ** (1.0 / p), exp)
+
+
 def pq_norm(a, p: float, q: float) -> float:
     """q-norm of the vector of column p-norms, taken on entry moduli.
 
-    Either exponent may be ``math.inf``.
+    Either exponent may be ``math.inf``.  A finite matrix gets a finite
+    norm unless the norm itself exceeds the float range.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    mods = np.abs(as_cmatrix(a))
-    if math.isinf(p):
-        cols = mods.max(axis=0) if mods.shape[0] else np.zeros(mods.shape[1])
-    else:
-        cols = np.sum(mods**p, axis=0) ** (1.0 / p)
-    if math.isinf(q):
-        return float(cols.max()) if cols.size else 0.0
-    return float(np.sum(cols**q) ** (1.0 / q))
+    cols = _p_norms(np.abs(as_cmatrix(a)), p)
+    return float(_p_norms(cols[:, None], q)[0])
 
 
 def real_embedding(a) -> np.ndarray:
@@ -76,6 +92,19 @@ def real_embedding(a) -> np.ndarray:
     a = as_cmatrix(a)
     c, d = a.real, a.imag
     return np.block([[c, -d], [d, c]])
+
+
+def matmul_complex(a, w) -> np.ndarray:
+    """``a @ w`` for a complex ``w`` (2-D) and a real or complex ``a``.
+
+    A real ``a`` multiplies the float64 (re, im) view of ``w`` in one real
+    GEMM, where numpy would cast ``a`` to complex and run a complex GEMM:
+    4x the flops on 2x the bytes, on a zero imaginary part.
+    """
+    if np.iscomplexobj(a):
+        return a @ w
+    w = np.ascontiguousarray(w, dtype=np.complex128)
+    return (a @ w.view(np.float64)).view(np.complex128)
 
 
 @dataclass(frozen=True)

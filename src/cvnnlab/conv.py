@@ -2,12 +2,18 @@
 and spectral analysis share, and the only code that knows the conv layout:
 (kh, kw, cin, cout) kernels, (n, h, w, c) batches and the row-major
 (y, x, c) vec order of one input that :func:`layer_matrix` follows.
+
+A real batch (image pixels) stays real through :func:`apply` and
+:func:`weight_grad`: its patches take one real GEMM on the kernel's
+(re, im) float64 view (:func:`cvnnlab.clinalg.matmul_complex`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .clinalg import matmul_complex
 
 __all__ = [
     "apply",
@@ -26,14 +32,15 @@ class LoweringBudgetError(Exception):
 
 
 def apply(x, kernel):
-    """Convolve an (n, h, w, cin) batch; returns the output and its
-    (n, oh*ow, kh*kw*cin) im2col patches, which :func:`weight_grad` reuses."""
+    """Convolve a real or complex (n, h, w, cin) batch; returns the complex
+    output and its (n, oh*ow, kh*kw*cin) im2col patches, of the batch's
+    dtype, which :func:`weight_grad` reuses."""
     n, h, w, _ = x.shape
     kh, kw, cin, cout = kernel.shape
     oh, ow = h - kh + 1, w - kw + 1
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, cin, kh, kw)
     patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh * ow, kh * kw * cin)
-    out = patches @ kernel.reshape(kh * kw * cin, cout)
+    out = matmul_complex(patches, kernel.reshape(kh * kw * cin, cout))
     return out.reshape(n, oh, ow, cout), patches
 
 
@@ -57,7 +64,8 @@ def weight_grad(patches, g):
     gradient ``g``, flattened to (kh*kw*cin, cout) in the kernel's row-major
     order (``.reshape(kernel.shape)`` restores the kernel shape)."""
     p2 = patches.reshape(-1, patches.shape[-1])
-    return p2.conj().T @ g.reshape(-1, g.shape[-1])
+    # conj() of a real array is the array itself, not a copy
+    return matmul_complex(p2.conj().T, g.reshape(-1, g.shape[-1]))
 
 
 def layer_matrix(kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERING_BUDGET):

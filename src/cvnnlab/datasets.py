@@ -1,10 +1,11 @@
-"""Dataset ingestion: IDX image files, complexification, synthetic data.
+"""Dataset ingestion: IDX image files and synthetic data.
 
 IDX is the big-endian binary format of the classic digit benchmarks:
 a 4-byte magic (0x00000803 for images, 0x00000801 for labels), 4-byte
 dimension fields, then the unsigned-byte payload.  Loading scales pixels
-by 1/255 and attaches a zero imaginary part, which keeps the data-matrix
-norm equal to the familiar real one.
+by 1/255 and keeps them real (float64): a real input is a complex input
+with zero imaginary part, which the network's first weighted layer
+multiplies without forming that part (see :mod:`cvnnlab.network`).
 
 Synthetic regression data feeds the L2-loss theory path: inputs have
 i.i.d. standard complex gaussian entries and targets come from a frozen
@@ -38,7 +39,6 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "write_idx",
-    "to_complex",
     "synthetic_regression",
     "subsample",
     "synthetic_glyphs",
@@ -66,7 +66,8 @@ class CountMismatchError(IdxError):
 
 @dataclass
 class Dataset:
-    """Inputs are complex; image data keeps its (h, w, c) shape per sample."""
+    """Inputs are real image pixels or complex vectors; image data keeps its
+    (h, w, c) shape per sample."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -124,9 +125,9 @@ def read_idx_labels(path) -> np.ndarray:
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Paired image/label IDX files as a complex image dataset.
+    """Paired image/label IDX files as an image dataset.
 
-    Pixels are scaled by 1/255; the imaginary part is zero.
+    Inputs are real float64 pixels scaled by 1/255, shaped (n, h, w, 1).
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -137,9 +138,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     if images.shape[0] == 0:
         raise IdxError(f"{images_path}: no samples")
     pixels = images.astype(np.float64) / 255.0
-    inputs = to_complex(pixels[..., None])  # (n, h, w, 1)
     return Dataset(
-        inputs=inputs,
+        inputs=pixels[..., None],
         targets=labels.astype(np.int64),
         split=split,
         image_shape=images.shape[1:] + (1,),
@@ -172,14 +172,6 @@ def write_idx(ds: Dataset, images_path, labels_path) -> None:
     h, w, _ = ds.image_shape
     write_idx_images(pixels.reshape(ds.n, h, w), images_path)
     write_idx_labels(ds.targets.astype(np.uint8), labels_path)
-
-
-def to_complex(x) -> np.ndarray:
-    """Real data as complex entries with zero imaginary part."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
-    return x.astype(np.complex128)
 
 
 def synthetic_regression(

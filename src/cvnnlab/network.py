@@ -9,7 +9,14 @@ Backprop runs as real backprop on (re, im) pairs: loss gradients with respect
 to a complex quantity q = a + bi are carried as the complex number
 dL/da + i dL/db, so complex arrays serve as gradient containers and the
 activation 2x2 Jacobians plug in uniformly (none of the supported
-activations is holomorphic).
+activations is holomorphic).  The gradient with respect to the network
+input is never used, so backprop stops at layer 0's parameter gradients.
+
+A real batch (image pixels) stays real up to a dense or conv layer 0, whose
+forward product and weight gradient then take real GEMMs on the weight's
+(re, im) view (:func:`cvnnlab.clinalg.matmul_complex`); any other layer 0
+receives the batch cast to complex.  Either way each layer's output has
+the dtype it has for the complex cast of the batch.
 
 Dense layers store W with shape (in_dim, out_dim) and compute x @ W + H on
 row-major batches.  Conv layers run stride-1 valid cross-correlation with a
@@ -34,6 +41,7 @@ import numpy as np
 
 from . import conv
 from .activations import Activation, apply as act_apply, backprop as act_backprop
+from .clinalg import matmul_complex
 from .textio import json_text, write_atomic
 
 __all__ = [
@@ -249,6 +257,25 @@ def _pool_forward(x, window):
     return out, idx
 
 
+def _pool_backward(grad, idx, window, input_shape):
+    """Each output gradient lands on the input entry its window selected;
+    rows and columns past the last whole window get zero."""
+    n, oh, ow, c = grad.shape
+    dx = np.zeros(input_shape, dtype=np.complex128)
+    # splitting axes of the slice keeps it a view of dx
+    cells = dx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c)
+    dy, dxx = np.divmod(idx, window)
+    cells[
+        np.arange(n)[:, None, None, None],
+        np.arange(oh)[None, :, None, None],
+        dy,
+        np.arange(ow)[None, None, :, None],
+        dxx,
+        np.arange(c),
+    ] = grad
+    return dx
+
+
 def _softmax(scores):
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -261,7 +288,7 @@ def _forward_walk(net: Network, x, keep_caches):
         cache = {"input_shape": cur.shape}
         if isinstance(spec, Dense):
             flat = cur.reshape(cur.shape[0], -1) if cur.ndim > 2 else cur
-            pre = flat @ w + h
+            pre = matmul_complex(flat, w) + h
             out = act_apply(spec.activation, pre) if spec.activation else pre
             if keep_caches:
                 cache.update(x=flat, pre=pre)
@@ -296,14 +323,17 @@ def forward(net: Network, batch):
 
 
 def _checked_batch(net: Network, batch):
-    """The batch as a complex array whose sample shape composes with the layers."""
+    """The batch, its sample shape checked against the layers: complex, or
+    float64 when it is real and layer 0 is dense or conv."""
     batch = np.asarray(batch)
-    if not np.iscomplexobj(batch):
-        batch = batch.astype(np.complex128)
     if batch.ndim not in (2, 4):
         raise ValueError(f"batch must be (n, d) or (n, h, w, c), got {batch.shape}")
     infer_shapes(net.layers, batch.shape[1:])
-    return batch
+    if np.iscomplexobj(batch):
+        return batch
+    if net.layers and isinstance(net.layers[0], (Dense, Conv)):
+        return batch.astype(np.float64, copy=False)
+    return batch.astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +404,8 @@ def backward(net: Network, batch, targets, loss: LossKind):
 
     Returns a list aligned with ``net.layers``: ``(dW, dH)`` complex arrays
     for weighted layers (re/im parts pair the partials w.r.t. the re/im
-    parameter components), ``None`` elsewhere.
+    parameter components), ``None`` elsewhere.  No gradient is formed with
+    respect to the batch: the pass ends at layer 0's ``(dW, dH)``.
     """
     batch = _checked_batch(net, batch)
     out, caches = _forward_walk(net, batch, keep_caches=True)
@@ -409,29 +440,20 @@ def backward(net: Network, batch, targets, loss: LossKind):
         if isinstance(spec, Dense):
             if spec.activation is not None:
                 grad = act_backprop(spec.activation, cache["pre"], grad)
-            x = cache["x"]
-            dw = x.conj().T @ grad
-            dh = grad.sum(axis=0)
-            grads[pos] = (dw, dh)
-            grad = (grad @ net.weights[pos].conj().T).reshape(cache["input_shape"])
+            grads[pos] = (matmul_complex(cache["x"].conj().T, grad), grad.sum(axis=0))
+            if pos:
+                grad = (grad @ net.weights[pos].conj().T).reshape(cache["input_shape"])
         elif isinstance(spec, Conv):
             if spec.activation is not None:
                 grad = act_backprop(spec.activation, cache["pre"], grad)
             kernel = net.weights[pos]
             dw = conv.weight_grad(cache["patches"], grad).reshape(kernel.shape)
-            dh = grad.sum(axis=(0, 1, 2))
-            grads[pos] = (dw, dh)
-            grad = conv.adjoint(grad, kernel, cache["input_shape"])
+            grads[pos] = (dw, grad.sum(axis=(0, 1, 2)))
+            if pos:
+                grad = conv.adjoint(grad, kernel, cache["input_shape"])
         elif isinstance(spec, MaxPoolModulus):
-            wdw = spec.window
-            nb, oh, ow, c = grad.shape
-            v = np.zeros((nb, oh, ow, wdw * wdw, c), dtype=np.complex128)
-            np.put_along_axis(v, cache["idx"][:, :, :, None, :], grad[:, :, :, None, :], axis=3)
-            v = v.reshape(nb, oh, ow, wdw, wdw, c).transpose(0, 1, 3, 2, 4, 5)
-            v = v.reshape(nb, oh * wdw, ow * wdw, c)
-            dx = np.zeros(cache["input_shape"], dtype=np.complex128)
-            dx[:, : oh * wdw, : ow * wdw, :] = v
-            grad = dx
+            if pos:
+                grad = _pool_backward(grad, cache["idx"], spec.window, cache["input_shape"])
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
     return grads

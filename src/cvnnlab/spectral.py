@@ -156,16 +156,17 @@ def analyze(
         records.append(LayerNorms(position=pos, kind=kind, s=s, b=b, rho=rho))
     if not records:
         raise ValueError("network has no weighted layers")
-    sn_product = 1.0
-    lipschitz_product = 1.0
-    for rec in records:
-        sn_product *= rec.s
-        # a zero map makes the network constant, even after rho = inf
-        lipschitz_product *= rec.rho * rec.s if rec.s else 0.0
+    # a zero map makes the network constant, even after rho = inf or an
+    # overflowed s = inf elsewhere (whose product with 0 would read nan)
+    zero_map = any(rec.s == 0.0 for rec in records)
+    sn_product = 0.0 if zero_map else math.prod(rec.s for rec in records)
+    lipschitz_product = 0.0 if zero_map else math.prod(rec.rho * rec.s for rec in records)
     if sn_product_only:
         r_a = None
-    elif any(rec.s == 0.0 for rec in records):
+    elif zero_map:
         r_a = 0.0
+    elif any(math.isinf(rec.s) for rec in records):
+        r_a = math.inf  # b / s would read 0 (or nan) and hide the overflow
     else:
         ratio_sum = sum((rec.b / rec.s) ** (2.0 / 3.0) for rec in records)
         r_a = lipschitz_product * ratio_sum**1.5
@@ -197,9 +198,10 @@ class BoundInputs:
     delta: float  # confidence parameter
 
     def __post_init__(self):
-        if self.m <= 0 or self.n <= 0 or self.w <= 0 or self.z_norm <= 0:
+        # written as "not x > 0" so that nan fails too
+        if not (self.m > 0 and self.n > 0 and self.w > 0 and self.z_norm > 0):
             raise ValueError("m, n, w, z_norm must be positive")
-        if self.r_a < 0:
+        if not self.r_a >= 0:
             raise ValueError("r_a must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -231,7 +233,7 @@ def rademacher_bound(m: float, n: int, w: int, z_norm: float, r_a: float) -> flo
     Satisfies bound_iid == 2 * rademacher_bound + 3 M sqrt(ln(2/delta)/(2n))
     exactly.
     """
-    if m <= 0 or n <= 0 or w <= 0 or z_norm <= 0 or r_a < 0:
+    if not (m > 0 and n > 0 and w > 0 and z_norm > 0 and r_a >= 0):
         raise ValueError("inputs must be positive (r_a nonnegative)")
     nf = float(n)
     return (
@@ -280,14 +282,17 @@ def pac_sample_size(
     with probability 1 - delta."""
     if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("eps and delta must lie in (0, 1)")
-    if m <= 0 or z_norm <= 0 or w < 1 or r_a < 0:
+    if not (m > 0 and z_norm > 0 and w >= 1 and r_a >= 0):
         raise ValueError("m, z_norm, w must be positive; r_a nonnegative")
     inner = (
         8.0 * m
         + 36.0 * z_norm * math.sqrt(2.0 * math.log(2.0 * w)) * r_a
         + 3.0 * m * math.sqrt(math.log(2.0 / delta) / 2.0)
     )
-    return int(math.ceil(8.0 / eps**3 * inner**3))
+    try:
+        return int(math.ceil(8.0 / eps**3 * inner**3))
+    except OverflowError:  # an infinite r_a, or a count past the float range
+        raise ValueError("no finite sample size: r_a or m is too large") from None
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,64 @@ class TestJacobian:
                 npt.assert_allclose([out[i].real, out[i].imag], ref, atol=1e-13)
 
 
+def _formula_apply(act, z):
+    """Coordinatewise value of the two diagonal kinds, part by part."""
+    f = np.tanh if act.kind == "split_tanh" else (lambda t: np.maximum(t, 0.0))
+    return f(z.real) + 1j * f(z.imag)
+
+
+def _formula_backprop(act, z, g):
+    """J^T g from the four Jacobian fields."""
+    j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, z)
+    g_re, g_im = np.real(g), np.imag(g)
+    return (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)
+
+
+def _bits(x):
+    """Bit pattern with -0.0 folded onto +0.0 (x + 0.0 changes nothing else):
+    the part formulas add zero terms whose sign varies."""
+    return (np.asarray(x, dtype=np.complex128) + 0.0).tobytes()
+
+
+class TestDiagonalPaths:
+    """split_tanh and crelu run on the float64 (re, im) view, never through
+    jacobian_fields, and agree with the Jacobian formula bit for bit."""
+
+    @staticmethod
+    def _cases(rng):
+        edge = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -2.0])
+        z_axes = np.empty(edge.size**2, dtype=np.complex128)  # set by part: keeps -0.0
+        z_axes.real, z_axes.imag = np.repeat(edge, edge.size), np.tile(edge, edge.size)
+        z = np.concatenate([z_axes, rng.standard_normal(40) + 1j * rng.standard_normal(40)])
+        g = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
+        g[:6] = [0j, complex(-0.0, -0.0), 1.0, -1j, complex(0.0, -0.0), 2 - 3j]
+        block = np.stack([z[:48].reshape(6, 8)] * 2, axis=-1)  # (6, 8, 2)
+        gblock = np.stack([g[:48].reshape(6, 8)] * 2, axis=-1)
+        return [
+            (z, g),
+            (block[:, ::3, 1], gblock[:, ::3, 0]),  # non-contiguous slices
+            (np.asarray(z[7]), np.asarray(g[7])),  # 0-d
+        ]
+
+    @pytest.mark.parametrize("act", [CRELU, SPLIT_TANH])
+    def test_match_jacobian_formula_bitwise(self, act, rng, monkeypatch):
+        from cvnnlab import activations
+
+        cases = self._cases(rng)
+        want = [(_formula_apply(act, z), _formula_backprop(act, z, g)) for z, g in cases]
+
+        def refuse(*args):
+            raise AssertionError("diagonal kinds must not build Jacobian fields")
+
+        monkeypatch.setattr(activations, "jacobian_fields", refuse)
+        for (z, g), (want_apply, want_back) in zip(cases, want):
+            got_apply, got_back = apply(act, z), backprop(act, z, g)
+            assert np.shape(got_apply) == np.shape(z) and np.shape(got_back) == np.shape(z)
+            assert _bits(got_apply) == _bits(want_apply)
+            assert _bits(got_back) == _bits(want_back)
+        assert isinstance(apply(act, complex(cases[2][0])), complex)
+
+
 class TestDeclaredLipschitz:
     def test_split_tanh(self):
         assert declared_lipschitz(SPLIT_TANH) == 1.0

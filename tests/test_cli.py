@@ -469,6 +469,25 @@ class TestAnalyzeCommand:
         assert "power_iteration_converged = false\n" in (tmp_path / "r").read_text()
 
 
+    def test_overflow_warns_and_exits_5(self, tmp_path, capsys):
+        net = Network([Dense(2, 2)], [np.full((2, 2), 1e160 + 1e160j)], [np.zeros(2, complex)])
+        ck = tmp_path / "big.json"
+        save_checkpoint(net, ck)
+        rep = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            rc = main(["analyze", "--checkpoint", str(ck), "--input-shape", "2", "--out", str(rep)])
+        assert rc == 5
+        assert "spectral-norm solver did not converge" in capsys.readouterr().out
+        text = rep.read_text()
+        assert "layer.0.b = 4e+160\n" in text and "r_a = inf\n" in text
+        bounds = ["bounds", "--report", str(rep), "--m", "1", "--n", "100", "--w", "2",
+                  "--z-norm", "10"]
+        assert main(bounds + ["--mode", "iid"]) == 0
+        assert "bound_iid = inf\n" in capsys.readouterr().out
+        assert main(bounds + ["--mode", "pac", "--eps", "0.5"]) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestBoundsCommand:
     def _report(self, tmp_path):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
@@ -528,6 +547,23 @@ class TestBoundsCommand:
         rc = main([
             "bounds", "--report", str(rep), "--m", "1", "--n", "100", "--w", "2",
             "--z-norm", "10", *extra,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mode", ["iid", "sequential", "rademacher", "pac"])
+    @pytest.mark.parametrize("nan_field", ["r_a", "--m", "--z-norm"])
+    def test_nan_input_exits_2_and_prints_nothing(self, tmp_path, capsys, mode, nan_field):
+        rep = self._report(tmp_path)
+        if nan_field == "r_a":
+            lines = rep.read_text().splitlines()
+            rep.write_text("\n".join("r_a = nan" if l.startswith("r_a = ") else l
+                                     for l in lines) + "\n")
+        values = {"--m": "1", "--z-norm": "10", nan_field: "nan"}
+        capsys.readouterr()
+        rc = main([
+            "bounds", "--report", str(rep), "--mode", mode, "--eps", "0.5", "--n", "100",
+            "--w", "2", "--m", values["--m"], "--z-norm", values["--z-norm"],
         ])
         assert rc == 2
         assert capsys.readouterr().out == ""

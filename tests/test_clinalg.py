@@ -62,6 +62,20 @@ class TestPqNorm:
         assert pq_norm(a, 2, 1) == pytest.approx(pq_norm(mods, 2, 1), rel=1e-13)
 
 
+    def test_finite_matrix_beyond_square_range(self):
+        # squaring 1.4e160 overflows; the column scaling keeps b finite
+        a = np.full((2, 2), 1e160 + 1e160j)
+        assert pq_norm(a, 2, 1) == pytest.approx(4e160, rel=1e-15)
+        assert pq_norm(np.full((2, 2), 1e-170 + 0j), 2, 2) == pytest.approx(2e-170, rel=1e-15)
+
+    def test_21_bits_equal_unscaled_formula(self, rng):
+        # the power-of-two scaling is exact, so analysis reports keep their digits
+        for scale in (1e-3, 1.0, 37.0):
+            a = scale * random_complex(rng, 9, 7)
+            mods = np.abs(a)
+            assert pq_norm(a, 2, 1) == float(np.sum(np.sum(mods**2, axis=0) ** 0.5))
+
+
 class TestRealEmbedding:
     def test_rotation(self):
         npt.assert_array_equal(real_embedding([[1j]]), [[0.0, -1.0], [1.0, 0.0]])

@@ -22,7 +22,6 @@ from cvnnlab.datasets import (
     subsample,
     synthetic_glyphs,
     synthetic_regression,
-    to_complex,
     write_idx,
     write_idx_images,
     write_idx_labels,
@@ -90,9 +89,18 @@ class TestLoadIdx:
         labels = rng.integers(0, 10, size=5).astype(np.uint8)
         write_idx_images(images, tmp_path / "i"), write_idx_labels(labels, tmp_path / "l")
         ds = load_idx(tmp_path / "i", tmp_path / "l")
-        assert np.all(ds.inputs.real >= 0.0) and np.all(ds.inputs.real <= 1.0)
+        # real pixels, finite, in [0, 1]: no complex cast on the way in
+        assert ds.inputs.dtype == np.float64 and ds.inputs.shape == (5, 4, 4, 1)
+        assert np.all(np.isfinite(ds.inputs))
+        assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 1.0)
         # pixels are exact multiples of 1/255
-        npt.assert_array_equal(np.rint(ds.inputs.real * 255), ds.inputs.real * 255)
+        npt.assert_array_equal(np.rint(ds.inputs * 255), ds.inputs * 255)
+
+    def test_dataset_rejects_non_finite_inputs(self):
+        from cvnnlab.datasets import Dataset
+
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(inputs=np.array([[np.nan]]), targets=np.array([0]), split="train")
 
 
 class TestRoundTrip:
@@ -113,25 +121,6 @@ class TestRoundTrip:
         write_idx(ds, tmp_path / "i2", tmp_path / "l2")
         assert (tmp_path / "i").read_bytes() == (tmp_path / "i2").read_bytes()
         assert (tmp_path / "l").read_bytes() == (tmp_path / "l2").read_bytes()
-
-
-class TestToComplex:
-    def test_scalar(self):
-        out = to_complex(np.array([0.5]))
-        assert out.dtype == np.complex128
-        assert out[0] == 0.5 + 0j
-
-    def test_frobenius_preserved(self, rng):
-        x = rng.standard_normal((4, 4))
-        assert np.linalg.norm(to_complex(x)) == pytest.approx(np.linalg.norm(x), rel=1e-15)
-
-    def test_modulus_recovers_nonnegative(self, rng):
-        x = np.abs(rng.standard_normal((3, 3)))
-        npt.assert_array_equal(np.abs(to_complex(x)), x)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            to_complex(np.array([np.nan]))
 
 
 class TestSyntheticRegression:
@@ -163,7 +152,7 @@ class TestSubsample:
         from cvnnlab.datasets import Dataset
 
         return Dataset(
-            inputs=to_complex(images / 255.0),
+            inputs=images / 255.0,
             targets=labels.astype(np.int64),
             split="train",
             image_shape=(3, 3, 1),

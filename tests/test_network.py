@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvnnlab import network
 from cvnnlab.activations import CRELU, SPLIT_TANH, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
@@ -225,6 +226,93 @@ class TestBackward:
         dw_im = dwe[:3, 2:] - dwe[3:, :2]
         npt.assert_allclose(dw.real, dw_re, atol=1e-12)
         npt.assert_allclose(dw.imag, dw_im, atol=1e-12)
+
+
+class TestRealInputs:
+    """A real batch stays real up to a dense or conv layer 0, and backward
+    forms no gradient with respect to the batch."""
+
+    CONV_FIRST = [
+        Conv(3, 3, 1, 3, CRELU), MaxPoolModulus(2), Conv(2, 2, 3, 2, SPLIT_TANH),
+        Dense(8, 4, CRELU), Dense(4, 3), AbsHead(3),
+    ]
+    DENSE_FIRST = [Dense(12, 5, CRELU), Dense(5, 3, SPLIT_TANH), AbsHead(3)]
+
+    @staticmethod
+    def _spy_batches(monkeypatch):
+        """dtypes of the batches the forward walk receives."""
+        seen = []
+        walk = network._forward_walk
+
+        def spy(net, x, keep_caches):
+            seen.append(x.dtype)
+            return walk(net, x, keep_caches)
+
+        monkeypatch.setattr(network, "_forward_walk", spy)
+        return seen
+
+    @pytest.mark.parametrize("layers, shape", [(CONV_FIRST, (9, 9, 1)), (DENSE_FIRST, (12,))])
+    def test_backward_on_real_batch_matches_complex_cast(self, layers, shape, rng, monkeypatch):
+        net = build_network(layers, seed=4)
+        x = rng.uniform(0.0, 1.0, size=(9,) + shape)
+        labels = rng.integers(0, 3, size=9)
+        seen = self._spy_batches(monkeypatch)
+        real = backward(net, x, labels, LossKind("cross_entropy"))
+        cast = backward(net, x.astype(np.complex128), labels, LossKind("cross_entropy"))
+        assert seen == [np.float64, np.complex128]
+        for (dw_r, dh_r), (dw_c, dh_c) in (p for p in zip(real, cast) if p[0] is not None):
+            for got, want in ((dw_r, dw_c), (dh_r, dh_c)):
+                assert got.dtype == np.complex128
+                npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_forward_output_dtypes_unchanged(self, rng):
+        x = rng.uniform(0.0, 1.0, size=(4, 7, 7, 1))
+        conv_out = forward(build_network(self.CONV_FIRST[:3], seed=1), x)
+        assert conv_out.dtype == np.complex128
+        pooled = forward(Network([MaxPoolModulus(2)], [None], [None]), x)
+        assert pooled.dtype == np.complex128
+        npt.assert_array_equal(pooled, forward(Network([MaxPoolModulus(2)], [None], [None]),
+                                               x.astype(np.complex128)))
+
+    def test_layer_zero_gets_no_input_gradient(self, rng, monkeypatch):
+        calls = []
+        adjoint = network.conv.adjoint
+        monkeypatch.setattr(network.conv, "adjoint", lambda *a: calls.append(1) or adjoint(*a))
+        net = build_network(self.CONV_FIRST, seed=2)
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], LossKind("cross_entropy"))
+        assert len(calls) == 1  # conv at position 2 only
+
+    def test_one_activation_backprop_per_activated_layer(self, rng, monkeypatch):
+        calls = []
+        act_backprop = network.act_backprop
+        monkeypatch.setattr(
+            network, "act_backprop", lambda act, z, g: calls.append(act.kind) or act_backprop(act, z, g)
+        )
+        net = build_network(self.CONV_FIRST, seed=2)
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], LossKind("cross_entropy"))
+        # last activated layer first
+        assert calls == ["crelu", "split_tanh", "crelu"]
+
+
+def _pool_backward_scattered(grad, idx, window, input_shape):
+    """Reference: fill a zeroed window stack, fold it back, copy it in."""
+    nb, oh, ow, c = grad.shape
+    v = np.zeros((nb, oh, ow, window * window, c), dtype=np.complex128)
+    np.put_along_axis(v, idx[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
+    v = v.reshape(nb, oh, ow, window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    dx = np.zeros(input_shape, dtype=np.complex128)
+    dx[:, : oh * window, : ow * window, :] = v.reshape(nb, oh * window, ow * window, c)
+    return dx
+
+
+@pytest.mark.parametrize("shape, window", [((3, 7, 9, 2), 2), ((2, 11, 10, 3), 3), ((2, 4, 4, 1), 2)])
+def test_pool_backward_scatter_matches_reference_bitwise(shape, window, rng):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out, idx = network._pool_forward(x, window)
+    g = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
+    got = network._pool_backward(g, idx, window, shape)
+    want = _pool_backward_scattered(g, idx, window, shape)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestLosses:

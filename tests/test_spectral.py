@@ -208,6 +208,25 @@ class TestAnalyze:
         assert rep.sn_product == 0.0
         assert rep.r_a == 0.0
 
+    def test_overflowed_norm_makes_r_a_inf_not_nan(self):
+        net = Network([Dense(2, 2)], [np.full((2, 2), 1e160 + 1e160j)], [np.zeros(2, complex)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = analyze(net, (2,))
+        assert rep.layers[0].s == math.inf and not rep.power_iteration_converged
+        assert rep.layers[0].b == pytest.approx(4e160, rel=1e-15)
+        assert rep.r_a == math.inf
+
+    def test_zero_map_after_overflowed_layer_reads_zero_not_nan(self):
+        net = Network(
+            [Dense(2, 2), Dense(2, 2)],
+            [np.full((2, 2), 1e160 + 0j), np.zeros((2, 2), complex)],
+            [np.zeros(2, complex)] * 2,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = analyze(net, (2,))
+        assert rep.layers[0].s == math.inf
+        assert (rep.sn_product, rep.lipschitz_product, rep.r_a) == (0.0, 0.0, 0.0)
+
     def test_dense_values_match_direct_ops(self, rng):
         from cvnnlab.clinalg import pq_norm, spectral_norm_power
 
@@ -373,6 +392,17 @@ class TestBounds:
         with pytest.raises(ValueError):
             BoundInputs(m=-1.0, n=10, w=2, z_norm=1.0, r_a=1.0, delta=0.5)
 
+    @pytest.mark.parametrize("field", ["m", "z_norm", "r_a"])
+    def test_nan_inputs_rejected(self, field):
+        args = dict(m=1.0, n=10, w=2, z_norm=1.0, r_a=1.0)
+        args[field] = math.nan
+        with pytest.raises(ValueError):
+            BoundInputs(delta=0.5, **args)
+        with pytest.raises(ValueError):
+            rademacher_bound(**args)
+        with pytest.raises(ValueError):
+            pac_sample_size(0.5, 0.1, args["m"], args["z_norm"], args["w"], args["r_a"])
+
 
 class TestCoveringBounds:
     def test_linear_unit_case(self):
@@ -423,6 +453,11 @@ class TestPacSampleSize:
         n1 = pac_sample_size(0.5, 0.1, 1.0, 10.0, 2, 2.0)
         n2 = pac_sample_size(0.25, 0.1, 1.0, 10.0, 2, 2.0)
         assert n2 == pytest.approx(8 * n1, rel=1e-9)
+
+    @pytest.mark.parametrize("r_a", [math.inf, 1e200])
+    def test_no_finite_size_is_value_error(self, r_a):
+        with pytest.raises(ValueError, match="no finite sample size"):
+            pac_sample_size(0.5, 0.1, 1.0, 10.0, 2, r_a)
 
     def test_hand_instance(self):
         eps, delta, m, z, w, r = 0.5, 0.1, 1.0, 10.0, 2, 2.0
