@@ -148,8 +148,8 @@ def backprop(act: Activation, z, grad):
     """
     if act.kind in ("split_tanh", "crelu"):
         zf, gf = _floats(z), _floats(grad)
-        if act.kind == "crelu":
-            out = np.where(zf > 0.0, gf, 0.0)
+        if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
+            out = (gf.view(np.int64) & -(zf > 0.0).view(np.int8)).view(np.float64)
         else:
             out = gf * (1.0 - np.tanh(zf) ** 2)
         return _complex(out, np.shape(z))

@@ -143,7 +143,8 @@ def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> PowerIterationResult
             block = np.empty((min(_BASIS_BLOCK, k_max - len(basis)), n), np.complex128)
             basis = np.concatenate([basis, block])
         basis[k - 1] = q
-        w = gram_apply(q.reshape(shape)).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            w = gram_apply(q.reshape(shape)).ravel()
         if not math.isfinite(np.linalg.norm(w)):
             return PowerIterationResult(math.inf, k, False)
         # divide by the computed |q|^2 so that the identity gives exactly 1
@@ -176,7 +177,8 @@ def spectral_norm_power(
     a = as_cmatrix(a)
     if a.size == 0 or not np.any(a):
         return PowerIterationResult(0.0, 0, True)
-    return gram_lanczos(lambda v: a.conj().T @ (a @ v), a.shape[1], tol, max_iter, seed)
+    a_h = a.conj().T
+    return gram_lanczos(lambda v: a_h @ (a @ v), a.shape[1], tol, max_iter, seed)
 
 
 def spectral_norm(

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_LOWERING_BUDGET = 1 << 24  # complex entries (~256 MiB)
+_SAMPLE_BLOCK = 8  # adjoint's samples per GEMM: their patch gradient stays in cache
 
 
 class LoweringBudgetError(Exception):
@@ -49,13 +50,13 @@ def adjoint(g, kernel, input_shape):
     is the (n, h, w, cin) shape of the batch it maps back to."""
     kh, kw, cin, cout = kernel.shape
     n, oh, ow, _ = g.shape
-    dp = (g.reshape(n, oh * ow, cout) @ kernel.reshape(-1, cout).conj().T).reshape(
-        n, oh, ow, kh, kw, cin
-    )
+    k_herm = kernel.reshape(-1, cout).conj().T
     dx = np.zeros(input_shape, dtype=np.complex128)
-    for ky in range(kh):
-        for kx in range(kw):
-            dx[:, ky : ky + oh, kx : kx + ow, :] += dp[:, :, :, ky, kx, :]
+    for s in range(0, n, _SAMPLE_BLOCK):
+        dp = (g[s : s + _SAMPLE_BLOCK].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
+        for ky in range(kh):
+            for kx in range(kw):
+                dx[s : s + _SAMPLE_BLOCK, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
     return dx
 
 
@@ -63,9 +64,9 @@ def weight_grad(patches, g):
     """Kernel gradient from the patches of :func:`apply` and the output
     gradient ``g``, flattened to (kh*kw*cin, cout) in the kernel's row-major
     order (``.reshape(kernel.shape)`` restores the kernel shape)."""
-    p2 = patches.reshape(-1, patches.shape[-1])
-    # conj() of a real array is the array itself, not a copy
-    return matmul_complex(p2.conj().T, g.reshape(-1, g.shape[-1]))
+    p2, g2 = patches.reshape(-1, patches.shape[-1]), g.reshape(-1, g.shape[-1])
+    # complex p: p^H g = conj(p^T conj(g)) copies g, far smaller than p
+    return (p2.T @ g2.conj()).conj() if np.iscomplexobj(p2) else matmul_complex(p2.T, g2)
 
 
 def layer_matrix(kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERING_BUDGET):

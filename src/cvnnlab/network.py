@@ -23,8 +23,11 @@ row-major batches.  Conv layers run stride-1 valid cross-correlation with a
 (kh, kw, cin, cout) kernel on (n, h, w, c) batches; their forward pass,
 input gradient and kernel gradient all come from :mod:`cvnnlab.conv`, the
 one operator that spectral analysis also measures.  Max pooling selects the
-entry of largest modulus per window (ties: first in row-major order).  The
-abs head maps a complex feature vector to entry moduli followed by softmax.
+entry of largest modulus per window: the first in row-major order among
+ties, and the first nan in a window with a nan modulus (as ``np.argmax``).
+It caches the flat index of that entry into the layer input, and its
+backward pass scatters through it.  The abs head maps a complex feature
+vector to entry moduli followed by softmax.
 
 Thresholds are always added in the forward pass; they stay at zero unless
 the network was built with ``train_thresholds=True`` (the bound machinery
@@ -246,33 +249,31 @@ def max_width(net: Network, input_shape) -> int:
 
 
 def _pool_forward(x, window):
+    """Per window, the entry of largest modulus and its flat index into ``x``."""
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
-    v = x[:, : oh * window, : ow * window, :]
-    v = v.reshape(n, oh, window, ow, window, c).transpose(0, 1, 3, 2, 4, 5)
-    v = v.reshape(n, oh, ow, window * window, c)
-    # argmax on moduli returns the first maximum: row-major tie-break
-    idx = np.argmax(np.abs(v), axis=3)
-    out = np.take_along_axis(v, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, idx
+    # (offset from the window origin, strided view) for each of the w*w taps
+    taps = [((dy * w + dx) * c, x[:, dy : oh * window : window, dx : ow * window : window])
+            for dy in range(window) for dx in range(window)]
+    best = np.abs(taps[0][1])
+    off = np.zeros(best.shape, dtype=np.intp)
+    for shift, view in taps[1:]:
+        mods = np.abs(view)
+        off = np.where(mods > best, shift, off)  # strict: the first maximum wins
+        np.maximum(best, mods, out=best)  # propagates nan
+    if np.isnan(best).any():  # a window with a nan modulus takes its first nan
+        for shift, view in taps[::-1]:
+            off[np.isnan(np.abs(view))] = shift
+    off += (np.arange(n)[:, None, None, None] * (h * w * c)  # plus each window's origin
+            + np.arange(oh)[:, None, None] * (window * w * c)
+            + np.arange(ow)[:, None] * (window * c) + np.arange(c))
+    return x.reshape(-1)[off], off
 
 
-def _pool_backward(grad, idx, window, input_shape):
-    """Each output gradient lands on the input entry its window selected;
-    rows and columns past the last whole window get zero."""
-    n, oh, ow, c = grad.shape
+def _pool_backward(grad, flat_idx, input_shape):
+    """Each output gradient lands on the input entry its window selected."""
     dx = np.zeros(input_shape, dtype=np.complex128)
-    # splitting axes of the slice keeps it a view of dx
-    cells = dx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c)
-    dy, dxx = np.divmod(idx, window)
-    cells[
-        np.arange(n)[:, None, None, None],
-        np.arange(oh)[None, :, None, None],
-        dy,
-        np.arange(ow)[None, None, :, None],
-        dxx,
-        np.arange(c),
-    ] = grad
+    dx.reshape(-1)[flat_idx] = grad
     return dx
 
 
@@ -286,22 +287,21 @@ def _forward_walk(net: Network, x, keep_caches):
     cur = x
     for spec, w, h in zip(net.layers, net.weights, net.thresholds):
         cache = {"input_shape": cur.shape}
-        if isinstance(spec, Dense):
-            flat = cur.reshape(cur.shape[0], -1) if cur.ndim > 2 else cur
-            pre = matmul_complex(flat, w) + h
+        if isinstance(spec, (Dense, Conv)):
+            if isinstance(spec, Dense):
+                flat = cur.reshape(cur.shape[0], -1)
+                pre, saved = matmul_complex(flat, w), {"x": flat}
+            else:
+                pre, patches = conv.apply(cur, w)
+                saved = {"patches": patches}
+            pre += h
             out = act_apply(spec.activation, pre) if spec.activation else pre
             if keep_caches:
-                cache.update(x=flat, pre=pre)
-        elif isinstance(spec, Conv):
-            pre, patches = conv.apply(cur, w)
-            pre = pre + h
-            out = act_apply(spec.activation, pre) if spec.activation else pre
-            if keep_caches:
-                cache.update(patches=patches, pre=pre)
+                cache.update(saved, pre=pre)
         elif isinstance(spec, MaxPoolModulus):
-            out, idx = _pool_forward(cur, spec.window)
+            out, flat_idx = _pool_forward(cur, spec.window)
             if keep_caches:
-                cache.update(idx=idx)
+                cache.update(flat_idx=flat_idx)
         elif isinstance(spec, AbsHead):
             flat = cur.reshape(cur.shape[0], -1) if cur.ndim > 2 else cur
             scores = np.abs(flat)
@@ -437,15 +437,13 @@ def backward(net: Network, batch, targets, loss: LossKind):
     for pos in range(start - 1, -1, -1):
         spec = net.layers[pos]
         cache = caches[pos]
+        if isinstance(spec, (Dense, Conv)) and spec.activation is not None:
+            grad = act_backprop(spec.activation, cache["pre"], grad)
         if isinstance(spec, Dense):
-            if spec.activation is not None:
-                grad = act_backprop(spec.activation, cache["pre"], grad)
             grads[pos] = (matmul_complex(cache["x"].conj().T, grad), grad.sum(axis=0))
             if pos:
                 grad = (grad @ net.weights[pos].conj().T).reshape(cache["input_shape"])
         elif isinstance(spec, Conv):
-            if spec.activation is not None:
-                grad = act_backprop(spec.activation, cache["pre"], grad)
             kernel = net.weights[pos]
             dw = conv.weight_grad(cache["patches"], grad).reshape(kernel.shape)
             grads[pos] = (dw, grad.sum(axis=(0, 1, 2)))
@@ -453,7 +451,7 @@ def backward(net: Network, batch, targets, loss: LossKind):
                 grad = conv.adjoint(grad, kernel, cache["input_shape"])
         elif isinstance(spec, MaxPoolModulus):
             if pos:
-                grad = _pool_backward(grad, cache["idx"], spec.window, cache["input_shape"])
+                grad = _pool_backward(grad, cache["flat_idx"], cache["input_shape"])
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
     return grads

@@ -189,6 +189,24 @@ class TestDiagonalPaths:
             assert _bits(got_back) == _bits(want_back)
         assert isinstance(apply(act, complex(cases[2][0])), complex)
 
+    def test_crelu_backprop_is_masked_select_bitwise(self):
+        # g passes bit for bit where Re/Im z > 0 (signed zeros, infinities and
+        # both signs of nan included) and is +0.0 elsewhere
+        g_parts = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5])
+        z_parts = np.array([1.0, -1.0, 0.0, -0.0, np.nan, 1e-300, -np.inf, np.inf])
+        g = np.empty(64, dtype=np.complex128)
+        z = np.empty(64, dtype=np.complex128)
+        g.real, g.imag = np.repeat(g_parts, 8), np.tile(g_parts, 8)
+        z.real, z.imag = np.tile(z_parts, 8), np.repeat(z_parts[::-1], 8)
+        cases = [(z, g), (z.reshape(8, 8)[:, ::3], g.reshape(8, 8)[:, 1::3]), (z[13], g[13])]
+        for zc, gc in cases:
+            zf = np.ascontiguousarray(zc).reshape(-1).view(np.float64)
+            gf = np.ascontiguousarray(gc).reshape(-1).view(np.float64)
+            want = np.where(zf > 0.0, gf, 0.0)
+            got = backprop(CRELU, zc, gc)
+            assert np.shape(got) == np.shape(zc)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
 
 class TestDeclaredLipschitz:
     def test_split_tanh(self):

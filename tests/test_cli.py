@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from cvnnlab.network import (
     build_network,
     save_checkpoint,
 )
+from cvnnlab.spectral import analyze
 
 
 SYNTH_CFG = """
@@ -468,6 +470,23 @@ class TestAnalyzeCommand:
         assert "spectral-norm solver did not converge" in capsys.readouterr().out
         assert "power_iteration_converged = false\n" in (tmp_path / "r").read_text()
 
+
+    @pytest.mark.parametrize(
+        "layer, weight, shape",
+        [(Dense(2, 2), np.full((2, 2), 1e160 + 1e160j), "2"),
+         (Conv(2, 2, 1, 1), np.full((2, 2, 1, 1), 1e160 + 1e160j), "4x4x1")],
+        ids=["dense", "conv"],
+    )
+    def test_overflow_raises_no_numpy_warning(self, tmp_path, capsys, layer, weight, shape):
+        # the solver detects the overflow itself; numpy's warnings would be noise
+        net = Network([layer], [weight], [np.zeros(weight.shape[-1], complex)])
+        ck = tmp_path / "big.json"
+        save_checkpoint(net, ck)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not analyze(net, parse_shape(shape)).power_iteration_converged
+            assert main(["analyze", "--checkpoint", str(ck), "--input-shape", shape]) == 5
+        assert capsys.readouterr().err == ""
 
     def test_overflow_warns_and_exits_5(self, tmp_path, capsys):
         net = Network([Dense(2, 2)], [np.full((2, 2), 1e160 + 1e160j)], [np.zeros(2, complex)])

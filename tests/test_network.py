@@ -294,25 +294,61 @@ class TestRealInputs:
         assert calls == ["crelu", "split_tanh", "crelu"]
 
 
-def _pool_backward_scattered(grad, idx, window, input_shape):
-    """Reference: fill a zeroed window stack, fold it back, copy it in."""
-    nb, oh, ow, c = grad.shape
-    v = np.zeros((nb, oh, ow, window * window, c), dtype=np.complex128)
-    np.put_along_axis(v, idx[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
-    v = v.reshape(nb, oh, ow, window, window, c).transpose(0, 1, 3, 2, 4, 5)
-    dx = np.zeros(input_shape, dtype=np.complex128)
-    dx[:, : oh * window, : ow * window, :] = v.reshape(nb, oh * window, ow * window, c)
-    return dx
+def _pool_reference(x, window, grad):
+    """The argmax pool: stack each window's entries, take the first largest
+    modulus (np.argmax), gather it, and scatter ``grad`` back through a zeroed
+    window stack folded into the input shape; also the selected flat indices."""
+    n, h, w, c = x.shape
+    oh, ow = h // window, w // window
+    v = x[:, : oh * window, : ow * window, :]
+    v = v.reshape(n, oh, window, ow, window, c).transpose(0, 1, 3, 2, 4, 5)
+    v = v.reshape(n, oh, ow, window * window, c)
+    idx = np.argmax(np.abs(v), axis=3)
+    out = np.take_along_axis(v, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    stack = np.zeros(v.shape, dtype=np.complex128)
+    np.put_along_axis(stack, idx[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
+    stack = stack.reshape(n, oh, ow, window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    dx = np.zeros(x.shape, dtype=np.complex128)
+    dx[:, : oh * window, : ow * window, :] = stack.reshape(n, oh * window, ow * window, c)
+    dy, dxx = np.divmod(idx, window)
+    i, oy, ox, ch = np.indices(idx.shape)
+    flat = np.ravel_multi_index((i, oy * window + dy, ox * window + dxx, ch), x.shape)
+    return out, flat, dx
 
 
-@pytest.mark.parametrize("shape, window", [((3, 7, 9, 2), 2), ((2, 11, 10, 3), 3), ((2, 4, 4, 1), 2)])
+def _pool_inputs(shape, rng):
+    """Continuous values; small Gaussian integers, whose moduli tie often
+    (|1+2j| = |2+1j| = |2-1j| exactly); and the same with nan, inf and
+    nan-and-inf entries planted, several in some windows."""
+    cont = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ties = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    planted = ties.copy().reshape(-1)
+    spots = rng.choice(planted.size, size=max(3, planted.size // 6), replace=False)
+    specials = [complex(np.nan, 0.0), complex(0.0, -np.nan), complex(np.inf, 1.0),
+                complex(np.inf, np.nan), complex(1.0, np.nan)]
+    planted[spots] = [specials[i % len(specials)] for i in range(spots.size)]
+    return [cont, ties, planted.reshape(shape)]
+
+
+@pytest.mark.parametrize(
+    "shape, window",
+    [
+        ((3, 7, 9, 2), 2),
+        ((2, 11, 10, 3), 3),
+        ((2, 4, 4, 1), 2),
+        ((4, 9, 9, 2), 3),  # windows tile the input exactly
+        ((2, 5, 8, 3), 2),  # ragged rows only
+        ((1, 3, 5, 2), 1),
+    ],
+)
 def test_pool_backward_scatter_matches_reference_bitwise(shape, window, rng):
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out, idx = network._pool_forward(x, window)
-    g = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
-    got = network._pool_backward(g, idx, window, shape)
-    want = _pool_backward_scattered(g, idx, window, shape)
-    assert got.tobytes() == want.tobytes()
+    for x in _pool_inputs(shape, rng):
+        out, flat = network._pool_forward(x, window)
+        g = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
+        want_out, want_flat, want_dx = _pool_reference(x, window, g)
+        assert out.tobytes() == want_out.tobytes()
+        npt.assert_array_equal(flat, want_flat)
+        assert network._pool_backward(g, flat, shape).tobytes() == want_dx.tobytes()
 
 
 class TestLosses:

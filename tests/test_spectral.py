@@ -92,11 +92,23 @@ OPERATOR_CASES = [
     pytest.param(2, (3, 2, 1, 1), (6, 6), id="kernel3x2"),
     pytest.param(1, (2, 2, 2, 3), (5, 5), id="cin2-cout3"),
     pytest.param(3, (3, 2, 2, 3), (7, 5), id="nonsquare-input"),
+    # conv.adjoint works through the batch 8 samples at a time
+    pytest.param(7, (3, 2, 2, 3), (6, 5), id="batch7"),
+    pytest.param(8, (3, 2, 2, 3), (6, 5), id="batch8"),
+    pytest.param(9, (3, 2, 2, 3), (6, 5), id="batch9"),
+    pytest.param(17, (3, 2, 2, 3), (6, 5), id="batch17"),
 ]
 
 
 def random_batch(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def direct_lowering(kernel, input_shape):
+    """Column j is direct_conv of the j-th unit input."""
+    size = math.prod(input_shape)
+    cols = [direct_conv(kernel, np.eye(size)[j].reshape(input_shape)).ravel() for j in range(size)]
+    return np.stack(cols, axis=1)
 
 
 class TestConvOperator:
@@ -117,6 +129,27 @@ class TestConvOperator:
         lhs = np.vdot(apply(x, k)[0].ravel(), y.ravel())
         rhs = np.vdot(x.ravel(), adjoint(y, k, x.shape).ravel())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
+    def test_adjoint_matches_direct_lowering(self, rng, n, kshape, hw):
+        kh, kw, cin, cout = kshape
+        k = random_kernel(rng, *kshape)
+        y = random_batch(rng, (n, hw[0] - kh + 1, hw[1] - kw + 1, cout))
+        got = adjoint(y, k, (n, *hw, cin))
+        m_h = direct_lowering(k, (*hw, cin)).conj().T
+        for i in range(n):
+            npt.assert_allclose(got[i].ravel(), m_h @ y[i].ravel(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
+    def test_weight_grad_on_complex_patches(self, rng, n, kshape, hw):
+        kh, kw, cin, cout = kshape
+        _, patches = apply(random_batch(rng, (n, *hw, cin)), random_kernel(rng, *kshape))
+        g = random_batch(rng, (n, hw[0] - kh + 1, hw[1] - kw + 1, cout))
+        p2 = patches.reshape(-1, patches.shape[-1])
+        want = p2.conj().T @ g.reshape(-1, cout)
+        got = weight_grad(patches, g)
+        assert got.shape == want.shape
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("n, kshape, hw", OPERATOR_CASES)
     def test_weight_grad_is_kernel_adjoint(self, rng, n, kshape, hw):
