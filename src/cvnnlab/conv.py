@@ -6,6 +6,13 @@ and spectral analysis share, and the only code that knows the conv layout:
 A real batch (image pixels) stays real through :func:`apply` and
 :func:`weight_grad`: its patches take one real GEMM on the kernel's
 (re, im) float64 view (:func:`cvnnlab.clinalg.matmul_complex`).
+
+Threading: :func:`adjoint` deals its fixed blocks of ``_SAMPLE_BLOCK``
+samples to the :mod:`cvnnlab.lanes` pool (the calling thread plus one worker
+per further core); each block writes only its own samples of the result, so
+the bytes do not depend on the number of cores.  Blocks inherit the caller's
+numpy error state, and a call made on a pool worker runs its blocks inline.
+:func:`apply` and :func:`weight_grad` run on the thread that calls them.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import lanes
 from .clinalg import matmul_complex
 
 __all__ = [
@@ -52,11 +60,14 @@ def adjoint(g, kernel, input_shape):
     n, oh, ow, _ = g.shape
     k_herm = kernel.reshape(-1, cout).conj().T
     dx = np.zeros(input_shape, dtype=np.complex128)
-    for s in range(0, n, _SAMPLE_BLOCK):
+
+    def block(s):  # writes samples s .. s + _SAMPLE_BLOCK of dx, no others
         dp = (g[s : s + _SAMPLE_BLOCK].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
         for ky in range(kh):
             for kx in range(kw):
                 dx[s : s + _SAMPLE_BLOCK, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
+
+    lanes.run_blocks(block, range(0, n, _SAMPLE_BLOCK))
     return dx
 
 

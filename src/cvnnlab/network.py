@@ -32,17 +32,31 @@ vector to entry moduli followed by softmax.
 Thresholds are always added in the forward pass; they stay at zero unless
 the network was built with ``train_thresholds=True`` (the bound machinery
 assumes threshold-free networks and warns otherwise).
+
+Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
+one worker per further core the process may run on.  :func:`forward` cuts
+a batch into fixed blocks of ``_FORWARD_BLOCK`` (128) samples, walks each
+block on the next free lane without keeping caches, and concatenates the
+outputs in order.  :func:`backward` computes each conv layer's kernel
+gradient on a worker while :func:`cvnnlab.conv.adjoint` deals its fixed
+sample blocks across the lanes.  Block boundaries do not depend on the
+number of cores, so outputs and gradients are the same bytes on one core
+and on many.  Each call of forward or backward, and each ``act_backprop``
+inside backward, stays on the calling thread.  Tasks inherit the caller's
+numpy error state (``np.errstate``), and a call made on a pool worker runs
+its blocks inline, so calls never nest on the pool.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import conv
+from . import conv, lanes
 from .activations import Activation, apply as act_apply, backprop as act_backprop
 from .clinalg import matmul_complex
 from .textio import json_text, write_atomic
@@ -73,6 +87,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+_FORWARD_BLOCK = 128  # samples per forward task, whatever the number of cores
 
 
 # ---------------------------------------------------------------------------
@@ -282,44 +297,52 @@ def _softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_walk(net: Network, x, keep_caches):
-    caches = []
-    cur = x
-    for spec, w, h in zip(net.layers, net.weights, net.thresholds):
-        cache = {"input_shape": cur.shape}
-        if isinstance(spec, (Dense, Conv)):
-            if isinstance(spec, Dense):
-                flat = cur.reshape(cur.shape[0], -1)
-                pre, saved = matmul_complex(flat, w), {"x": flat}
-            else:
-                pre, patches = conv.apply(cur, w)
-                saved = {"patches": patches}
-            pre += h
-            out = act_apply(spec.activation, pre) if spec.activation else pre
-            if keep_caches:
-                cache.update(saved, pre=pre)
-        elif isinstance(spec, MaxPoolModulus):
-            out, flat_idx = _pool_forward(cur, spec.window)
-            if keep_caches:
-                cache.update(flat_idx=flat_idx)
-        elif isinstance(spec, AbsHead):
-            flat = cur.reshape(cur.shape[0], -1) if cur.ndim > 2 else cur
-            scores = np.abs(flat)
-            out = _softmax(scores)
-            if keep_caches:
-                cache.update(x=flat)
-        else:  # pragma: no cover
-            raise TypeError(spec)
+def _layer_forward(spec, w, h, x, caches):
+    """One layer's output; what its backward pass reads is appended to
+    ``caches`` unless that is None, and is otherwise freed on return."""
+    cache = {"input_shape": x.shape}
+    if isinstance(spec, (Dense, Conv)):
+        if isinstance(spec, Dense):
+            flat = x.reshape(x.shape[0], -1)
+            pre, saved = matmul_complex(flat, w), {"x": flat}
+        else:
+            pre, patches = conv.apply(x, w)
+            saved = {"patches": patches}
+        pre += h
+        out = act_apply(spec.activation, pre) if spec.activation else pre
+        cache.update(saved, pre=pre)
+    elif isinstance(spec, MaxPoolModulus):
+        out, flat_idx = _pool_forward(x, spec.window)
+        cache.update(flat_idx=flat_idx)
+    elif isinstance(spec, AbsHead):
+        flat = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
+        out = _softmax(np.abs(flat))
+        cache.update(x=flat)
+    else:  # pragma: no cover
+        raise TypeError(spec)
+    if caches is not None:
         caches.append(cache)
-        cur = out
-    return cur, caches
+    return out
+
+
+def _forward_walk(net: Network, x, caches=None):
+    """The network's output for ``x``; each layer's cache goes to ``caches``
+    when given.  Without it no layer's patches or pre-activations outlive
+    the layer, so forward blocks in flight side by side stay small."""
+    for spec, w, h in zip(net.layers, net.weights, net.thresholds):
+        x = _layer_forward(spec, w, h, x, caches)
+    return x
 
 
 def forward(net: Network, batch):
     """Network output for a batch; real softmax probabilities after an abs head,
-    a complex feature matrix otherwise."""
-    out, _ = _forward_walk(net, _checked_batch(net, batch), keep_caches=False)
-    return out
+    a complex feature matrix otherwise.  Batches above ``_FORWARD_BLOCK``
+    samples run in blocks of that size across the lanes."""
+    batch = _checked_batch(net, batch)
+    if batch.shape[0] <= _FORWARD_BLOCK:
+        return _forward_walk(net, batch)
+    blocks = [batch[s : s + _FORWARD_BLOCK] for s in range(0, batch.shape[0], _FORWARD_BLOCK)]
+    return np.concatenate(lanes.run_blocks(functools.partial(_forward_walk, net), blocks))
 
 
 def _checked_batch(net: Network, batch):
@@ -408,7 +431,8 @@ def backward(net: Network, batch, targets, loss: LossKind):
     respect to the batch: the pass ends at layer 0's ``(dW, dH)``.
     """
     batch = _checked_batch(net, batch)
-    out, caches = _forward_walk(net, batch, keep_caches=True)
+    caches: list = []
+    out = _forward_walk(net, batch, caches)
     n = batch.shape[0]
     grads: list = [None] * len(net.layers)
 
@@ -445,10 +469,11 @@ def backward(net: Network, batch, targets, loss: LossKind):
                 grad = (grad @ net.weights[pos].conj().T).reshape(cache["input_shape"])
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
-            dw = conv.weight_grad(cache["patches"], grad).reshape(kernel.shape)
-            grads[pos] = (dw, grad.sum(axis=(0, 1, 2)))
+            dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
+            db = grad.sum(axis=(0, 1, 2))
             if pos:
                 grad = conv.adjoint(grad, kernel, cache["input_shape"])
+            grads[pos] = (dw.result().reshape(kernel.shape), db)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
                 grad = _pool_backward(grad, cache["flat_idx"], cache["input_shape"])

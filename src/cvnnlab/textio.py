@@ -53,8 +53,18 @@ def json_text(doc) -> str:
     if isinstance(doc, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{json_text(v)}" for k, v in doc.items()) + "}"
     if isinstance(doc, (list, tuple)):
+        if set(map(type, doc)) == {float}:  # a checkpoint's parameter list
+            return "[" + _float_items(doc) + "]"
         return "[" + ",".join(map(json_text, doc)) + "]"
     return json.dumps(doc)
+
+
+def _float_items(floats) -> str:
+    """Comma-separated :func:`f17` texts of ``floats``, formatted in one pass."""
+    text = "," + ("%.17g," * len(floats)) % tuple(floats)
+    # only -0.0 prints as the item "-0"; in a run of them the first replace
+    # takes every other one, since neighbours share a comma
+    return text.replace(",-0,", ",-0.0,").replace(",-0,", ",-0.0,")[1:-1]
 
 
 def write_atomic(path, text: str) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvnnlab import network
+from cvnnlab import lanes, network
 from cvnnlab.activations import CRELU, SPLIT_TANH, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
@@ -38,7 +39,7 @@ from cvnnlab.network import (
     sgd_step,
 )
 
-from conftest import random_complex
+from conftest import random_complex, single_lane
 
 
 def finite_diff_grads(net, x, y, loss_kind, h=1e-6):
@@ -244,9 +245,9 @@ class TestRealInputs:
         seen = []
         walk = network._forward_walk
 
-        def spy(net, x, keep_caches):
+        def spy(net, x, caches):
             seen.append(x.dtype)
-            return walk(net, x, keep_caches)
+            return walk(net, x, caches)
 
         monkeypatch.setattr(network, "_forward_walk", spy)
         return seen
@@ -477,6 +478,67 @@ class TestDeterminism:
         n1, n2 = run(), run()
         for w1, w2 in zip(n1.weights, n2.weights):
             npt.assert_array_equal(w1, w2)
+
+
+class TestLanes:
+    """Forward blocks and the conv adjoint run across the lanes; the bytes
+    they produce do not depend on how many lanes there are."""
+
+    CONV_FIRST = [
+        Conv(3, 3, 1, 3, CRELU), Conv(3, 3, 3, 4, SPLIT_TANH), MaxPoolModulus(2),
+        Dense(36, 5, CRELU), Dense(5, 3), AbsHead(3),
+    ]
+    DENSE = [Dense(6, 7, SPLIT_TANH), Dense(7, 3, CRELU), Dense(3, 2)]
+
+    def _case(self, kind, n, rng):
+        if kind == "conv":
+            net = build_network(self.CONV_FIRST, seed=3)
+            x = rng.uniform(0.0, 1.0, size=(n, 10, 10, 1))
+            return net, x, rng.integers(0, 3, size=n), "cross_entropy"
+        net = build_network(self.DENSE, seed=3)
+        return net, random_complex(rng, n, 6), random_complex(rng, n, 2), "l2"
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_forward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
+        net, x, _, _ = self._case(kind, n, rng)
+        got = forward(net, x)
+        want = single_lane(monkeypatch, forward, net, x)
+        assert got.shape[0] == n and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # fixed 128-sample blocks, concatenated in order
+        blocks = [forward(net, x[s : s + 128]) for s in range(0, n, 128)]
+        assert np.concatenate(blocks).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    @pytest.mark.parametrize("n", [128, 21])
+    def test_backward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
+        net, x, y, loss = self._case(kind, n, rng)
+        got = backward(net, x, y, LossKind(loss))
+        want = single_lane(monkeypatch, backward, net, x, y, LossKind(loss))
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
+
+    def test_forward_inside_a_pool_task_returns(self, rng, pooled):
+        net, x, _, _ = self._case("conv", 300, rng)
+        want = forward(net, x)
+        assert lanes.submit(forward, net, x).result(timeout=60).tobytes() == want.tobytes()
+        batches = [x, x[:200], x[:129]]
+        nested = lanes.run_blocks(functools.partial(forward, net), batches)
+        assert [o.tobytes() for o in nested] == [forward(net, b).tobytes() for b in batches]
+
+    def test_forward_blocks_inherit_the_error_state(self, pooled):
+        net = Network([Dense(2, 2)], [np.full((2, 2), 1e200 + 0j)], [np.zeros(2, complex)])
+        x = np.full((300, 2), 1e200 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                for _ in range(20):  # so that the workers take blocks too
+                    assert np.isinf(forward(net, x)).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(net, x)
 
 
 class TestShapesAndMetadata:
