@@ -25,6 +25,14 @@ is diagonal in the interleaved float64 (re, im) view of a complex array:
 :func:`apply` and :func:`backprop` run them as one real elementwise pass on
 that view.  :func:`jacobian_fields` is the general path, taken by modrelu
 and amp_tanh, and the test oracle for the two diagonal ones.
+
+Both take an optional ``out`` array, so the training step can write into
+the whole-batch arrays it keeps across its steps (``backprop`` may be handed
+``grad`` itself).  Threading: the diagonal :func:`backprop` deals fixed
+blocks of ``_ROW_BLOCK`` leading-axis rows to the :mod:`cvnnlab.lanes` pool,
+each writing only its own rows; the pass is elementwise, so its bytes do not
+depend on the blocks or on the number of cores.  :func:`apply` runs on the
+calling thread (the step calls it once per sample block, on the lanes).
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import lanes
 
 __all__ = [
     "Activation",
@@ -49,6 +59,9 @@ __all__ = [
 ]
 
 ACTIVATION_KINDS = ("split_tanh", "crelu", "modrelu", "amp_tanh")
+_DIAGONAL = ("split_tanh", "crelu")
+_ROW_BLOCK = 32  # leading-axis rows per task of the diagonal backprop
+_PROBE_CHUNK = 1 << 15  # pairs the Lipschitz probe draws at a time
 
 
 @dataclass(frozen=True)
@@ -75,35 +88,40 @@ def modrelu(b: float) -> Activation:
 
 
 def _floats(z):
-    """The interleaved (re, im) float64 view of a complex array (at least 1-d)."""
+    """The interleaved (re, im) float64 view of a complex array (at least
+    1-d); a copy unless the array is C-contiguous complex128."""
     return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
 
 
-def _complex(f, shape):
-    return f.view(np.complex128).reshape(shape)
-
-
-def apply(act: Activation, z):
-    """Elementwise activation value; works on scalars and arrays."""
+def apply(act: Activation, z, out=None):
+    """Elementwise activation value; works on scalars and arrays.  With
+    ``out`` (a C-contiguous complex128 array of z's shape, which may be ``z``
+    itself) the value is written there and ``out`` is returned."""
     z = np.asarray(z, dtype=np.complex128)
-    if act.kind == "split_tanh":
-        out = _complex(np.tanh(_floats(z)), z.shape)
-    elif act.kind == "crelu":
-        out = _complex(np.maximum(_floats(z), 0.0), z.shape)
-    elif act.kind == "modrelu":
+    if act.kind in _DIAGONAL:
+        res = np.empty(z.shape, dtype=np.complex128) if out is None else out
+        if act.kind == "split_tanh":
+            np.tanh(_floats(z), out=_floats(res))
+        else:
+            np.maximum(_floats(z), 0.0, out=_floats(res))
+        return res if res.ndim or out is not None else complex(res)
+    if act.kind == "modrelu":
         r = np.abs(z)
         safe_r = np.where(r > 0.0, r, 1.0)
         scale = np.where(r > 0.0, np.maximum(r + act.b, 0.0) / safe_r, 0.0)
-        out = scale * z
+        res = scale * z
     elif act.kind == "amp_tanh":
         r = np.abs(z)
         safe_r = np.where(r > 0.0, r, 1.0)
         # tanh(r)/r -> 1 as r -> 0, so the origin maps to 0 continuously
         scale = np.where(r > 0.0, np.tanh(safe_r) / safe_r, 1.0)
-        out = scale * z
+        res = scale * z
     else:  # pragma: no cover - guarded by Activation.__post_init__
         raise ValueError(act.kind)
-    return out if out.ndim else complex(out)
+    if out is not None:
+        out[...] = res
+        return out
+    return res if res.ndim else complex(res)
 
 
 def jacobian_fields(act: Activation, z):
@@ -138,24 +156,37 @@ def jacobian_fields(act: Activation, z):
     raise ValueError(act.kind)  # pragma: no cover
 
 
-def backprop(act: Activation, z, grad):
+def backprop(act: Activation, z, grad, out=None):
     """Pull a loss gradient back through the activation.
 
     ``grad`` pairs (dL/dRe out) + i (dL/dIm out); the return value pairs the
     same partials with respect to the activation input.  This is J^T g with
     the Jacobian evaluated at pre-activation ``z``; ``z`` and ``grad`` share
-    one shape.
+    one shape.  With ``out`` (a C-contiguous complex128 array of that shape,
+    which may be ``grad`` itself) the result is written there and ``out`` is
+    returned.
     """
-    if act.kind in ("split_tanh", "crelu"):
-        zf, gf = _floats(z), _floats(grad)
-        if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
-            out = (gf.view(np.int64) & -(zf > 0.0).view(np.int8)).view(np.float64)
-        else:
-            out = gf * (1.0 - np.tanh(zf) ** 2)
-        return _complex(out, np.shape(z))
+    if act.kind in _DIAGONAL:
+        res = np.empty(np.shape(z), dtype=np.complex128) if out is None else out
+        z1, g1, r1 = (np.atleast_1d(a) for a in (z, grad, res))
+
+        def block(s):  # writes rows s .. s + _ROW_BLOCK of res, no others
+            rows = slice(s, s + _ROW_BLOCK)
+            zf, gf, rf = _floats(z1[rows]), _floats(g1[rows]), _floats(r1[rows])
+            if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
+                np.bitwise_and(gf.view(np.int64), -(zf > 0.0).view(np.int8), out=rf.view(np.int64))
+            else:
+                np.multiply(gf, 1.0 - np.tanh(zf) ** 2, out=rf)
+
+        lanes.run_blocks(block, range(0, len(z1), _ROW_BLOCK))
+        return res
     j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, z)
     g_re, g_im = np.real(grad), np.imag(grad)
-    return (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)
+    res = (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)
+    if out is None:
+        return res
+    out[...] = res
+    return out
 
 
 def declared_lipschitz(act: Activation) -> float:
@@ -179,13 +210,22 @@ def lipschitz_probe(
         raise ValueError("n_pairs must be >= 1")
     if domain_bound <= 0:
         raise ValueError("domain_bound must be positive")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-domain_bound, domain_bound, size=(4, n_pairs))
-    z1 = pts[0] + 1j * pts[1]
-    z2 = pts[2] + 1j * pts[3]
-    d_in = np.abs(z1 - z2)
-    d_out = np.abs(apply(act, z1) - apply(act, z2))
-    mask = d_in > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(d_out[mask] / d_in[mask]))
+    # the four coordinates are the rows of default_rng(seed).uniform(size=(4,
+    # n_pairs)): row r is the stream advanced by r * n_pairs draws, read
+    # here in chunks of _PROBE_CHUNK pairs, so memory does not grow with n_pairs
+    seq = np.random.SeedSequence(seed)
+    rows = [np.random.Generator(np.random.PCG64(seq).advance(r * n_pairs)) for r in range(4)]
+    tops = []
+    for start in range(0, n_pairs, _PROBE_CHUNK):
+        x1, y1, x2, y2 = (
+            g.uniform(-domain_bound, domain_bound, size=min(_PROBE_CHUNK, n_pairs - start))
+            for g in rows
+        )
+        z1 = x1 + 1j * y1
+        z2 = x2 + 1j * y2
+        d_in = np.abs(z1 - z2)
+        d_out = np.abs(apply(act, z1) - apply(act, z2))
+        mask = d_in > 0.0
+        if np.any(mask):
+            tops.append(np.max(d_out[mask] / d_in[mask]))
+    return float(np.max(tops)) if tops else 0.0

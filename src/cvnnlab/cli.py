@@ -64,6 +64,7 @@ from .network import (
     backward,
     build_network,
     forward,
+    kept_arrays,
     load_checkpoint,
     max_width,
     per_sample_losses,
@@ -170,10 +171,11 @@ def run_training(cfg: ExperimentConfig):
                 lr = cfg.lr * cfg.lr_decay_factor ** ((epoch - 1) // cfg.lr_decay_step)
             else:
                 lr = cfg.lr
-            for start in range(0, train.n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                grads = backward(net, train.inputs[idx], train.targets[idx], loss)
-                sgd_step(net, grads, lr, cfg.momentum, state)
+            with kept_arrays():  # the steps share their arrays; evaluation does not
+                for start in range(0, train.n, cfg.batch_size):
+                    idx = perm[start : start + cfg.batch_size]
+                    grads = backward(net, train.inputs[idx], train.targets[idx], loss)
+                    sgd_step(net, grads, lr, cfg.momentum, state)
 
             train_loss, train_acc = _evaluate(net, train, loss, update_ceiling=True)
             params = [p for p in net.weights + net.thresholds if p is not None]

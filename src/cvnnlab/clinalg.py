@@ -94,17 +94,21 @@ def real_embedding(a) -> np.ndarray:
     return np.block([[c, -d], [d, c]])
 
 
-def matmul_complex(a, w) -> np.ndarray:
-    """``a @ w`` for a complex ``w`` (2-D) and a real or complex ``a``.
+def matmul_complex(a, w, out=None) -> np.ndarray:
+    """``a @ w`` for a complex ``w`` (2-D) and a real or complex ``a``,
+    written into ``out`` (a C-contiguous complex128 array) when given.
 
     A real ``a`` multiplies the float64 (re, im) view of ``w`` in one real
     GEMM, where numpy would cast ``a`` to complex and run a complex GEMM:
     4x the flops on 2x the bytes, on a zero imaginary part.
     """
     if np.iscomplexobj(a):
-        return a @ w
-    w = np.ascontiguousarray(w, dtype=np.complex128)
-    return (a @ w.view(np.float64)).view(np.complex128)
+        return np.matmul(a, w, out=out)
+    w = np.ascontiguousarray(w, dtype=np.complex128).view(np.float64)
+    if out is None:
+        return (a @ w).view(np.complex128)
+    np.matmul(a, w, out=out.view(np.float64))
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,21 @@ A real batch (image pixels) stays real through :func:`apply` and
 :func:`weight_grad`: its patches take one real GEMM on the kernel's
 (re, im) float64 view (:func:`cvnnlab.clinalg.matmul_complex`).
 
+Each sample's output is one GEMM of its own: :func:`apply` runs numpy's
+per-sample batched matmul (n, oh*ow, K) @ (K, cout), so a sample's bytes do
+not depend on the batch it arrives in, and ``apply(x[a:b], k)`` is
+``apply(x, k)[a:b]``.  :func:`apply` and :func:`adjoint` write into given
+arrays when the caller passes them: the training step hands in slices of
+whole-batch arrays kept across its steps (:func:`cvnnlab.network.kept_arrays`).
+
 Threading: :func:`adjoint` deals its fixed blocks of ``_SAMPLE_BLOCK``
 samples to the :mod:`cvnnlab.lanes` pool (the calling thread plus one worker
 per further core); each block writes only its own samples of the result, so
 the bytes do not depend on the number of cores.  Blocks inherit the caller's
 numpy error state, and a call made on a pool worker runs its blocks inline.
-:func:`apply` and :func:`weight_grad` run on the thread that calls them.
+:func:`apply` and :func:`weight_grad` run on the thread that calls them; the
+training step calls :func:`apply` once per sample block of its own, on the
+lanes.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from . import lanes
 from .clinalg import matmul_complex
 
 __all__ = [
+    "patch_shape",
     "apply",
     "adjoint",
     "weight_grad",
@@ -40,32 +50,47 @@ class LoweringBudgetError(Exception):
     """Explicit conv lowering would exceed the configured memory budget."""
 
 
-def apply(x, kernel):
+def patch_shape(input_shape, kernel_shape):
+    """Shape (n, oh*ow, kh*kw*cin) of the im2col patches of an (n, h, w, cin) batch."""
+    n, h, w, _ = input_shape
+    kh, kw, cin, _ = kernel_shape
+    return n, (h - kh + 1) * (w - kw + 1), kh * kw * cin
+
+
+def apply(x, kernel, out=None, patches=None):
     """Convolve a real or complex (n, h, w, cin) batch; returns the complex
-    output and its (n, oh*ow, kh*kw*cin) im2col patches, of the batch's
-    dtype, which :func:`weight_grad` reuses."""
-    n, h, w, _ = x.shape
+    (n, oh, ow, cout) output and its :func:`patch_shape` im2col patches, of
+    the batch's dtype, which :func:`weight_grad` reuses.  Either is written
+    into the C-contiguous array given for it."""
     kh, kw, cin, cout = kernel.shape
-    oh, ow = h - kh + 1, w - kw + 1
+    n, p, k = patch_shape(x.shape, kernel.shape)
+    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    if patches is None:
+        patches = np.empty((n, p, k), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n, oh, ow, cout), dtype=np.complex128)
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, cin, kh, kw)
-    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh * ow, kh * kw * cin)
-    out = matmul_complex(patches, kernel.reshape(kh * kw * cin, cout))
-    return out.reshape(n, oh, ow, cout), patches
+    patches.reshape(n, oh, ow, kh, kw, cin)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
+    matmul_complex(patches, kernel.reshape(k, cout), out=out.reshape(n, p, cout))
+    return out, patches
 
 
-def adjoint(g, kernel, input_shape):
+def adjoint(g, kernel, input_shape, out=None):
     """Adjoint of :func:`apply` on an (n, oh, ow, cout) batch; ``input_shape``
-    is the (n, h, w, cin) shape of the batch it maps back to."""
+    is the (n, h, w, cin) shape of the batch it maps back to, and the result
+    is written into ``out`` (complex128, of that shape) when given."""
     kh, kw, cin, cout = kernel.shape
     n, oh, ow, _ = g.shape
     k_herm = kernel.reshape(-1, cout).conj().T
-    dx = np.zeros(input_shape, dtype=np.complex128)
+    dx = np.empty(input_shape, dtype=np.complex128) if out is None else out
 
     def block(s):  # writes samples s .. s + _SAMPLE_BLOCK of dx, no others
-        dp = (g[s : s + _SAMPLE_BLOCK].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
+        rows = slice(s, s + _SAMPLE_BLOCK)
+        dp = (g[rows].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
+        dx[rows] = 0.0
         for ky in range(kh):
             for kx in range(kw):
-                dx[s : s + _SAMPLE_BLOCK, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
+                dx[rows, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
 
     lanes.run_blocks(block, range(0, n, _SAMPLE_BLOCK))
     return dx

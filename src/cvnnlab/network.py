@@ -34,24 +34,42 @@ the network was built with ``train_thresholds=True`` (the bound machinery
 assumes threshold-free networks and warns otherwise).
 
 Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
-one worker per further core the process may run on.  :func:`forward` cuts
-a batch into fixed blocks of ``_FORWARD_BLOCK`` (128) samples, walks each
-block on the next free lane without keeping caches, and concatenates the
-outputs in order.  :func:`backward` computes each conv layer's kernel
-gradient on a worker while :func:`cvnnlab.conv.adjoint` deals its fixed
-sample blocks across the lanes.  Block boundaries do not depend on the
-number of cores, so outputs and gradients are the same bytes on one core
-and on many.  Each call of forward or backward, and each ``act_backprop``
-inside backward, stays on the calling thread.  Tasks inherit the caller's
-numpy error state (``np.errstate``), and a call made on a pool worker runs
-its blocks inline, so calls never nest on the pool.
+one worker per further core the process may run on.  Both passes share
+one forward arithmetic per layer (:func:`_layer_forward`) and deal it
+differently.  :func:`forward` cuts a batch into fixed blocks of
+``_FORWARD_BLOCK`` (128) samples, walks each block on the next free lane
+without keeping caches, and concatenates the outputs in order.
+:func:`backward` walks the whole batch layer by layer, and inside a layer
+every per-sample stage runs as fixed blocks of ``_STEP_BLOCK`` (32) samples
+dealt across the lanes, each block writing only its own samples of the
+layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM, the
+threshold add and the activation; modulus pooling, whose flat index counts
+from the batch's first sample; then the pool scatter, the dense input
+gradient and the diagonal activation backprops (the conv adjoint deals its
+own 8-sample blocks).  The parameter gradients stay single whole-batch
+reductions: each layer's weight gradient runs on a worker beside its input
+gradient, and the threshold sums run on the calling thread.  Block
+boundaries do not depend on the number of cores, so outputs and gradients
+are the same bytes on one core and on many.  Each call of forward or
+backward, and each ``act_backprop`` inside backward, stays on the calling
+thread.  Tasks inherit the caller's numpy error state (``np.errstate``), and
+a call made on a pool worker runs its blocks inline, so calls never nest on
+the pool.
+
+Inside :func:`kept_arrays`, which training opens around each epoch's steps,
+backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
+at the desk protocol's batch of 128) from a store that this thread keeps
+from one call to the next instead of mapping them afresh each step.
+Outside it, and always in forward, the arrays are fresh.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -73,6 +91,7 @@ __all__ = [
     "max_width",
     "forward",
     "backward",
+    "kept_arrays",
     "compute_loss",
     "per_sample_losses",
     "SgdState",
@@ -87,6 +106,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+_STEP_BLOCK = 32  # samples per task of every per-sample stage, whatever the number of cores
 _FORWARD_BLOCK = 128  # samples per forward task, whatever the number of cores
 
 
@@ -263,18 +283,69 @@ def max_width(net: Network, input_shape) -> int:
 # forward / backward
 
 
-def _pool_forward(x, window):
-    """Per window, the entry of largest modulus and its flat index into ``x``."""
+_kept = threading.local()  # .store: the open kept_arrays() store of this thread
+
+
+@contextlib.contextmanager
+def kept_arrays():
+    """A scope in which :func:`backward` keeps its whole-batch arrays on this
+    thread from one call to the next.
+
+    Inside it each backward on this thread takes its caches and gradient
+    buffers from one store, so a loop of training steps maps them once, not
+    once per step; a smaller batch uses the front of each array.  The store
+    is dropped when the scope exits, also on an error.  Returned gradients
+    are fresh arrays that never alias it, and :func:`forward` never uses it.
+    """
+    saved = getattr(_kept, "store", None)
+    _kept.store = {}
+    try:
+        yield
+    finally:
+        _kept.store = saved
+
+
+def _step_array(pos, name, shape, dtype):
+    """Uninitialised array ``name`` of layer ``pos`` in the training step: the
+    front of the kept one when a store is open on this thread, else fresh."""
+    store = getattr(_kept, "store", None)
+    if store is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = store.get((pos, name))
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = store[pos, name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _in_blocks(fn, n):
+    """``fn(rows)`` for each fixed slice of ``_STEP_BLOCK`` of ``n`` samples,
+    dealt across the lanes."""
+    lanes.run_blocks(fn, [slice(s, s + _STEP_BLOCK) for s in range(0, n, _STEP_BLOCK)])
+
+
+def _at_once(fn, n):
+    """``fn(rows)`` for all ``n`` samples in one slice, on this thread."""
+    fn(slice(0, n))
+
+
+def _pool_forward(x, window, out=None, idx=None, first=0):
+    """Per window, the entry of largest modulus and its flat index into the
+    layer input, of which ``x`` holds the samples from ``first`` on; written
+    into ``out`` and ``idx`` when given."""
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
     # (offset from the window origin, strided view) for each of the w*w taps
     taps = [((dy * w + dx) * c, x[:, dy : oh * window : window, dx : ow * window : window])
             for dy in range(window) for dx in range(window)]
     best = np.abs(taps[0][1])
-    off = np.zeros(best.shape, dtype=np.intp)
+    off = np.empty(best.shape, dtype=np.intp) if idx is None else idx
+    off[...] = 0
     for shift, view in taps[1:]:
         mods = np.abs(view)
-        off = np.where(mods > best, shift, off)  # strict: the first maximum wins
+        # strict: the first maximum wins.  Shifts grow tap by tap, so where
+        # the test holds, shift exceeds every earlier one held in off
+        np.maximum(off, (mods > best) * shift, out=off)
         np.maximum(best, mods, out=best)  # propagates nan
     if np.isnan(best).any():  # a window with a nan modulus takes its first nan
         for shift, view in taps[::-1]:
@@ -282,12 +353,15 @@ def _pool_forward(x, window):
     off += (np.arange(n)[:, None, None, None] * (h * w * c)  # plus each window's origin
             + np.arange(oh)[:, None, None] * (window * w * c)
             + np.arange(ow)[:, None] * (window * c) + np.arange(c))
-    return x.reshape(-1)[off], off
+    out = np.take(x.reshape(-1), off, out=out, mode="clip")  # every index is in range
+    off += first * (h * w * c)
+    return out, off
 
 
-def _pool_backward(grad, flat_idx, input_shape):
-    """Each output gradient lands on the input entry its window selected."""
-    dx = np.zeros(input_shape, dtype=np.complex128)
+def _pool_backward(grad, flat_idx, dx, rows=slice(None)):
+    """Zero samples ``rows`` of ``dx``, then land each output gradient on the
+    input entry its window selected (``flat_idx`` counts over all of ``dx``)."""
+    dx[rows] = 0.0
     dx.reshape(-1)[flat_idx] = grad
     return dx
 
@@ -297,40 +371,73 @@ def _softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _layer_forward(spec, w, h, x, caches):
-    """One layer's output; what its backward pass reads is appended to
-    ``caches`` unless that is None, and is otherwise freed on return."""
-    cache = {"input_shape": x.shape}
+def _layer_forward(pos, spec, w, h, x, cache):
+    """Layer ``pos``'s output for the batch ``x``.  With the dict ``cache``
+    (the training step) its arrays come from :func:`_step_array`, each stage
+    runs in blocks across the lanes (:func:`_in_blocks`), what the backward
+    pass reads goes into ``cache``, and the activation writes an array of
+    its own.  Without it (a forward block, which already has a lane) the
+    arrays are fresh, each stage runs once on all of ``x`` on this thread,
+    and the activation overwrites the pre-activation."""
+    n = x.shape[0]
+    run = _at_once if cache is None else _in_blocks
+
+    def new(name, shape, dtype):
+        return np.empty(shape, dtype) if cache is None else _step_array(pos, name, shape, dtype)
+
     if isinstance(spec, (Dense, Conv)):
+        act = spec.activation
+        pre = new("pre", (n,) + spec.output_shape(x.shape[1:]), np.complex128)
         if isinstance(spec, Dense):
-            flat = x.reshape(x.shape[0], -1)
-            pre, saved = matmul_complex(flat, w), {"x": flat}
+            x = x.reshape(n, -1)
+            saved = {"x": x}
+
+            def product(rows):
+                matmul_complex(x[rows], w, out=pre[rows])
         else:
-            pre, patches = conv.apply(x, w)
+            patches = new("patches", conv.patch_shape(x.shape, w.shape), x.dtype)
             saved = {"patches": patches}
-        pre += h
-        out = act_apply(spec.activation, pre) if spec.activation else pre
-        cache.update(saved, pre=pre)
+
+            def product(rows):
+                conv.apply(x[rows], w, pre[rows], patches[rows])
+
+        out = new("out", pre.shape, np.complex128) if act and cache is not None else pre
+
+        def block(rows):
+            product(rows)
+            pre[rows] += h
+            if act:
+                act_apply(act, pre[rows], out[rows])
+
+        run(block, n)
+        saved["pre"] = pre
     elif isinstance(spec, MaxPoolModulus):
-        out, flat_idx = _pool_forward(x, spec.window)
-        cache.update(flat_idx=flat_idx)
+        shape = (n,) + spec.output_shape(x.shape[1:])
+        out, idx = new("out", shape, np.complex128), new("idx", shape, np.intp)
+        run(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows], rows.start), n)
+        saved = {"flat_idx": idx}
     elif isinstance(spec, AbsHead):
-        flat = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
+        flat = x.reshape(n, -1)
         out = _softmax(np.abs(flat))
-        cache.update(x=flat)
+        saved = {"x": flat}
     else:  # pragma: no cover
         raise TypeError(spec)
-    if caches is not None:
-        caches.append(cache)
+    if cache is not None:
+        cache.update(saved)
     return out
 
 
 def _forward_walk(net: Network, x, caches=None):
-    """The network's output for ``x``; each layer's cache goes to ``caches``
-    when given.  Without it no layer's patches or pre-activations outlive
-    the layer, so forward blocks in flight side by side stay small."""
-    for spec, w, h in zip(net.layers, net.weights, net.thresholds):
-        x = _layer_forward(spec, w, h, x, caches)
+    """The network's output for ``x``, layer by layer.  With ``caches`` (the
+    training step) each layer's arrays come from :func:`_step_array` and its
+    cache is appended; without it (a forward block) they are fresh, and
+    each layer's are freed once the next layer has run, so forward blocks
+    in flight side by side stay small."""
+    for pos, (spec, w, h) in enumerate(zip(net.layers, net.weights, net.thresholds)):
+        cache = None if caches is None else {"input_shape": x.shape}
+        x = _layer_forward(pos, spec, w, h, x, cache)
+        if cache is not None:
+            caches.append(cache)
     return x
 
 
@@ -462,21 +569,31 @@ def backward(net: Network, batch, targets, loss: LossKind):
         spec = net.layers[pos]
         cache = caches[pos]
         if isinstance(spec, (Dense, Conv)) and spec.activation is not None:
-            grad = act_backprop(spec.activation, cache["pre"], grad)
+            grad = act_backprop(spec.activation, cache["pre"], grad, grad)  # in place
         if isinstance(spec, Dense):
-            grads[pos] = (matmul_complex(cache["x"].conj().T, grad), grad.sum(axis=0))
+            x = cache["x"]
+            dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
+            dh = grad.sum(axis=0)
             if pos:
-                grad = (grad @ net.weights[pos].conj().T).reshape(cache["input_shape"])
+                w_herm = net.weights[pos].conj().T
+                dx = _step_array(pos, "dx", x.shape, np.complex128)
+                _in_blocks(lambda rows: np.matmul(grad[rows], w_herm, out=dx[rows]), n)
+                grad = dx.reshape(cache["input_shape"])
+            grads[pos] = (dw.result(), dh)
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
             dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
             db = grad.sum(axis=(0, 1, 2))
             if pos:
-                grad = conv.adjoint(grad, kernel, cache["input_shape"])
+                dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
+                grad = conv.adjoint(grad, kernel, dx.shape, dx)
             grads[pos] = (dw.result().reshape(kernel.shape), db)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
-                grad = _pool_backward(grad, cache["flat_idx"], cache["input_shape"])
+                dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
+                idx = cache["flat_idx"]
+                _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx, rows), n)
+                grad = dx
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
     return grads

@@ -264,3 +264,29 @@ class TestProbe:
             lipschitz_probe(SPLIT_TANH, 0.0, 10)
         with pytest.raises(ValueError):
             lipschitz_probe(SPLIT_TANH, 1.0, 0)
+
+    @pytest.mark.parametrize("chunk", [1000, None])  # None: the module's own chunk
+    def test_chunked_draws_are_the_unchunked_formula(self, chunk, monkeypatch):
+        """Every drawn point, and so the estimate, equals the one-shot
+        default_rng(seed).uniform(size=(4, n)) formula, across chunk edges."""
+        from cvnnlab import activations
+
+        if chunk is not None:
+            monkeypatch.setattr(activations, "_PROBE_CHUNK", chunk)
+        n = 4 * activations._PROBE_CHUNK + 321
+        seen = []
+        real_apply = activations.apply
+        monkeypatch.setattr(activations, "apply",
+                            lambda act, z: seen.append(z) or real_apply(act, z))
+        for act in ALL_KINDS:
+            seen.clear()
+            got = lipschitz_probe(act, 2.5, n, seed=11)
+            pts = np.random.default_rng(11).uniform(-2.5, 2.5, size=(4, n))
+            z1, z2 = pts[0] + 1j * pts[1], pts[2] + 1j * pts[3]
+            assert np.concatenate(seen[0::2]).tobytes() == z1.tobytes()
+            assert np.concatenate(seen[1::2]).tobytes() == z2.tobytes()
+            assert max(z.size for z in seen) == activations._PROBE_CHUNK
+            d_in = np.abs(z1 - z2)
+            d_out = np.abs(real_apply(act, z1) - real_apply(act, z2))
+            mask = d_in > 0.0
+            assert got == float(np.max(d_out[mask] / d_in[mask]))

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -287,7 +288,8 @@ class TestRealInputs:
         calls = []
         act_backprop = network.act_backprop
         monkeypatch.setattr(
-            network, "act_backprop", lambda act, z, g: calls.append(act.kind) or act_backprop(act, z, g)
+            network, "act_backprop",
+            lambda act, z, g, *out: calls.append(act.kind) or act_backprop(act, z, g, *out),
         )
         net = build_network(self.CONV_FIRST, seed=2)
         backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], LossKind("cross_entropy"))
@@ -349,7 +351,8 @@ def test_pool_backward_scatter_matches_reference_bitwise(shape, window, rng):
         want_out, want_flat, want_dx = _pool_reference(x, window, g)
         assert out.tobytes() == want_out.tobytes()
         npt.assert_array_equal(flat, want_flat)
-        assert network._pool_backward(g, flat, shape).tobytes() == want_dx.tobytes()
+        dx = np.full(shape, complex(np.nan, np.nan))  # every entry must be written
+        assert network._pool_backward(g, flat, dx).tobytes() == want_dx.tobytes()
 
 
 class TestLosses:
@@ -510,16 +513,50 @@ class TestLanes:
         blocks = [forward(net, x[s : s + 128]) for s in range(0, n, 128)]
         assert np.concatenate(blocks).tobytes() == got.tobytes()
 
-    @pytest.mark.parametrize("kind", ["conv", "dense"])
-    @pytest.mark.parametrize("n", [128, 21])
-    def test_backward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
-        net, x, y, loss = self._case(kind, n, rng)
-        got = backward(net, x, y, LossKind(loss))
-        want = single_lane(monkeypatch, backward, net, x, y, LossKind(loss))
-        for g, w in zip(got, want):
+    @staticmethod
+    def _assert_same_grads(got, want):
+        for g, w in zip(got, want, strict=True):
             assert (g is None) == (w is None)
             if g is not None:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    @pytest.mark.parametrize("n", [1, 21, 31, 32, 33, 100, 128, 129])
+    def test_backward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
+        """Around the 32-sample step blocks, outside and inside the kept
+        store; inside it, after a larger batch has left its values there.
+        The blocks also agree, to rounding, with one block of the batch."""
+        net, x, y, loss = self._case(kind, n + 40, rng)
+        want = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
+        self._assert_same_grads(backward(net, x[:n], y[:n], LossKind(loss)), want)
+        with monkeypatch.context() as m:
+            m.setattr(network, "_STEP_BLOCK", 1 << 30)
+            whole = backward(net, x[:n], y[:n], LossKind(loss))
+        for g, w in zip(whole, want):
+            for a, b in zip(g or (), w or ()):
+                npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        with network.kept_arrays():
+            backward(net, x[::-1], y[::-1], LossKind(loss))
+            self._assert_same_grads(backward(net, x[:n], y[:n], LossKind(loss)), want)
+            kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
+            self._assert_same_grads(kept, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_conv_apply_on_a_slice_is_the_slice_of_apply(self, dtype, rng):
+        x = rng.standard_normal((70, 9, 8, 3)).astype(dtype)
+        if dtype is np.complex128:
+            x += 1j * rng.standard_normal(x.shape)
+        k = rng.standard_normal((3, 2, 3, 4)) + 1j * rng.standard_normal((3, 2, 3, 4))
+        out, patches = network.conv.apply(x, k)
+        assert patches.dtype == dtype
+        for a, b in [(0, 32), (32, 64), (64, 70), (5, 37), (69, 70)]:
+            o, p = network.conv.apply(x[a:b], k)
+            assert o.tobytes() == out[a:b].tobytes() and p.tobytes() == patches[a:b].tobytes()
+        # written block by block into given whole-batch arrays, as the step does
+        o_all, p_all = np.full_like(out, np.nan), np.full_like(patches, np.nan)
+        for a in range(0, 70, 32):
+            network.conv.apply(x[a : a + 32], k, o_all[a : a + 32], p_all[a : a + 32])
+        assert o_all.tobytes() == out.tobytes() and p_all.tobytes() == patches.tobytes()
 
     def test_forward_inside_a_pool_task_returns(self, rng, pooled):
         net, x, _, _ = self._case("conv", 300, rng)
@@ -539,6 +576,66 @@ class TestLanes:
                     assert np.isinf(forward(net, x)).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forward(net, x)
+
+
+class TestKeptArrays:
+    """Inside ``kept_arrays`` backward reuses its whole-batch arrays from one
+    call to the next; what it returns stays the caller's."""
+
+    LAYERS = TestLanes.CONV_FIRST
+
+    def _data(self, rng, n):
+        return rng.uniform(0.0, 1.0, size=(n, 10, 10, 1)), rng.integers(0, 3, size=n)
+
+    def test_returned_gradients_survive_the_next_step(self, rng):
+        net = build_network(self.LAYERS, seed=5)
+        x, y = self._data(rng, 256)
+        loss = LossKind("cross_entropy")
+        with network.kept_arrays():
+            first = backward(net, x[:128], y[:128], loss)
+            saved = [None if g is None else [a.tobytes() for a in g] for g in first]
+            backward(net, x[128:], y[128:], loss)
+            kept = list(network._kept.store.values())
+            assert kept
+            for g, b in zip(first, saved):
+                if g is not None:
+                    assert [a.tobytes() for a in g] == b
+                    assert not any(np.shares_memory(a, k) for a in g for k in kept)
+
+    def test_a_ragged_batch_after_full_ones_matches_a_fresh_call(self, rng):
+        net = build_network(self.LAYERS, seed=6)
+        x, y = self._data(rng, 288)
+        loss = LossKind("cross_entropy")
+        want = backward(net, x[256:], y[256:], loss)
+        with network.kept_arrays():
+            backward(net, x[:128], y[:128], loss)
+            backward(net, x[128:256], y[128:256], loss)
+            got = backward(net, x[256:], y[256:], loss)
+        TestLanes._assert_same_grads(got, want)
+
+    def test_nothing_is_kept_after_the_scope(self, rng):
+        net = build_network(self.LAYERS, seed=7)
+        x, y = self._data(rng, 64)
+        assert getattr(network._kept, "store", None) is None
+        with network.kept_arrays():
+            backward(net, x, y, LossKind("cross_entropy"))
+            refs = [weakref.ref(a) for a in network._kept.store.values()]
+        assert refs and network._kept.store is None
+        assert all(r() is None for r in refs)
+        with pytest.raises(FloatingPointError), network.kept_arrays():
+            backward(net, x, y, LossKind("cross_entropy"))
+            refs = [weakref.ref(a) for a in network._kept.store.values()]
+            raise FloatingPointError("training diverged")
+        assert refs and network._kept.store is None
+        assert all(r() is None for r in refs)
+
+    def test_forward_never_takes_kept_arrays(self, rng):
+        net = build_network(self.LAYERS, seed=8)
+        x, y = self._data(rng, 64)
+        with network.kept_arrays():
+            backward(net, x, y, LossKind("cross_entropy"))
+            out = forward(net, x)
+            assert not any(np.shares_memory(out, a) for a in network._kept.store.values())
 
 
 class TestShapesAndMetadata:
