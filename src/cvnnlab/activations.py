@@ -28,11 +28,11 @@ and amp_tanh, and the test oracle for the two diagonal ones.
 
 Both take an optional ``out`` array, so the training step can write into
 the whole-batch arrays it keeps across its steps (``backprop`` may be handed
-``grad`` itself).  Threading: the diagonal :func:`backprop` deals fixed
-blocks of ``_ROW_BLOCK`` leading-axis rows to the :mod:`cvnnlab.lanes` pool,
-each writing only its own rows; the pass is elementwise, so its bytes do not
-depend on the blocks or on the number of cores.  :func:`apply` runs on the
-calling thread (the step calls it once per sample block, on the lanes).
+``grad`` itself).  Every function here is single-threaded elementwise
+arithmetic on whatever samples it is given.  The training step deals blocks
+of samples across cores, and it does so in :mod:`cvnnlab.network`:
+``network.act_backprop`` deals :func:`backprop`, so that this module stays
+arithmetic and one call per activated layer stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import lanes
 
 __all__ = [
     "Activation",
@@ -60,7 +58,6 @@ __all__ = [
 
 ACTIVATION_KINDS = ("split_tanh", "crelu", "modrelu", "amp_tanh")
 _DIAGONAL = ("split_tanh", "crelu")
-_ROW_BLOCK = 32  # leading-axis rows per task of the diagonal backprop
 _PROBE_CHUNK = 1 << 15  # pairs the Lipschitz probe draws at a time
 
 
@@ -168,17 +165,11 @@ def backprop(act: Activation, z, grad, out=None):
     """
     if act.kind in _DIAGONAL:
         res = np.empty(np.shape(z), dtype=np.complex128) if out is None else out
-        z1, g1, r1 = (np.atleast_1d(a) for a in (z, grad, res))
-
-        def block(s):  # writes rows s .. s + _ROW_BLOCK of res, no others
-            rows = slice(s, s + _ROW_BLOCK)
-            zf, gf, rf = _floats(z1[rows]), _floats(g1[rows]), _floats(r1[rows])
-            if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
-                np.bitwise_and(gf.view(np.int64), -(zf > 0.0).view(np.int8), out=rf.view(np.int64))
-            else:
-                np.multiply(gf, 1.0 - np.tanh(zf) ** 2, out=rf)
-
-        lanes.run_blocks(block, range(0, len(z1), _ROW_BLOCK))
+        zf, gf, rf = (_floats(np.atleast_1d(a)) for a in (z, grad, res))
+        if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
+            np.bitwise_and(gf.view(np.int64), -(zf > 0.0).view(np.int8), out=rf.view(np.int64))
+        else:
+            np.multiply(gf, 1.0 - np.tanh(zf) ** 2, out=rf)
         return res
     j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, z)
     g_re, g_im = np.real(grad), np.imag(grad)
@@ -208,8 +199,9 @@ def lipschitz_probe(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if domain_bound <= 0:
-        raise ValueError("domain_bound must be positive")
+    if not (domain_bound > 0 and math.isfinite(2.0 * domain_bound)):
+        # uniform(-b, b) draws from an interval of width 2b, which must be finite
+        raise ValueError("domain_bound must be positive, with 2 * domain_bound finite")
     # the four coordinates are the rows of default_rng(seed).uniform(size=(4,
     # n_pairs)): row r is the stream advanced by r * n_pairs draws, read
     # here in chunks of _PROBE_CHUNK pairs, so memory does not grow with n_pairs

@@ -63,11 +63,11 @@ from .network import (
     Network,
     backward,
     build_network,
+    compute_loss,
     forward,
     kept_arrays,
     load_checkpoint,
     max_width,
-    per_sample_losses,
     save_checkpoint,
     sgd_init,
     sgd_step,
@@ -87,7 +87,6 @@ from .stats import ConstantInputError, TrainingTrace, correlate_trace, excess_ri
 from .textio import f17, kv_text, write_atomic
 
 TRACE_HEADER = "epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms"
-EVAL_BATCH = 256
 
 
 class TraceError(Exception):
@@ -125,22 +124,12 @@ def _load_data(cfg: ExperimentConfig):
 
 
 def _evaluate(net: Network, ds: Dataset, loss: LossKind, update_ceiling: bool):
-    """(mean loss, accuracy) over the full dataset in fixed-size batches."""
-    total = 0.0
-    correct = 0
-    classify = np.issubdtype(ds.targets.dtype, np.integer)
-    for start in range(0, ds.n, EVAL_BATCH):
-        xb = ds.inputs[start : start + EVAL_BATCH]
-        yb = ds.targets[start : start + EVAL_BATCH]
-        out = forward(net, xb)
-        vals = per_sample_losses(out, yb, loss)
-        if update_ceiling and vals.size:
-            loss.m_ceiling = max(loss.m_ceiling, float(vals.max()))
-        total += float(vals.sum())
-        if classify:
-            correct += int(np.count_nonzero(np.argmax(out, axis=1) == yb))
-    acc = correct / ds.n if classify else 0.0
-    return total / ds.n, acc
+    """(mean loss, accuracy) over the whole dataset, from one forward pass."""
+    out = forward(net, ds.inputs)
+    mean = compute_loss(out, ds.targets, loss, update_ceiling)
+    if not np.issubdtype(ds.targets.dtype, np.integer):
+        return mean, 0.0
+    return mean, np.count_nonzero(np.argmax(out, axis=1) == ds.targets) / ds.n
 
 
 def run_training(cfg: ExperimentConfig):

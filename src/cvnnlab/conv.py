@@ -14,14 +14,10 @@ not depend on the batch it arrives in, and ``apply(x[a:b], k)`` is
 arrays when the caller passes them: the training step hands in slices of
 whole-batch arrays kept across its steps (:func:`cvnnlab.network.kept_arrays`).
 
-Threading: :func:`adjoint` deals its fixed blocks of ``_SAMPLE_BLOCK``
-samples to the :mod:`cvnnlab.lanes` pool (the calling thread plus one worker
-per further core); each block writes only its own samples of the result, so
-the bytes do not depend on the number of cores.  Blocks inherit the caller's
-numpy error state, and a call made on a pool worker runs its blocks inline.
-:func:`apply` and :func:`weight_grad` run on the thread that calls them; the
-training step calls :func:`apply` once per sample block of its own, on the
-lanes.
+:func:`apply`, :func:`adjoint` and :func:`weight_grad` are single-threaded
+arithmetic on whatever samples they are given (the adjoint's 8-sample GEMMs
+are for the cache).  Cutting a batch into blocks and dealing them across
+cores is left to :mod:`cvnnlab.network`, the one module that does it.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import lanes
 from .clinalg import matmul_complex
 
 __all__ = [
@@ -83,16 +78,13 @@ def adjoint(g, kernel, input_shape, out=None):
     n, oh, ow, _ = g.shape
     k_herm = kernel.reshape(-1, cout).conj().T
     dx = np.empty(input_shape, dtype=np.complex128) if out is None else out
-
-    def block(s):  # writes samples s .. s + _SAMPLE_BLOCK of dx, no others
+    for s in range(0, n, _SAMPLE_BLOCK):
         rows = slice(s, s + _SAMPLE_BLOCK)
         dp = (g[rows].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
         dx[rows] = 0.0
         for ky in range(kh):
             for kx in range(kw):
                 dx[rows, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
-
-    lanes.run_blocks(block, range(0, n, _SAMPLE_BLOCK))
     return dx
 
 

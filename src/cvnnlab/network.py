@@ -34,27 +34,30 @@ the network was built with ``train_thresholds=True`` (the bound machinery
 assumes threshold-free networks and warns otherwise).
 
 Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
-one worker per further core the process may run on.  Both passes share
-one forward arithmetic per layer (:func:`_layer_forward`) and deal it
-differently.  :func:`forward` cuts a batch into fixed blocks of
-``_FORWARD_BLOCK`` (128) samples, walks each block on the next free lane
-without keeping caches, and concatenates the outputs in order.
+one worker per further core the process may run on.  This module is the
+only one that cuts the sample axis into blocks and deals them; the
+arithmetic it deals (:mod:`cvnnlab.conv`, :mod:`cvnnlab.activations`) is
+single-threaded.  Both passes share one forward arithmetic per layer
+(:func:`_layer_forward`) and deal it differently.  :func:`forward` cuts a
+batch into fixed blocks of ``_FORWARD_BLOCK`` (128) samples, walks each
+block on the next free lane without keeping caches, and concatenates the
+outputs in order; evaluation hands it a whole split at once.
 :func:`backward` walks the whole batch layer by layer, and inside a layer
 every per-sample stage runs as fixed blocks of ``_STEP_BLOCK`` (32) samples
 dealt across the lanes, each block writing only its own samples of the
 layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM, the
 threshold add and the activation; modulus pooling, whose flat index counts
-from the batch's first sample; then the pool scatter, the dense input
-gradient and the diagonal activation backprops (the conv adjoint deals its
-own 8-sample blocks).  The parameter gradients stay single whole-batch
-reductions: each layer's weight gradient runs on a worker beside its input
-gradient, and the threshold sums run on the calling thread.  Block
-boundaries do not depend on the number of cores, so outputs and gradients
-are the same bytes on one core and on many.  Each call of forward or
-backward, and each ``act_backprop`` inside backward, stays on the calling
-thread.  Tasks inherit the caller's numpy error state (``np.errstate``), and
-a call made on a pool worker runs its blocks inline, so calls never nest on
-the pool.
+from the batch's first sample; then the activation backprop
+(:func:`act_backprop`), the pool scatter, the dense input gradient and the
+conv adjoint (its 8-sample GEMMs inside each block).  The parameter
+gradients stay single whole-batch reductions: each layer's weight gradient
+runs on a worker beside its input gradient, and the threshold sums run on
+the calling thread.  Block boundaries do not depend on the number of
+cores, so outputs and gradients are the same bytes on one core and on
+many.  Each call of forward or backward, and each :func:`act_backprop`
+inside backward, stays on the calling thread.  Tasks inherit the caller's
+numpy error state (``np.errstate``), and a call made on a pool worker runs
+its blocks inline, so calls never nest on the pool.
 
 Inside :func:`kept_arrays`, which training opens around each epoch's steps,
 backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
@@ -74,8 +77,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import conv, lanes
-from .activations import Activation, apply as act_apply, backprop as act_backprop
+from . import activations, conv, lanes
+from .activations import Activation
 from .clinalg import matmul_complex
 from .textio import json_text, write_atomic
 
@@ -329,6 +332,16 @@ def _at_once(fn, n):
     fn(slice(0, n))
 
 
+def act_backprop(act: Activation, z, grad, out):
+    """:func:`cvnnlab.activations.backprop` of the batch, written into
+    ``out`` (which may be ``grad``) in ``_STEP_BLOCK`` blocks across the
+    lanes.  backward makes one call per activated layer, on the calling
+    thread: the bench wraps this function, and its span stack is
+    single-threaded."""
+    _in_blocks(lambda rows: activations.backprop(act, z[rows], grad[rows], out[rows]), len(z))
+    return out
+
+
 def _pool_forward(x, window, out=None, idx=None, first=0):
     """Per window, the entry of largest modulus and its flat index into the
     layer input, of which ``x`` holds the samples from ``first`` on; written
@@ -407,7 +420,7 @@ def _layer_forward(pos, spec, w, h, x, cache):
             product(rows)
             pre[rows] += h
             if act:
-                act_apply(act, pre[rows], out[rows])
+                activations.apply(act, pre[rows], out[rows])
 
         run(block, n)
         saved["pre"] = pre
@@ -586,7 +599,8 @@ def backward(net: Network, batch, targets, loss: LossKind):
             db = grad.sum(axis=(0, 1, 2))
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
-                grad = conv.adjoint(grad, kernel, dx.shape, dx)
+                _in_blocks(lambda r: conv.adjoint(grad[r], kernel, dx[r].shape, dx[r]), n)
+                grad = dx
             grads[pos] = (dw.result().reshape(kernel.shape), db)
         elif isinstance(spec, MaxPoolModulus):
             if pos:

@@ -265,6 +265,17 @@ class TestProbe:
         with pytest.raises(ValueError):
             lipschitz_probe(SPLIT_TANH, 1.0, 0)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 8.99e307])
+    def test_probe_refuses_a_bound_whose_width_is_not_finite(self, bound):
+        """uniform(-b, b) needs the width 2b to be finite."""
+        with pytest.raises(ValueError):
+            lipschitz_probe(SPLIT_TANH, bound, 10)
+
+    def test_probe_runs_at_the_largest_finite_width(self):
+        bound = 8.988465674311579e307  # 2 * bound is the largest double
+        assert math.isfinite(2.0 * bound) and not math.isfinite(2.0 * math.nextafter(bound, 1e308))
+        assert 0.0 <= lipschitz_probe(SPLIT_TANH, bound, 100) <= 1.0
+
     @pytest.mark.parametrize("chunk", [1000, None])  # None: the module's own chunk
     def test_chunked_draws_are_the_unchunked_formula(self, chunk, monkeypatch):
         """Every drawn point, and so the estimate, equals the one-shot

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnnlab.activations import CRELU
-from cvnnlab.cli import TraceError, main, parse_trace_csv, run_training, TRACE_HEADER
+from cvnnlab.cli import TraceError, _load_data, main, parse_trace_csv, run_training, TRACE_HEADER
 from cvnnlab.config import (
     CONFIG_KEYS,
     ConfigError,
@@ -25,9 +25,14 @@ from cvnnlab.network import (
     AbsHead,
     Conv,
     Dense,
+    LossKind,
     MaxPoolModulus,
     Network,
     build_network,
+    compute_loss,
+    forward,
+    load_checkpoint,
+    per_sample_losses,
     save_checkpoint,
 )
 from cvnnlab.spectral import analyze
@@ -198,6 +203,21 @@ class TestTrainCommand:
         assert (tmp_path / "a" / "checkpoint.json").read_bytes() == (
             tmp_path / "b" / "checkpoint.json"
         ).read_bytes()
+
+    def test_evaluation_is_compute_loss_of_one_forward_over_the_split(self, tmp_path):
+        """A split of more than 256 samples with a ragged tail: the trace's
+        train_loss and the ceiling M come from one forward pass of the saved
+        network over the whole split."""
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "run")
+        cfg = parse_config(text.replace("synthetic_train_n = 64", "synthetic_train_n = 420"))
+        result = run_training(cfg)
+        train, _, _ = _load_data(cfg)
+        out = forward(load_checkpoint(result["checkpoint"]), train.inputs)
+        row = Path(result["trace"]).read_text().splitlines()[1].split(",")
+        assert float(row[1]) == compute_loss(out, train.targets, LossKind("l2"))
+        losses = per_sample_losses(out, train.targets, LossKind("l2"))
+        assert losses.argmax() >= 256  # so a ceiling over any leading slice falls short
+        assert result["m_ceiling"] == losses.max()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")
@@ -719,6 +739,12 @@ class TestOtherCommands:
         rc = main(["lipschitz-probe", "--kind", "modrelu:0.5", "--domain-bound", "2", "--pairs", "2000"])
         assert rc == 0
         assert "declared = inf\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "8.99e307"])
+    def test_probe_bound_whose_width_is_not_finite_is_input_error(self, bound, capsys):
+        rc = main(["lipschitz-probe", "--kind", "crelu", "--domain-bound", bound, "--pairs", "10"])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestTraceParsing:

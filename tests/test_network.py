@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnnlab import lanes, network
-from cvnnlab.activations import CRELU, SPLIT_TANH, modrelu
+from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, modrelu
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
     AbsHead,
@@ -484,20 +484,30 @@ class TestDeterminism:
 
 
 class TestLanes:
-    """Forward blocks and the conv adjoint run across the lanes; the bytes
-    they produce do not depend on how many lanes there are."""
+    """Forward blocks and the training step's per-sample stages run across
+    the lanes; the bytes they produce do not depend on how many lanes there
+    are."""
 
     CONV_FIRST = [
         Conv(3, 3, 1, 3, CRELU), Conv(3, 3, 3, 4, SPLIT_TANH), MaxPoolModulus(2),
         Dense(36, 5, CRELU), Dense(5, 3), AbsHead(3),
     ]
     DENSE = [Dense(6, 7, SPLIT_TANH), Dense(7, 3, CRELU), Dense(3, 2)]
+    # the general (non-diagonal) activation backprop, on conv and dense layers
+    PHASE = [
+        Conv(3, 3, 1, 2, AMP_TANH), Conv(3, 3, 2, 3, modrelu(-0.3)), MaxPoolModulus(2),
+        Dense(27, 4, modrelu(-0.3)), Dense(4, 2, AMP_TANH), Dense(2, 2),
+    ]
 
     def _case(self, kind, n, rng):
         if kind == "conv":
             net = build_network(self.CONV_FIRST, seed=3)
             x = rng.uniform(0.0, 1.0, size=(n, 10, 10, 1))
             return net, x, rng.integers(0, 3, size=n), "cross_entropy"
+        if kind == "phase":
+            net = build_network(self.PHASE, seed=3)
+            x = rng.uniform(0.0, 1.0, size=(n, 10, 10, 1))
+            return net, x, random_complex(rng, n, 2), "l2"
         net = build_network(self.DENSE, seed=3)
         return net, random_complex(rng, n, 6), random_complex(rng, n, 2), "l2"
 
@@ -520,7 +530,7 @@ class TestLanes:
             if g is not None:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
 
-    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    @pytest.mark.parametrize("kind", ["conv", "dense", "phase"])
     @pytest.mark.parametrize("n", [1, 21, 31, 32, 33, 100, 128, 129])
     def test_backward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
         """Around the 32-sample step blocks, outside and inside the kept
@@ -540,6 +550,18 @@ class TestLanes:
             self._assert_same_grads(backward(net, x[:n], y[:n], LossKind(loss)), want)
             kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
             self._assert_same_grads(kept, want)
+
+    @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, modrelu(-0.3), AMP_TANH],
+                             ids=lambda a: a.kind)
+    @pytest.mark.parametrize("n", [1, 33, 100])
+    def test_act_backprop_blocks_are_one_whole_batch_backprop(self, act, n, rng, pooled):
+        z = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
+        z[0, 0] = [0.0, 0.3, 0.3j]  # the origin, modReLU's kink and an axis
+        grad = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        want = network.activations.backprop(act, z, grad)
+        got = network.act_backprop(act, z, grad, np.full_like(grad, np.nan))
+        assert got.tobytes() == want.tobytes()
+        assert network.act_backprop(act, z, grad, grad).tobytes() == want.tobytes()  # in place
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_conv_apply_on_a_slice_is_the_slice_of_apply(self, dtype, rng):
