@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from cvnnlab.cli import main as cli_main, parse_trace_csv, run_training
+from cvnnlab.cli import parse_trace_csv, run_training
 from cvnnlab.config import parse_config
 from cvnnlab.datasets import synthetic_glyphs, write_idx_images, write_idx_labels
 from cvnnlab.stats import correlate_trace

@@ -219,7 +219,6 @@ def parse_trace_csv(path) -> TrainingTrace:
     if not lines or lines[0] != TRACE_HEADER:
         raise TraceError("trace header does not match the schema")
     cols = {name: [] for name in TRACE_HEADER.split(",")}
-    layer_norms = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 8:
@@ -235,21 +234,15 @@ def parse_trace_csv(path) -> TrainingTrace:
                 cols[name].append(value)
             cols["sn_product"].append(float(parts[5]) if parts[5] else math.nan)
             cols["r_a"].append(float(parts[6]) if parts[6] else math.nan)
-            layer_norms.append(
+            cols["layer_norms"].append(
                 [float(v) for v in parts[7].split(";")] if parts[7] else []
             )
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
+    layer_norms = cols.pop("layer_norms")  # ragged rows: a list of lists
     try:
         return TrainingTrace(
-            epoch=np.asarray(cols["epoch"]),
-            train_loss=np.asarray(cols["train_loss"]),
-            train_acc=np.asarray(cols["train_acc"]),
-            test_acc=np.asarray(cols["test_acc"]),
-            excess_risk=np.asarray(cols["excess_risk"]),
-            sn_product=np.asarray(cols["sn_product"]),
-            r_a=np.asarray(cols["r_a"]),
-            layer_norms=layer_norms,
+            **{name: np.asarray(col) for name, col in cols.items()}, layer_norms=layer_norms
         )
     except ValueError as exc:
         raise TraceError(str(exc)) from exc

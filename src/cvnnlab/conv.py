@@ -15,8 +15,8 @@ arrays when the caller passes them: the training step hands in slices of
 whole-batch arrays kept across its steps (:func:`cvnnlab.network.kept_arrays`).
 
 :func:`apply`, :func:`adjoint` and :func:`weight_grad` are single-threaded
-arithmetic on whatever samples they are given (the adjoint's 8-sample GEMMs
-are for the cache).  Cutting a batch into blocks and dealing them across
+arithmetic on whatever samples they are given (the adjoint takes one GEMM
+over all of them).  Cutting a batch into blocks and dealing them across
 cores is left to :mod:`cvnnlab.network`, the one module that does it.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_LOWERING_BUDGET = 1 << 24  # complex entries (~256 MiB)
-_SAMPLE_BLOCK = 8  # adjoint's samples per GEMM: their patch gradient stays in cache
 
 
 class LoweringBudgetError(Exception):
@@ -78,13 +77,11 @@ def adjoint(g, kernel, input_shape, out=None):
     n, oh, ow, _ = g.shape
     k_herm = kernel.reshape(-1, cout).conj().T
     dx = np.empty(input_shape, dtype=np.complex128) if out is None else out
-    for s in range(0, n, _SAMPLE_BLOCK):
-        rows = slice(s, s + _SAMPLE_BLOCK)
-        dp = (g[rows].reshape(-1, cout) @ k_herm).reshape(-1, oh, ow, kh, kw, cin)
-        dx[rows] = 0.0
-        for ky in range(kh):
-            for kx in range(kw):
-                dx[rows, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
+    dp = (g.reshape(-1, cout) @ k_herm).reshape(n, oh, ow, kh, kw, cin)
+    dx[...] = 0.0
+    for ky in range(kh):
+        for kx in range(kw):
+            dx[:, ky : ky + oh, kx : kx + ow] += dp[:, :, :, ky, kx]
     return dx
 
 

@@ -28,7 +28,7 @@ stands in for the cover cardinality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,12 +138,15 @@ def _coefficients(weights, d: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoverReport:
+    """One cover check; :func:`cover_report_to_text` writes the fields in this order."""
+
     d: int
     m: int
     n: int
     a: float
     eps: float
     r: float
+    k: int
     trials: int
     samples: int
     achieved_error: float  # worst best-trial error across samples
@@ -151,7 +154,6 @@ class CoverReport:
     frac_within_eps: float
     distinct_cover_points_used: int
     bound_ln_cover: float
-    k: int
 
 
 def cover_target(z, a_mat, k: int, trials: int, seed: int = 0, alpha_cap: float | None = None):
@@ -221,9 +223,6 @@ def cover_check(
         m = d
     if m < 1 or n_samples < 1:
         raise ValueError("m and n_samples must be positive")
-    col_norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
-    if np.any(col_norms == 0.0):
-        raise ValueError("z must have no zero column")
     b_norm = frobenius_norm(z)
     m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
     k = int(math.ceil(a * a * b_norm * b_norm * m_pow / (eps * eps)))
@@ -254,6 +253,7 @@ def cover_check(
         a=a,
         eps=eps,
         r=r,
+        k=k,
         trials=trials,
         samples=n_samples,
         achieved_error=worst,
@@ -261,27 +261,8 @@ def cover_check(
         frac_within_eps=within / n_samples,
         distinct_cover_points_used=len(distinct),
         bound_ln_cover=covering_bound_linear(a, b_norm, m, r, eps, d),
-        k=k,
     )
 
 
 def cover_report_to_text(report: CoverReport) -> str:
-    return kv_text(
-        [
-            ("format", "cover-report-v1"),
-            ("d", report.d),
-            ("m", report.m),
-            ("n", report.n),
-            ("a", report.a),
-            ("eps", report.eps),
-            ("r", report.r),
-            ("k", report.k),
-            ("trials", report.trials),
-            ("samples", report.samples),
-            ("achieved_error", report.achieved_error),
-            ("theoretical_error", report.theoretical_error),
-            ("frac_within_eps", report.frac_within_eps),
-            ("distinct_cover_points_used", report.distinct_cover_points_used),
-            ("bound_ln_cover", report.bound_ln_cover),
-        ]
-    )
+    return kv_text([("format", "cover-report-v1"), *asdict(report).items()])

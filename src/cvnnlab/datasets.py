@@ -18,6 +18,7 @@ through the same pipeline.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,9 +29,6 @@ from .network import Network, forward
 __all__ = [
     "Dataset",
     "IdxError",
-    "WrongMagicError",
-    "TruncatedFileError",
-    "CountMismatchError",
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
     "read_idx_images",
@@ -49,19 +47,7 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxError(Exception):
-    pass
-
-
-class WrongMagicError(IdxError):
-    pass
-
-
-class TruncatedFileError(IdxError):
-    pass
-
-
-class CountMismatchError(IdxError):
-    pass
+    """An IDX file, or a pair of them, that does not read back as a dataset."""
 
 
 @dataclass
@@ -85,43 +71,33 @@ class Dataset:
         return len(self.inputs)
 
 
-def _read_be32(data: bytes, offset: int, path) -> int:
-    if offset + 4 > len(data):
-        raise TruncatedFileError(f"{path}: truncated header")
-    return struct.unpack_from(">I", data, offset)[0]
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its ``ndim`` dimension fields."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = 4 + 4 * ndim
+    # the magic is checked as soon as its 4 bytes exist, before the dimensions
+    if len(data) >= 4 and (found := struct.unpack_from(">I", data)[0]) != magic:
+        raise IdxError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+    if len(data) < header:
+        raise IdxError(f"{path}: truncated header")
+    shape = struct.unpack_from(f">{ndim}I", data, 4)
+    expected = header + math.prod(shape)
+    if len(data) < expected:
+        raise IdxError(f"{path}: payload short by {expected - len(data)} bytes")
+    if len(data) > expected:
+        raise IdxError(f"{path}: {len(data) - expected} trailing bytes")
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(shape).copy()
 
 
 def read_idx_images(path) -> np.ndarray:
     """uint8 image array (count, rows, cols) from an IDX image file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = _read_be32(data, 0, path)
-    if magic != IMAGE_MAGIC:
-        raise WrongMagicError(f"{path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
-    count = _read_be32(data, 4, path)
-    rows = _read_be32(data, 8, path)
-    cols = _read_be32(data, 12, path)
-    expected = 16 + count * rows * cols
-    if len(data) < expected:
-        raise TruncatedFileError(f"{path}: payload short by {expected - len(data)} bytes")
-    if len(data) > expected:
-        raise IdxError(f"{path}: {len(data) - expected} trailing bytes")
-    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows, cols).copy()
+    return _read_idx(path, IMAGE_MAGIC, 3)
 
 
 def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = _read_be32(data, 0, path)
-    if magic != LABEL_MAGIC:
-        raise WrongMagicError(f"{path}: magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
-    count = _read_be32(data, 4, path)
-    expected = 8 + count
-    if len(data) < expected:
-        raise TruncatedFileError(f"{path}: payload short by {expected - len(data)} bytes")
-    if len(data) > expected:
-        raise IdxError(f"{path}: {len(data) - expected} trailing bytes")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).copy()
+    """uint8 label vector (count,) from an IDX label file."""
+    return _read_idx(path, LABEL_MAGIC, 1)
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -132,9 +108,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise CountMismatchError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
-        )
+        raise IdxError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     if images.shape[0] == 0:
         raise IdxError(f"{images_path}: no samples")
     pixels = images.astype(np.float64) / 255.0
@@ -146,22 +120,21 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     )
 
 
-def write_idx_images(images: np.ndarray, path) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError("images must be (count, rows, cols)")
+def _write_idx(array, path, magic: int, ndim: int, shape_error: str) -> None:
+    array = np.asarray(array, dtype=np.uint8)
+    if array.ndim != ndim:
+        raise ValueError(shape_error)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
+        fh.write(struct.pack(f">I{ndim}I", magic, *array.shape))
+        fh.write(array.tobytes())
+
+
+def write_idx_images(images: np.ndarray, path) -> None:
+    _write_idx(images, path, IMAGE_MAGIC, 3, "images must be (count, rows, cols)")
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
+    _write_idx(labels, path, LABEL_MAGIC, 1, "labels must be 1-D")
 
 
 def write_idx(ds: Dataset, images_path, labels_path) -> None:

@@ -49,15 +49,15 @@ layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM, the
 threshold add and the activation; modulus pooling, whose flat index counts
 from the batch's first sample; then the activation backprop
 (:func:`act_backprop`), the pool scatter, the dense input gradient and the
-conv adjoint (its 8-sample GEMMs inside each block).  The parameter
-gradients stay single whole-batch reductions: each layer's weight gradient
-runs on a worker beside its input gradient, and the threshold sums run on
-the calling thread.  Block boundaries do not depend on the number of
-cores, so outputs and gradients are the same bytes on one core and on
-many.  Each call of forward or backward, and each :func:`act_backprop`
-inside backward, stays on the calling thread.  Tasks inherit the caller's
-numpy error state (``np.errstate``), and a call made on a pool worker runs
-its blocks inline, so calls never nest on the pool.
+conv adjoint (one GEMM per block).  The parameter gradients stay single
+whole-batch reductions: each layer's weight gradient runs on a worker
+beside its input gradient, and the threshold sums run on the calling
+thread.  Block boundaries do not depend on the number of cores, so
+outputs and gradients are the same bytes on one core and on many.  Each
+call of forward or backward, and each :func:`act_backprop` inside
+backward, stays on the calling thread.  Tasks inherit the caller's numpy
+error state (``np.errstate``), and a call made on a pool worker runs its
+blocks inline, so calls never nest on the pool.
 
 Inside :func:`kept_arrays`, which training opens around each epoch's steps,
 backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
@@ -103,9 +103,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
-    "MalformedCheckpointError",
-    "CheckpointVersionError",
-    "CheckpointShapeError",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -638,7 +635,7 @@ def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -
     Mutates the network and state in place.  Thresholds move only when the
     network was built with trainable thresholds.
     """
-    if lr <= 0:
+    if not lr > 0:  # also nan
         raise ValueError("lr must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
@@ -661,19 +658,7 @@ def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class MalformedCheckpointError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointShapeError(CheckpointError):
-    pass
+    """A checkpoint file that does not read back as a network."""
 
 
 def _activation_from_json(doc):
@@ -682,7 +667,7 @@ def _activation_from_json(doc):
     try:
         return Activation(doc["kind"], b=float(doc.get("b", 0.0)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedCheckpointError(f"bad activation record: {exc}") from exc
+        raise CheckpointError(f"bad activation record: {exc}") from exc
 
 
 _LAYER_TYPES = {"dense": Dense, "conv": Conv, "maxpool": MaxPoolModulus, "abshead": AbsHead}
@@ -698,15 +683,15 @@ def _layer_from_json(doc):
     try:
         cls = _LAYER_TYPES.get(doc["type"])
         if cls is None:
-            raise MalformedCheckpointError(f"unknown layer type {doc['type']!r}")
+            raise CheckpointError(f"unknown layer type {doc['type']!r}")
         args = {f.name: doc[f.name] for f in fields(cls) if f.name != "activation"}
         if not all(type(v) is int for v in args.values()):
-            raise MalformedCheckpointError(f"{doc['type']} dimensions must be integers")
+            raise CheckpointError(f"{doc['type']} dimensions must be integers")
         if cls in (Dense, Conv):
             args["activation"] = _activation_from_json(doc.get("activation"))
         return cls(**args)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedCheckpointError(f"bad layer record: {exc}") from exc
+        raise CheckpointError(f"bad layer record: {exc}") from exc
 
 
 def _param_lists(key, arr):
@@ -737,16 +722,14 @@ def _param_array(doc, key, shape):
         re = np.asarray(doc[key + "_re"], dtype=float)
         im = np.asarray(doc[key + "_im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedCheckpointError(f"bad parameter arrays for {key}: {exc}") from exc
+        raise CheckpointError(f"bad parameter arrays for {key}: {exc}") from exc
     expected = math.prod(shape)
     if re.size != expected or im.size != expected:
-        raise CheckpointShapeError(
-            f"{key}: expected {expected} values, got {re.size}/{im.size}"
-        )
+        raise CheckpointError(f"{key}: expected {expected} values, got {re.size}/{im.size}")
     arr = re.ravel().astype(np.complex128)  # re + 1j * im would turn -0.0 into 0.0
     arr.imag = im.ravel()
     if not np.all(np.isfinite(arr)):
-        raise MalformedCheckpointError(f"{key}: non-finite values")
+        raise CheckpointError(f"{key}: non-finite values")
     return arr.reshape(shape)
 
 
@@ -755,30 +738,30 @@ def load_checkpoint(path) -> Network:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
     except ValueError as exc:  # also undecodable bytes and over-long integers
-        raise MalformedCheckpointError(f"cannot parse checkpoint: {exc}") from exc
+        raise CheckpointError(f"cannot parse checkpoint: {exc}") from exc
     except OSError as exc:
-        raise MalformedCheckpointError(f"cannot read checkpoint: {exc}") from exc
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MalformedCheckpointError("checkpoint root must be an object")
+        raise CheckpointError("checkpoint root must be an object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"unsupported format_version {version!r}")
+        raise CheckpointError(f"unsupported format_version {version!r}")
     layers_doc = doc.get("layers")
     params_doc = doc.get("params")
     if not isinstance(layers_doc, list) or not isinstance(params_doc, list):
-        raise MalformedCheckpointError("missing layers/params lists")
+        raise CheckpointError("missing layers/params lists")
     if len(layers_doc) != len(params_doc):
-        raise CheckpointShapeError("layers and params lists differ in length")
+        raise CheckpointError("layers and params lists differ in length")
     layers = [_layer_from_json(d) for d in layers_doc]
     weights, thresholds = [], []
     for spec, pdoc in zip(layers, params_doc):
         shapes = spec.param_shapes()
         if (shapes is None) != (pdoc is None):
             state = "lacks" if pdoc is None else "must not carry"
-            raise CheckpointShapeError(f"{type(spec).__name__} layer {state} parameters")
+            raise CheckpointError(f"{type(spec).__name__} layer {state} parameters")
         weights.append(None if shapes is None else _param_array(pdoc, "weight", shapes[0]))
         thresholds.append(None if shapes is None else _param_array(pdoc, "threshold", shapes[1]))
     try:
         return Network(layers, weights, thresholds, bool(doc.get("train_thresholds", False)))
     except ValueError as exc:
-        raise CheckpointShapeError(str(exc)) from exc
+        raise CheckpointError(str(exc)) from exc

@@ -11,10 +11,9 @@ t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "EXACT_ENUM_MAX",
@@ -73,6 +72,8 @@ def _t_approx_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         # degenerate perfect correlation: the t statistic diverges
         return float(np.nextafter(0.0, 1.0))
+    from scipy.special import stdtr  # here, not at module load: its import takes ~0.3 s
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     # two-sided tail of Student-t with n-2 degrees of freedom
     return float(2.0 * stdtr(n - 2, -abs(t)))
@@ -122,6 +123,8 @@ def spearman(x, y, p_method: str = "auto") -> SpearmanResult:
     n = x.shape[0]
     if n < 3:
         raise ValueError("need at least 3 observations")
+    if np.isnan(x).any() or np.isnan(y).any():  # nan has no rank; +-inf ranks as an extreme
+        raise ValueError("x and y must not contain nan")
     rx = average_ranks(x)
     ry = average_ranks(y)
     try:
@@ -175,11 +178,9 @@ class TrainingTrace:
 
     def __post_init__(self):
         n = len(self.epoch)
-        for name in ("train_loss", "train_acc", "test_acc", "excess_risk", "sn_product", "r_a"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} length mismatch")
-        if len(self.layer_norms) != n:
-            raise ValueError("column layer_norms length mismatch")
+        for f in fields(self):
+            if len(getattr(self, f.name)) != n:
+                raise ValueError(f"column {f.name} length mismatch")
         if n > 1 and np.any(np.diff(self.epoch) <= 0):
             raise ValueError("epochs must be strictly increasing")
 

@@ -270,3 +270,33 @@ class TestCoverCheck:
         for key in ("achieved_error", "frac_within_eps", "distinct_cover_points_used", "bound_ln_cover"):
             assert key in text
         assert text.startswith("format = cover-report-v1\n")
+
+    def test_serialization_golden_text(self):
+        rep = CoverReport(
+            d=3, m=2, n=4, a=1.0, eps=0.5, r=math.inf, k=37, trials=8, samples=5,
+            achieved_error=0.1, theoretical_error=0.25, frac_within_eps=1.0,
+            distinct_cover_points_used=5, bound_ln_cover=12.5,
+        )
+        assert cover_report_to_text(rep) == (
+            "format = cover-report-v1\n"
+            "d = 3\n"
+            "m = 2\n"
+            "n = 4\n"
+            "a = 1\n"
+            "eps = 0.5\n"
+            "r = inf\n"
+            "k = 37\n"
+            "trials = 8\n"
+            "samples = 5\n"
+            "achieved_error = 0.10000000000000001\n"
+            "theoretical_error = 0.25\n"
+            "frac_within_eps = 1\n"
+            "distinct_cover_points_used = 5\n"
+            "bound_ln_cover = 12.5\n"
+        )
+
+    def test_rejects_zero_column(self, rng):
+        z = random_complex(rng, 3, 2)
+        z[:, 1] = 0.0
+        with pytest.raises(ValueError, match="z must have no zero column"):
+            cover_check(z, 1.0, 0.5, 1, 4)

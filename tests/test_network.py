@@ -19,12 +19,9 @@ from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
     AbsHead,
     CheckpointError,
-    CheckpointShapeError,
-    CheckpointVersionError,
     Conv,
     Dense,
     LossKind,
-    MalformedCheckpointError,
     MaxPoolModulus,
     Network,
     backward,
@@ -454,6 +451,15 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_step(net, [None], lr=0.1, momentum=1.0, state=state)
 
+    def test_rejects_nan_lr_before_any_update(self):
+        net = build_network([Dense(3, 2)], seed=0)
+        before = net.weights[0].copy()
+        state = sgd_init(net)
+        g = (np.ones((3, 2), complex), np.zeros(2, complex))
+        with pytest.raises(ValueError, match="lr must be positive"):
+            sgd_step(net, [g], lr=math.nan, momentum=0.0, state=state)
+        npt.assert_array_equal(net.weights[0], before)
+
 
 class TestDeterminism:
     def test_build_deterministic(self):
@@ -769,7 +775,7 @@ class TestCheckpoints:
         save_checkpoint(net, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(MalformedCheckpointError):
+        with pytest.raises(CheckpointError, match="cannot parse checkpoint"):
             load_checkpoint(path)
 
     def test_shape_mismatch(self, tmp_path):
@@ -779,7 +785,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["layers"][2]["out_dim"] = 5  # declared dims no longer match arrays
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointShapeError):
+        with pytest.raises(CheckpointError, match="weight: expected 40 values, got 32/32"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("in_dim", [0, 2.0, True, "2", None])
@@ -789,7 +795,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["layers"][2]["in_dim"] = in_dim
         path.write_text(json.dumps(doc))
-        with pytest.raises(MalformedCheckpointError):
+        with pytest.raises(CheckpointError, match="dense dimensions must be (integers|positive)"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -799,7 +805,7 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="unsupported format_version 99"):
             load_checkpoint(path)
 
     def test_seventeen_digit_floats(self, tmp_path):

@@ -111,6 +111,18 @@ class TestSpearmanCoefficient:
         with pytest.raises(ValueError, match="at least 3"):
             spearman([1.0, 2.0], [2.0, 1.0])
 
+    def test_nan_rejected(self):
+        # nan sorts last, so ranking it would give it the top rank
+        with pytest.raises(ValueError, match="nan"):
+            spearman([1.0, math.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="nan"):
+            spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, 4.0])
+
+    def test_infinities_rank_as_extremes(self):
+        y = [1.0, 4.0, 2.0, 3.0, 5.0]
+        got = spearman([1.0, math.inf, 3.0, -math.inf, 4.0], y)
+        assert got == spearman([1.0, 9.0, 3.0, -9.0, 4.0], y)
+
 
 class TestPValues:
     def test_exact_matches_enumeration_small_n(self, rng):
@@ -263,6 +275,13 @@ class TestCorrelateTrace:
     def test_needs_three_epochs(self):
         with pytest.raises(ValueError, match="3 epochs"):
             correlate_trace(make_trace([1.0, 2.0], [0.0, 0.1]))
+
+    def test_column_length_mismatch(self):
+        trace = make_trace([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        for name in ("train_acc", "r_a", "layer_norms"):
+            columns = {**vars(trace), name: getattr(trace, name)[:2]}
+            with pytest.raises(ValueError, match=f"column {name} length mismatch"):
+                TrainingTrace(**columns)
 
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
