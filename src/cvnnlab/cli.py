@@ -53,7 +53,6 @@ from .config import (
     parse_activation,
     parse_shape,
 )
-from .conv import DEFAULT_LOWERING_BUDGET
 from .covering import cover_check, cover_report_to_text
 from .datasets import Dataset, IdxError, load_idx, subsample, synthetic_regression
 from .network import (
@@ -98,29 +97,26 @@ class TraceError(Exception):
 
 
 def _load_data(cfg: ExperimentConfig):
-    """(train, test, input_shape) per the config's dataset block."""
+    """(train, test) per the config's dataset block."""
     if cfg.dataset == "idx":
-        train = load_idx(cfg.train_images, cfg.train_labels, split="train")
-        test = load_idx(cfg.test_images, cfg.test_labels, split="test")
+        train = load_idx(cfg.train_images, cfg.train_labels)
+        test = load_idx(cfg.test_images, cfg.test_labels)
         if cfg.train_subsample:
             train = subsample(train, cfg.train_subsample, seed=cfg.seed + 1)
         if cfg.test_subsample:
             test = subsample(test, cfg.test_subsample, seed=cfg.seed + 2)
-        return train, test, train.image_shape
+        return train, test
     # synthetic regression against a frozen teacher of the same architecture
     act = parse_activation(cfg.activation)
-    input_shape = (cfg.synthetic_dim,)
-    teacher_layers = build_layers(cfg.arch, act, input_shape)
+    teacher_layers = build_layers(cfg.arch, act, (cfg.synthetic_dim,))
     teacher = build_network(teacher_layers, seed=cfg.synthetic_teacher_seed)
     train = synthetic_regression(
-        cfg.synthetic_train_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise,
-        seed=cfg.seed + 1, split="train",
+        cfg.synthetic_train_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise, seed=cfg.seed + 1
     )
     test = synthetic_regression(
-        cfg.synthetic_test_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise,
-        seed=cfg.seed + 2, split="test",
+        cfg.synthetic_test_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise, seed=cfg.seed + 2
     )
-    return train, test, input_shape
+    return train, test
 
 
 def _evaluate(net: Network, ds: Dataset, loss: LossKind, update_ceiling: bool):
@@ -135,13 +131,14 @@ def _evaluate(net: Network, ds: Dataset, loss: LossKind, update_ceiling: bool):
 def run_training(cfg: ExperimentConfig):
     """Train per config; returns dict with trace/checkpoint paths and flags."""
     act = parse_activation(cfg.activation)
-    train, test, input_shape = _load_data(cfg)
+    train, test = _load_data(cfg)
+    input_shape = train.inputs.shape[1:]
     layers = build_layers(cfg.arch, act, input_shape)
     if cfg.loss == "cross_entropy" and not isinstance(layers[-1], AbsHead):
         raise ConfigError("cross_entropy loss needs an abs head as the final layer")
     if cfg.loss == "l2" and isinstance(layers[-1], AbsHead):
         raise ConfigError("l2 loss needs a complex output (drop the abs head)")
-    net = build_network(layers, seed=cfg.seed, train_thresholds=cfg.thresholds == "trainable")
+    net = build_network(layers, seed=cfg.seed)
     loss = LossKind(cfg.loss)
     state = sgd_init(net)
 
@@ -156,15 +153,11 @@ def run_training(cfg: ExperimentConfig):
         for epoch in range(1, cfg.epochs + 1):
             rng = np.random.default_rng([cfg.seed, epoch])
             perm = rng.permutation(train.n)
-            if cfg.lr_decay_step > 0:
-                lr = cfg.lr * cfg.lr_decay_factor ** ((epoch - 1) // cfg.lr_decay_step)
-            else:
-                lr = cfg.lr
             with kept_arrays():  # the steps share their arrays; evaluation does not
                 for start in range(0, train.n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
                     grads = backward(net, train.inputs[idx], train.targets[idx], loss)
-                    sgd_step(net, grads, lr, cfg.momentum, state)
+                    sgd_step(net, grads, cfg.lr, cfg.momentum, state)
 
             train_loss, train_acc = _evaluate(net, train, loss, update_ceiling=True)
             params = [p for p in net.weights + net.thresholds if p is not None]
@@ -204,7 +197,6 @@ def run_training(cfg: ExperimentConfig):
         "trace": trace_path,
         "checkpoint": ckpt_path,
         "m_ceiling": loss.m_ceiling,
-        "input_shape": input_shape,
         "max_width": max_width(net, input_shape),
         "nonconverged": warn_nonconverged,
     }
@@ -282,7 +274,7 @@ def _report_warnings(report: SpectralReport) -> list[str]:
 def cmd_analyze(args) -> int:
     net = load_checkpoint(args.checkpoint)
     input_shape = parse_shape(args.input_shape)
-    report = analyze(net, input_shape, memory_budget=args.memory_budget)
+    report = analyze(net, input_shape)
     text = report_to_text(report)
     if args.out:
         write_atomic(args.out, text)
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input-shape", required=True, help="e.g. 28x28x1 or 784")
     p.add_argument("--out", default="")
-    p.add_argument("--memory-budget", type=int, default=DEFAULT_LOWERING_BUDGET)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -61,15 +61,12 @@ class ExperimentConfig:
     # model
     arch: str = "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs"
     activation: str = "crelu"
-    thresholds: str = "zero"  # zero | trainable
     # optimization
     loss: str = "cross_entropy"  # cross_entropy | l2
     lr: float = 0.01
     momentum: float = 0.9
     epochs: int = 100
     batch_size: int = 1024
-    lr_decay_step: int = 0  # 0 disables decay
-    lr_decay_factor: float = 0.2
     # bookkeeping
     seed: int = 0
     out_dir: str = "runs/exp"
@@ -110,10 +107,11 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-# the smallest accepted value of each integer size; a subsample of 0 keeps everything
+# the smallest accepted value of each size, seed and noise; a subsample of 0 keeps everything
 _MINIMUMS = dict(
     epochs=1, batch_size=1, analysis_every=1, synthetic_train_n=1, synthetic_test_n=1,
-    synthetic_dim=1, train_subsample=0, test_subsample=0
+    synthetic_dim=1, train_subsample=0, test_subsample=0, synthetic_noise=0.0, seed=0,
+    synthetic_teacher_seed=0,
 )
 
 
@@ -123,15 +121,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key, low in _MINIMUMS.items():
         if getattr(cfg, key) < low:
             raise ConfigError(f"{key} must be >= {low}")
-    for key in ("lr", "lr_decay_factor"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
+    if cfg.lr <= 0:
+        raise ConfigError("lr must be positive")
     if not 0.0 <= cfg.momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
     if cfg.loss not in ("cross_entropy", "l2"):
         raise ConfigError(f"loss must be cross_entropy or l2, got {cfg.loss!r}")
-    if cfg.thresholds not in ("zero", "trainable"):
-        raise ConfigError("thresholds must be zero or trainable")
     parse_activation(cfg.activation)
     if cfg.dataset == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):

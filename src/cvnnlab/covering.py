@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clinalg import frobenius_norm, pq_norm
-from .spectral import covering_bound_linear
+from .spectral import _maurey_k, covering_bound_linear
 from .textio import f17, kv_text
 
 __all__ = [
@@ -216,16 +216,13 @@ def cover_check(
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 2 or not np.any(z):
         raise ValueError("z must be a nonzero matrix")
-    if a <= 0 or eps <= 0:
-        raise ValueError("a and eps must be positive")
     n, d = z.shape
     if m is None:
         m = d
     if m < 1 or n_samples < 1:
         raise ValueError("m and n_samples must be positive")
     b_norm = frobenius_norm(z)
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    k = int(math.ceil(a * a * b_norm * b_norm * m_pow / (eps * eps)))
+    k = _maurey_k(a, b_norm, m, r, eps)
     alpha_proof = a * (1.0 if math.isinf(r) else float(m) ** (1.0 / r)) * b_norm
 
     rng = np.random.default_rng(seed)

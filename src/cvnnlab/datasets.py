@@ -57,8 +57,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    split: str
-    image_shape: tuple | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.inputs)):
@@ -69,6 +67,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.inputs)
+
+    @property
+    def image_shape(self) -> tuple | None:
+        """(h, w, c) of image data, None for vector data."""
+        return self.inputs.shape[1:] if self.inputs.ndim == 4 else None
 
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
@@ -100,7 +103,7 @@ def read_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABEL_MAGIC, 1)
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Paired image/label IDX files as an image dataset.
 
     Inputs are real float64 pixels scaled by 1/255, shaped (n, h, w, 1).
@@ -112,12 +115,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     if images.shape[0] == 0:
         raise IdxError(f"{images_path}: no samples")
     pixels = images.astype(np.float64) / 255.0
-    return Dataset(
-        inputs=pixels[..., None],
-        targets=labels.astype(np.int64),
-        split=split,
-        image_shape=images.shape[1:] + (1,),
-    )
+    return Dataset(inputs=pixels[..., None], targets=labels.astype(np.int64))
 
 
 def _write_idx(array, path, magic: int, ndim: int, shape_error: str) -> None:
@@ -147,14 +145,14 @@ def write_idx(ds: Dataset, images_path, labels_path) -> None:
     write_idx_labels(ds.targets.astype(np.uint8), labels_path)
 
 
-def synthetic_regression(
-    n: int, d: int, teacher: Network, noise: float, seed: int, split: str = "train"
-) -> Dataset:
+def synthetic_regression(n: int, d: int, teacher: Network, noise: float, seed: int) -> Dataset:
     """Teacher-generated regression data with standard complex gaussian inputs.
 
     Inputs have unit-variance complex entries (re and im each N(0, 1/2));
     targets are teacher outputs plus ``noise``-scaled complex gaussian noise.
     """
+    if not noise >= 0:  # also nan
+        raise ValueError("noise must be nonnegative")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(0.5)
     z = scale * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
@@ -163,7 +161,7 @@ def synthetic_regression(
         y = y + noise * scale * (
             rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         )
-    return Dataset(inputs=z, targets=y, split=split)
+    return Dataset(inputs=z, targets=y)
 
 
 def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
@@ -190,12 +188,7 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
         sel = np.sort(np.concatenate(keep))
     else:
         sel = np.sort(rng.choice(ds.n, size=n_keep, replace=False))
-    return Dataset(
-        inputs=ds.inputs[sel],
-        targets=ds.targets[sel],
-        split=ds.split,
-        image_shape=ds.image_shape,
-    )
+    return Dataset(inputs=ds.inputs[sel], targets=ds.targets[sel])
 
 
 def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:

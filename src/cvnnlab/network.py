@@ -29,9 +29,9 @@ It caches the flat index of that entry into the layer input, and its
 backward pass scatters through it.  The abs head maps a complex feature
 vector to entry moduli followed by softmax.
 
-Thresholds are always added in the forward pass; they stay at zero unless
-the network was built with ``train_thresholds=True`` (the bound machinery
-assumes threshold-free networks and warns otherwise).
+Thresholds are added in the forward pass and differentiated in the backward
+pass but never trained: they keep the values a network was built (zero) or
+loaded with.  The bound machinery assumes threshold-free networks and warns.
 
 Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
 one worker per further core the process may run on.  This module is the
@@ -231,11 +231,10 @@ def infer_shapes(layers, input_shape):
 class Network:
     """Layer specs plus their complex parameters."""
 
-    def __init__(self, layers, weights, thresholds, train_thresholds=False):
+    def __init__(self, layers, weights, thresholds):
         self.layers = tuple(layers)
         self.weights = list(weights)
         self.thresholds = list(thresholds)
-        self.train_thresholds = bool(train_thresholds)
         if len(self.weights) != len(self.layers) or len(self.thresholds) != len(self.layers):
             raise ValueError("parameter lists must align with layers")
         for spec, w, h in zip(self.layers, self.weights, self.thresholds):
@@ -256,7 +255,7 @@ class Network:
                 raise ValueError(f"{exc} (counting from layer {first})") from None
 
 
-def build_network(layers, seed=0, train_thresholds=False) -> Network:
+def build_network(layers, seed=0) -> Network:
     """Fresh network with re/im weight parts ~ N(0, 1/(2 fan_in)), zero thresholds."""
     rng = np.random.default_rng(seed)
     weights, thresholds = [], []
@@ -270,7 +269,7 @@ def build_network(layers, seed=0, train_thresholds=False) -> Network:
         std = math.sqrt(1.0 / (2.0 * math.prod(wshape[:-1])))  # fan-in
         weights.append(std * (rng.standard_normal(wshape) + 1j * rng.standard_normal(wshape)))
         thresholds.append(np.zeros(hshape, dtype=np.complex128))
-    return Network(layers, weights, thresholds, train_thresholds=train_thresholds)
+    return Network(layers, weights, thresholds)
 
 
 def max_width(net: Network, input_shape) -> int:
@@ -616,24 +615,17 @@ def backward(net: Network, batch, targets, loss: LossKind):
 
 @dataclass
 class SgdState:
-    velocities: list = field(default_factory=list)
+    velocities: list = field(default_factory=list)  # per layer: the weight's, or None
 
 
 def sgd_init(net: Network) -> SgdState:
-    vel = []
-    for w, h in zip(net.weights, net.thresholds):
-        if w is None:
-            vel.append(None)
-        else:
-            vel.append((np.zeros_like(w), np.zeros_like(h)))
-    return SgdState(velocities=vel)
+    return SgdState(velocities=[None if w is None else np.zeros_like(w) for w in net.weights])
 
 
 def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -> None:
-    """v <- momentum v + g; p <- p - lr v, applied to re/im parts independently.
+    """v <- momentum v + dW; W <- W - lr v, applied to re/im parts independently.
 
-    Mutates the network and state in place.  Thresholds move only when the
-    network was built with trainable thresholds.
+    Mutates the weights and state in place; thresholds never move.
     """
     if not lr > 0:  # also nan
         raise ValueError("lr must be positive")
@@ -642,15 +634,10 @@ def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -
     for pos, g in enumerate(grads):
         if g is None:
             continue
-        dw, dh = g
-        vw, vh = state.velocities[pos]
-        vw *= momentum
-        vw += dw
-        net.weights[pos] -= lr * vw
-        vh *= momentum
-        vh += dh
-        if net.train_thresholds:
-            net.thresholds[pos] -= lr * vh
+        v = state.velocities[pos]
+        v *= momentum
+        v += g[0]
+        net.weights[pos] -= lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +697,6 @@ def save_checkpoint(net: Network, path) -> None:
     ]
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "train_thresholds": net.train_thresholds,
         "layers": [_layer_to_json(s) for s in net.layers],
         "params": params,
     }
@@ -762,6 +748,6 @@ def load_checkpoint(path) -> Network:
         weights.append(None if shapes is None else _param_array(pdoc, "weight", shapes[0]))
         thresholds.append(None if shapes is None else _param_array(pdoc, "threshold", shapes[1]))
     try:
-        return Network(layers, weights, thresholds, bool(doc.get("train_thresholds", False)))
+        return Network(layers, weights, thresholds)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc

@@ -42,7 +42,7 @@ from .clinalg import (
     pq_norm,
     spectral_norm_power,
 )
-from .conv import DEFAULT_LOWERING_BUDGET, LoweringBudgetError, layer_matrix
+from .conv import LoweringBudgetError, layer_matrix
 from .network import Conv, Dense, Network, infer_shapes
 from .textio import kv_text, read_kv
 
@@ -113,12 +113,7 @@ class SpectralReport:
     power_iteration_converged: bool  # every layer's solve; the name is report format v2's
 
 
-def analyze(
-    net: Network,
-    input_shape,
-    *,
-    memory_budget: int | None = DEFAULT_LOWERING_BUDGET,
-) -> SpectralReport:
+def analyze(net: Network, input_shape) -> SpectralReport:
     """Per-layer spectral data and the aggregate complexity of a network.
 
     ``input_shape`` fixes the linear map induced by each conv layer; an
@@ -141,7 +136,7 @@ def analyze(
             res = conv_spectral_norm(kernel, shapes[pos])
             s = res.value
             try:
-                m = layer_matrix(kernel, shapes[pos], memory_budget=memory_budget)
+                m = layer_matrix(kernel, shapes[pos])
                 # the weight-matrix orientation (inputs x outputs) is the
                 # transpose of the column-action lowering, so ||A^T||_{2,1}
                 # is the (2,1) norm of the lowering itself
@@ -208,13 +203,10 @@ class BoundInputs:
 
 
 def bound_iid(inp: BoundInputs) -> float:
-    """Generalization gap bound for i.i.d. samples (confidence 1 - delta)."""
-    n = float(inp.n)
-    return (
-        8.0 * inp.m / n**1.5
-        + 36.0 * inp.z_norm * math.sqrt(2.0 * math.log(2.0 * inp.w)) * math.log(n) * inp.r_a / n
-        + 3.0 * inp.m * math.sqrt(math.log(2.0 / inp.delta) / (2.0 * n))
-    )
+    """Generalization gap bound for i.i.d. samples (confidence 1 - delta):
+    2 * rademacher_bound + 3 M sqrt(ln(2/delta)/(2n))."""
+    rademacher = rademacher_bound(inp.m, inp.n, inp.w, inp.z_norm, inp.r_a)
+    return 2.0 * rademacher + 3.0 * inp.m * math.sqrt(math.log(2.0 / inp.delta) / (2.0 * inp.n))
 
 
 def bound_sequential(inp: BoundInputs) -> float:
@@ -228,11 +220,7 @@ def bound_sequential(inp: BoundInputs) -> float:
 
 
 def rademacher_bound(m: float, n: int, w: int, z_norm: float, r_a: float) -> float:
-    """Empirical Rademacher complexity ceiling behind the i.i.d. bound.
-
-    Satisfies bound_iid == 2 * rademacher_bound + 3 M sqrt(ln(2/delta)/(2n))
-    exactly.
-    """
+    """Empirical Rademacher complexity ceiling behind the i.i.d. bound."""
     if not (m > 0 and n > 0 and w > 0 and z_norm > 0 and r_a >= 0):
         raise ValueError("inputs must be positive (r_a nonnegative)")
     nf = float(n)
@@ -247,8 +235,8 @@ def covering_bound_network(z_norm: float, w: int, eps: float, layers) -> float:
 
     ``layers`` holds (s_i, b_i, rho_i) triples; every s_i must be positive.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and eps * eps > 0):  # also nan, and an eps whose square underflows
+        raise ValueError("eps must be positive, with a nonzero square")
     prod = 1.0
     ratio_sum = 0.0
     for s, b, rho in layers:
@@ -256,7 +244,7 @@ def covering_bound_network(z_norm: float, w: int, eps: float, layers) -> float:
             raise ValueError("covering bound needs s_i > 0")
         prod *= s * s * rho * rho
         ratio_sum += (b / s) ** (2.0 / 3.0)
-    return (z_norm**2 * math.log(4.0 * w * w) / eps**2) * prod * ratio_sum**3
+    return (z_norm**2 * math.log(4.0 * w * w) / (eps * eps)) * prod * ratio_sum**3
 
 
 def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: int) -> float:
@@ -265,14 +253,23 @@ def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: i
     ``r`` is the exponent conjugate to the data's p-norm; r = inf gives the
     m^(2/r) = 1 instantiation the i.i.d. bound uses.
     """
-    if a <= 0 or b <= 0 or eps <= 0:
-        raise ValueError("a, b, eps must be positive")
     if m < 1 or d < 1:
         raise ValueError("m, d must be positive integers")
     if r < 1:
         raise ValueError("r must be >= 1 (possibly inf)")
+    return _maurey_k(a, b, m, r, eps) * math.log(4.0 * d * m)
+
+
+def _maurey_k(a: float, b: float, m: int, r: float, eps: float) -> int:
+    """Atoms k = ceil(a^2 b^2 m^(2/r) / eps^2) that Maurey sparsification
+    needs to cover {ZA : ||A||_{q,s} <= a} at scale eps, ||Z||_p <= b."""
+    if not (a > 0 and b > 0 and eps > 0):  # also nan
+        raise ValueError("a, b, eps must be positive")
     m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    return math.ceil(a * a * b * b * m_pow / (eps * eps)) * math.log(4.0 * d * m)
+    ratio = a * a * b * b * m_pow / (eps * eps) if eps * eps > 0 else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError("k = ceil(a^2 b^2 m^(2/r) / eps^2) is beyond the float range")
+    return math.ceil(ratio)
 
 
 def pac_sample_size(

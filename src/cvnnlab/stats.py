@@ -185,11 +185,11 @@ class TrainingTrace:
             raise ValueError("epochs must be strictly increasing")
 
 
-def correlate_trace(trace: TrainingTrace, p_method: str = "auto") -> SpearmanResult:
+def correlate_trace(trace: TrainingTrace) -> SpearmanResult:
     """Spearman correlation of the spectral-norm product against excess risk."""
     mask = np.isfinite(trace.sn_product)
     sn = trace.sn_product[mask]
     er = trace.excess_risk[mask]
     if sn.shape[0] < 3:
         raise ValueError("need at least 3 epochs with spectral data")
-    return spearman(sn, er, p_method=p_method)
+    return spearman(sn, er)

@@ -36,6 +36,7 @@ from cvnnlab.network import (
     save_checkpoint,
 )
 from cvnnlab.spectral import analyze
+from cvnnlab.textio import read_kv
 
 
 SYNTH_CFG = """
@@ -96,10 +97,33 @@ class TestConfigParsing:
             pass
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
-    @pytest.mark.parametrize("key", ["lr", "lr_decay_factor", "synthetic_noise", "momentum"])
+    @pytest.mark.parametrize("key", ["lr", "synthetic_noise", "momentum"])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: .* is not finite"):
             parse_config(f"dataset = synthetic\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("thresholds", "trainable"), ("lr_decay_step", "10"), ("lr_decay_factor", "0.5")],
+    )
+    def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "run") + f"{key} = {value}\n"
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("synthetic_noise", "-0.5"), ("seed", "-1"), ("synthetic_teacher_seed", "-1")]
+    )
+    def test_negative_noise_or_seed_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0"):
+            parse_config(f"dataset = synthetic\n{key} = {value}\n")
+
+    def test_readme_example_uses_config_keys_only(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [key for _, key, _ in read_kv(example)]
+        assert keys and set(keys) <= set(CONFIG_KEYS)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -211,7 +235,7 @@ class TestTrainCommand:
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "run")
         cfg = parse_config(text.replace("synthetic_train_n = 64", "synthetic_train_n = 420"))
         result = run_training(cfg)
-        train, _, _ = _load_data(cfg)
+        train, _ = _load_data(cfg)
         out = forward(load_checkpoint(result["checkpoint"]), train.inputs)
         row = Path(result["trace"]).read_text().splitlines()[1].split(",")
         assert float(row[1]) == compute_loss(out, train.targets, LossKind("l2"))
@@ -250,13 +274,12 @@ out_dir = {tmp_path / 'run'}
             ("synthetic", "synthetic_train_n = 0", 2),
             ("synthetic", "synthetic_test_n = 0", 2),
             ("synthetic", "synthetic_dim = 0", 2),
-            ("synthetic", "lr_decay_step = 1\nlr_decay_factor = 0", 2),
             ("idx", "train_subsample = -1", 2),
             ("idx", "test_subsample = -1", 2),
             ("empty_idx_test", "", 3),
         ],
         ids=[
-            "train_n", "test_n", "dim", "decay_factor", "train_subsample", "test_subsample",
+            "train_n", "test_n", "dim", "train_subsample", "test_subsample",
             "empty_idx_test",
         ],
     )
@@ -396,6 +419,14 @@ class TestAnalyzeCommand:
         text = out.read_text()
         assert "r_a = 1.9999999999999998" in text or "r_a = 2" in text
 
+    def test_memory_budget_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "analyze", "--checkpoint", str(tmp_path / "ck.json"), "--input-shape", "6x6x1",
+                "--memory-budget", "4",
+            ])
+        assert exc.value.code == 2
+
     def test_zero_checkpoint_sn_product(self, tmp_path):
         net = Network([Dense(2, 2)], [np.zeros((2, 2), complex)], [np.zeros(2, complex)])
         ck = tmp_path / "zero.json"
@@ -417,13 +448,15 @@ class TestAnalyzeCommand:
     def test_budget_fallback_warns_exit_5(self, tmp_path):
         from cvnnlab.network import build_network
 
-        net = build_network([Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)], seed=2)
+        # the conv's lowering has 4225^2 entries, above the 2^24 budget
+        net = build_network(
+            [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)], seed=2
+        )
         ck = tmp_path / "conv.json"
         save_checkpoint(net, ck)
         out = tmp_path / "rep.txt"
         rc = main([
-            "analyze", "--checkpoint", str(ck), "--input-shape", "6x6x1",
-            "--out", str(out), "--memory-budget", "4",
+            "analyze", "--checkpoint", str(ck), "--input-shape", "65x65x1", "--out", str(out),
         ])
         assert rc == 5
         text = out.read_text()
@@ -635,14 +668,14 @@ class TestBoundsCommand:
     def test_sn_product_only_rejected(self, tmp_path):
         from cvnnlab.network import build_network
 
-        net = build_network([Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)], seed=2)
+        # the conv's lowering has 4225^2 entries, above the 2^24 budget
+        net = build_network(
+            [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)], seed=2
+        )
         ck = tmp_path / "conv.json"
         save_checkpoint(net, ck)
         rep = tmp_path / "rep.txt"
-        main([
-            "analyze", "--checkpoint", str(ck), "--input-shape", "6x6x1",
-            "--out", str(rep), "--memory-budget", "4",
-        ])
+        main(["analyze", "--checkpoint", str(ck), "--input-shape", "65x65x1", "--out", str(rep)])
         rc = main([
             "bounds", "--report", str(rep), "--mode", "iid",
             "--m", "1", "--n", "100", "--w", "8", "--z-norm", "10", "--delta", "0.1",
@@ -723,6 +756,15 @@ class TestOtherCommands:
         ])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, eps", [("inf", "0.5"), ("1e200", "1e-200"), ("nan", "0.5")])
+    def test_cover_lab_count_beyond_floats_is_input_error(self, capsys, a, eps):
+        rc = main([
+            "cover-lab", "--d", "2", "--m", "2", "--n", "3", "--a", a, "--eps", eps,
+            "--samples", "2", "--trials", "4",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
     def test_lipschitz_probe_output(self, capsys):
         rc = main(["lipschitz-probe", "--kind", "split_tanh", "--domain-bound", "2", "--pairs", "5000", "--seed", "1"])

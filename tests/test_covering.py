@@ -264,6 +264,11 @@ class TestCoverCheck:
         with pytest.raises(ValueError):
             cover_check(z, 1.0, 0.0, 1, 4)
 
+    @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1e200, 1e-200), (math.nan, 0.5)])
+    def test_count_beyond_floats_raises(self, rng, a, eps):
+        with pytest.raises(ValueError):
+            cover_check(random_complex(rng, 3, 2), a, eps, 2, 4, m=2)
+
     def test_serialization_contains_fields(self, rng):
         rep = cover_check(random_complex(rng, 3, 2), 1.0, 0.5, 5, 8, seed=2, m=2)
         text = cover_report_to_text(rep)

@@ -103,7 +103,7 @@ class TestLoadIdx:
         from cvnnlab.datasets import Dataset
 
         with pytest.raises(ValueError, match="finite"):
-            Dataset(inputs=np.array([[np.nan]]), targets=np.array([0]), split="train")
+            Dataset(inputs=np.array([[np.nan]]), targets=np.array([0]))
 
 
 class TestRoundTrip:
@@ -141,6 +141,11 @@ class TestSyntheticRegression:
         npt.assert_array_equal(a.inputs, b.inputs)
         npt.assert_array_equal(a.targets, b.targets)
 
+    def test_negative_noise_rejected(self):
+        teacher = build_network([Dense(6, 3, SPLIT_TANH)], seed=1)
+        with pytest.raises(ValueError, match="noise must be nonnegative"):
+            synthetic_regression(16, 6, teacher, noise=-0.5, seed=9)
+
     def test_unit_variance_entries(self):
         teacher = build_network([Dense(120, 2, SPLIT_TANH)], seed=1)
         ds = synthetic_regression(100, 120, teacher, noise=0.0, seed=3)
@@ -154,12 +159,7 @@ class TestSubsample:
         labels = rng.integers(0, 10, size=n).astype(np.uint8)
         from cvnnlab.datasets import Dataset
 
-        return Dataset(
-            inputs=images / 255.0,
-            targets=labels.astype(np.int64),
-            split="train",
-            image_shape=(3, 3, 1),
-        )
+        return Dataset(inputs=images[..., None] / 255.0, targets=labels.astype(np.int64))
 
     def test_full_keep_preserves_content(self, rng):
         ds = self._labeled(rng)

@@ -430,18 +430,17 @@ class TestSgd:
         g = np.array([[2.0 + 1j]])
         state = sgd_init(net)
         sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, state=state)
-        v1 = state.velocities[0][0].copy()
+        v1 = state.velocities[0].copy()
         zeros = (np.zeros((1, 1), complex), np.zeros(1, complex))
         sgd_step(net, [zeros], lr=0.1, momentum=0.9, state=state)
-        npt.assert_allclose(state.velocities[0][0], 0.9 * v1)
+        npt.assert_allclose(state.velocities[0], 0.9 * v1)
 
     def test_threshold_updates_gated(self):
-        for trainable, moved in ((False, False), (True, True)):
-            net = build_network([Dense(2, 2)], seed=3, train_thresholds=trainable)
-            state = sgd_init(net)
-            g = (np.zeros((2, 2), complex), np.ones(2, complex))
-            sgd_step(net, [g], lr=0.1, momentum=0.0, state=state)
-            assert bool(np.any(net.thresholds[0] != 0)) is moved
+        net = build_network([Dense(2, 2)], seed=3)
+        state = sgd_init(net)
+        g = (np.zeros((2, 2), complex), np.ones(2, complex))
+        sgd_step(net, [g], lr=0.1, momentum=0.0, state=state)
+        assert not np.any(net.thresholds[0] != 0)
 
     def test_validates_hyperparameters(self):
         net = build_network([Dense(1, 1)], seed=0)
@@ -725,12 +724,11 @@ class TestCheckpoints:
         )
 
     def test_round_trip_bitwise(self, tmp_path):
-        # extreme magnitudes, a modrelu threshold and trainable thresholds
+        # extreme magnitudes, a modrelu threshold and nonzero thresholds
         extreme = Network(
             [Dense(1, 2, modrelu(-0.25))],
             [np.array([[5e-324 + 1.7976931348623157e308j, -1e-300 + 0.1j]])],
             [np.array([3.0 - 7e-9j, -2.5e100 + 1j])],
-            train_thresholds=True,
         )
         # negative zeros in both parts: the sign of zero must survive too
         signed_zeros = Network(
@@ -742,7 +740,6 @@ class TestCheckpoints:
             path = tmp_path / "ckpt.json"
             save_checkpoint(net, path)
             loaded = load_checkpoint(path)
-            assert loaded.train_thresholds == net.train_thresholds
             assert loaded.layers == net.layers
             for params in ("weights", "thresholds"):
                 for pa, pb in zip(getattr(net, params), getattr(loaded, params)):
@@ -808,6 +805,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="unsupported format_version 99"):
             load_checkpoint(path)
 
+    def test_old_train_thresholds_key_is_ignored(self, tmp_path):
+        # checkpoints saved while thresholds could be trained carry this key
+        net = Network([Dense(1, 2)], [np.array([[1 + 2j, 3 - 1j]])], [np.array([0.5 - 0.25j, -1j])])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        saved = path.read_bytes()
+        doc = json.loads(saved)
+        path.write_text(json.dumps({"format_version": 1, "train_thresholds": True, **doc}))
+        loaded = load_checkpoint(path)
+        npt.assert_array_equal(loaded.thresholds[0], net.thresholds[0])
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == saved
+
     def test_seventeen_digit_floats(self, tmp_path):
         # a value whose shortest repr is shorter than 17 significant digits
         net = Network([Dense(1, 1)], [np.array([[0.1 + 0.25j]])], [np.zeros(1, complex)])
@@ -853,7 +863,6 @@ def _valid_checkpoint_text():
     net = build_network(
         [Conv(2, 2, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 3, modrelu(-0.5)), AbsHead(3)],
         seed=4,
-        train_thresholds=True,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"

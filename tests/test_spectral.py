@@ -288,10 +288,17 @@ class TestAnalyze:
         full = analyze(net, (6, 6, 1))
         assert not full.sn_product_only
         assert full.r_a is not None and full.r_a > 0
-        limited = analyze(net, (6, 6, 1), memory_budget=4)
+        # the conv's lowering has 4225^2 entries, above the 2^24 budget
+        layers = [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)]
+        net = build_network(layers, seed=2)
+        limited = analyze(net, (65, 65, 1))
         assert limited.sn_product_only
         assert limited.r_a is None
-        assert limited.sn_product == pytest.approx(full.sn_product, rel=1e-12)
+        assert limited.layers[0].b is None
+        # a 1x1 single-channel conv is its one tap k times the identity
+        k = net.weights[0].item()
+        expected = abs(k) * spectral_norm_oracle(net.weights[2])
+        assert limited.sn_product == pytest.approx(expected, rel=1e-12)
 
     def test_modrelu_marks_empirical(self, rng):
         net = build_network([Dense(3, 3, modrelu(-0.5))], seed=4)
@@ -378,6 +385,16 @@ class TestBounds:
                 math.log(2.0 / delta) / (2.0 * n)
             )
             assert bound_iid(inp) == pytest.approx(reconstructed, rel=1e-15)
+
+    def test_rademacher_identity_is_exact(self, rng):
+        for _ in range(200):
+            m, z = 10.0 ** rng.uniform(-3, 3, size=2)
+            n, w = (int(v) for v in rng.integers(1, 10**6, size=2))
+            r = float(10.0 ** rng.uniform(-6, 6))
+            delta = float(rng.uniform(0.001, 0.999))
+            inp = BoundInputs(m=m, n=n, w=w, z_norm=z, r_a=r, delta=delta)
+            tail = 3.0 * m * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+            assert bound_iid(inp) == 2.0 * rademacher_bound(m, n, w, z, r) + tail
 
     def test_rademacher_r_a_zero(self):
         assert rademacher_bound(1.0, 100, 2, 1.0, 0.0) == pytest.approx(4.0 / 1000.0, rel=1e-14)
@@ -476,6 +493,16 @@ class TestCoveringBounds:
         manual = (z**2 * math.log(4 * w * w) / eps**2) * lip**2 * ratio**3
         assert got == pytest.approx(manual, rel=1e-12)
 
+    @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1e200, 1e-200), (math.nan, 0.5)])
+    def test_linear_count_beyond_floats_raises(self, a, eps):
+        with pytest.raises(ValueError):
+            covering_bound_linear(a, 1.0, 2, math.inf, eps, 2)
+
+    @pytest.mark.parametrize("eps", [math.nan, 1e-200, 0.0])
+    def test_network_eps_without_a_positive_square_raises(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            covering_bound_network(1.0, 2, eps, [(1.0, 1.0, 1.0)])
+
     def test_network_rejects_zero_layer(self):
         with pytest.raises(ValueError):
             covering_bound_network(1.0, 2, 0.5, [(0.0, 1.0, 1.0)])
@@ -534,9 +561,9 @@ class TestReportSerialization:
         assert report_from_text(report_to_text(rep)) == rep
 
     def test_sn_product_only_round_trip(self, rng):
-        layers = [Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)]
+        layers = [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)]
         net = build_network(layers, seed=2)
-        rep = analyze(net, (6, 6, 1), memory_budget=4)
+        rep = analyze(net, (65, 65, 1))  # a lowering above the budget
         back = report_from_text(report_to_text(rep))
         assert back.r_a is None
         assert back.sn_product_only
