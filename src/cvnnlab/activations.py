@@ -47,8 +47,6 @@ __all__ = [
     "SPLIT_TANH",
     "CRELU",
     "AMP_TANH",
-    "modrelu",
-    "ACTIVATION_KINDS",
     "apply",
     "jacobian_fields",
     "backprop",
@@ -78,10 +76,6 @@ class Activation:
 SPLIT_TANH = Activation("split_tanh")
 CRELU = Activation("crelu")
 AMP_TANH = Activation("amp_tanh")
-
-
-def modrelu(b: float) -> Activation:
-    return Activation("modrelu", b=float(b))
 
 
 def _floats(z):

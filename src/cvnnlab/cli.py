@@ -140,7 +140,7 @@ def run_training(cfg: ExperimentConfig):
         raise ConfigError("l2 loss needs a complex output (drop the abs head)")
     net = build_network(layers, seed=cfg.seed)
     loss = LossKind(cfg.loss)
-    state = sgd_init(net)
+    velocities = sgd_init(net)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
@@ -157,7 +157,7 @@ def run_training(cfg: ExperimentConfig):
                 for start in range(0, train.n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
                     grads = backward(net, train.inputs[idx], train.targets[idx], loss)
-                    sgd_step(net, grads, cfg.lr, cfg.momentum, state)
+                    sgd_step(net, grads, cfg.lr, cfg.momentum, velocities)
 
             train_loss, train_acc = _evaluate(net, train, loss, update_ceiling=True)
             params = [p for p in net.weights + net.thresholds if p is not None]

@@ -20,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "as_cmatrix",
     "frobenius_norm",
     "pq_norm",
-    "real_embedding",
     "matmul_complex",
-    "PowerIterationResult",
+    "LanczosResult",
     "gram_lanczos",
     "spectral_norm_power",
-    "spectral_norm",
     "spectral_norm_oracle",
 ]
 
@@ -112,7 +109,7 @@ def matmul_complex(a, w, out=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PowerIterationResult:
+class LanczosResult:
     """Spectral norm estimate plus convergence metadata."""
 
     value: float
@@ -120,7 +117,7 @@ class PowerIterationResult:
     converged: bool
 
 
-def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> PowerIterationResult:
+def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> LanczosResult:
     """sqrt of the largest eigenvalue of a Hermitian PSD operator (a Gram map
     w = A*A v on arrays of ``shape``), by Lanczos from a seeded random start.
 
@@ -150,7 +147,7 @@ def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> PowerIterationResult
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
             w = gram_apply(q.reshape(shape)).ravel()
         if not math.isfinite(np.linalg.norm(w)):
-            return PowerIterationResult(math.inf, k, False)
+            return LanczosResult(math.inf, k, False)
         # divide by the computed |q|^2 so that the identity gives exactly 1
         alphas.append(np.vdot(q, w).real / np.vdot(q, q).real)
         done = basis[:k]
@@ -160,10 +157,10 @@ def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> PowerIterationResult
         evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         theta = max(float(evals[-1]), 0.0)
         if beta * abs(evecs[-1, -1]) <= tol * theta or k == n:
-            return PowerIterationResult(math.sqrt(theta), k, True)
+            return LanczosResult(math.sqrt(theta), k, True)
         betas.append(beta)
         q = w / beta
-    return PowerIterationResult(math.sqrt(theta), k_max, False)
+    return LanczosResult(math.sqrt(theta), k_max, False)
 
 
 def spectral_norm_power(
@@ -171,7 +168,7 @@ def spectral_norm_power(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
-) -> PowerIterationResult:
+) -> LanczosResult:
     """Largest singular value by :func:`gram_lanczos` on A*A.
 
     The zero matrix short-circuits to 0.  Non-convergence within
@@ -180,19 +177,9 @@ def spectral_norm_power(
     """
     a = as_cmatrix(a)
     if a.size == 0 or not np.any(a):
-        return PowerIterationResult(0.0, 0, True)
+        return LanczosResult(0.0, 0, True)
     a_h = a.conj().T
     return gram_lanczos(lambda v: a_h @ (a @ v), a.shape[1], tol, max_iter, seed)
-
-
-def spectral_norm(
-    a,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> float:
-    """Convenience wrapper around :func:`spectral_norm_power`."""
-    return spectral_norm_power(a, tol=tol, max_iter=max_iter, seed=seed).value
 
 
 def spectral_norm_oracle(a) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "parse_activation",
     "build_layers",
     "parse_shape",
-    "CONFIG_KEYS",
 ]
 
 

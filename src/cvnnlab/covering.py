@@ -42,7 +42,6 @@ __all__ = [
     "maurey_sparsify",
     "maurey_expectation_bound",
     "CoverReport",
-    "cover_target",
     "cover_check",
     "cover_report_to_text",
 ]

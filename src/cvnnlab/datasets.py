@@ -31,12 +31,9 @@ __all__ = [
     "IdxError",
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
-    "read_idx_images",
-    "read_idx_labels",
     "load_idx",
     "write_idx_images",
     "write_idx_labels",
-    "write_idx",
     "synthetic_regression",
     "subsample",
     "synthetic_glyphs",
@@ -68,11 +65,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.inputs)
 
-    @property
-    def image_shape(self) -> tuple | None:
-        """(h, w, c) of image data, None for vector data."""
-        return self.inputs.shape[1:] if self.inputs.ndim == 4 else None
-
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
     """The uint8 payload of an IDX file, shaped by its ``ndim`` dimension fields."""
@@ -93,23 +85,13 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(shape).copy()
 
 
-def read_idx_images(path) -> np.ndarray:
-    """uint8 image array (count, rows, cols) from an IDX image file."""
-    return _read_idx(path, IMAGE_MAGIC, 3)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    """uint8 label vector (count,) from an IDX label file."""
-    return _read_idx(path, LABEL_MAGIC, 1)
-
-
 def load_idx(images_path, labels_path) -> Dataset:
     """Paired image/label IDX files as an image dataset.
 
     Inputs are real float64 pixels scaled by 1/255, shaped (n, h, w, 1).
     """
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    images = _read_idx(images_path, IMAGE_MAGIC, 3)  # (count, rows, cols)
+    labels = _read_idx(labels_path, LABEL_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise IdxError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     if images.shape[0] == 0:
@@ -133,16 +115,6 @@ def write_idx_images(images: np.ndarray, path) -> None:
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
     _write_idx(labels, path, LABEL_MAGIC, 1, "labels must be 1-D")
-
-
-def write_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Re-serialize a loaded image dataset; exact inverse of :func:`load_idx`."""
-    if ds.image_shape is None:
-        raise ValueError("dataset carries no image shape")
-    pixels = np.rint(ds.inputs.real * 255.0).astype(np.uint8)
-    h, w, _ = ds.image_shape
-    write_idx_images(pixels.reshape(ds.n, h, w), images_path)
-    write_idx_labels(ds.targets.astype(np.uint8), labels_path)
 
 
 def synthetic_regression(n: int, d: int, teacher: Network, noise: float, seed: int) -> Dataset:
@@ -191,9 +163,10 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     return Dataset(inputs=ds.inputs[sel], targets=ds.targets[sel])
 
 
-def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
+def _box_blur(img: np.ndarray) -> np.ndarray:
+    """Three passes of a 3x3 mean filter with edge padding."""
     out = img.astype(float)
-    for _ in range(passes):
+    for _ in range(3):
         padded = np.pad(out, 1, mode="edge")
         out = (
             padded[:-2, :-2] + padded[:-2, 1:-1] + padded[:-2, 2:]
@@ -204,16 +177,9 @@ def _box_blur(img: np.ndarray, passes: int = 2) -> np.ndarray:
 
 
 def synthetic_glyphs(
-    n: int,
-    seed: int,
-    classes: int = 10,
-    size: int = 28,
-    noise: float = 0.35,
-    max_shift: int = 4,
-    prototype_seed: int = 7,
-    label_noise: float = 0.0,
+    n: int, seed: int, noise: float = 0.35, max_shift: int = 4, label_noise: float = 0.0
 ):
-    """Procedural image classification task: (uint8 images, labels).
+    """Procedural 10-class task of 28x28 images: (uint8 images, labels).
 
     Each class is a fixed smoothed random prototype; samples are random
     translations of their prototype plus pixel noise.  Class prototypes mix
@@ -222,13 +188,14 @@ def synthetic_glyphs(
     sizes.  ``label_noise`` reassigns that fraction of labels to a random
     other class (images stay rendered from the true class), the standard
     way to induce a generalization gap that widens as training memorizes.
-    Fully deterministic in (seed, prototype_seed).
+    Fully deterministic in ``seed``; the prototypes are the same for every seed.
     """
-    proto_rng = np.random.default_rng(prototype_seed)
-    common = _box_blur(proto_rng.standard_normal((size, size)), passes=3)
+    classes, size = 10, 28
+    proto_rng = np.random.default_rng(7)
+    common = _box_blur(proto_rng.standard_normal((size, size)))
     protos = []
     for _ in range(classes):
-        own = _box_blur(proto_rng.standard_normal((size, size)), passes=3)
+        own = _box_blur(proto_rng.standard_normal((size, size)))
         p = 0.6 * common + 1.0 * own
         p = (p - p.min()) / (p.max() - p.min())
         protos.append(p)

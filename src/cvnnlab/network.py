@@ -73,7 +73,7 @@ import functools
 import json
 import math
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -96,8 +96,6 @@ __all__ = [
     "backward",
     "kept_arrays",
     "compute_loss",
-    "per_sample_losses",
-    "SgdState",
     "sgd_init",
     "sgd_step",
     "save_checkpoint",
@@ -613,19 +611,15 @@ def backward(net: Network, batch, targets, loss: LossKind):
 # SGD with momentum
 
 
-@dataclass
-class SgdState:
-    velocities: list = field(default_factory=list)  # per layer: the weight's, or None
+def sgd_init(net: Network) -> list:
+    """Zero velocities: one per layer, shaped as its weight, or None."""
+    return [None if w is None else np.zeros_like(w) for w in net.weights]
 
 
-def sgd_init(net: Network) -> SgdState:
-    return SgdState(velocities=[None if w is None else np.zeros_like(w) for w in net.weights])
-
-
-def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -> None:
+def sgd_step(net: Network, grads, lr: float, momentum: float, velocities: list) -> None:
     """v <- momentum v + dW; W <- W - lr v, applied to re/im parts independently.
 
-    Mutates the weights and state in place; thresholds never move.
+    Mutates the weights and velocities in place; thresholds never move.
     """
     if not lr > 0:  # also nan
         raise ValueError("lr must be positive")
@@ -634,7 +628,7 @@ def sgd_step(net: Network, grads, lr: float, momentum: float, state: SgdState) -
     for pos, g in enumerate(grads):
         if g is None:
             continue
-        v = state.velocities[pos]
+        v = velocities[pos]
         v *= momentum
         v += g[0]
         net.weights[pos] -= lr * v

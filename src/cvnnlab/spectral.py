@@ -20,9 +20,9 @@ and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
 are 1-Lipschitz and contribute neither s_i nor b_i.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
-empirical Rademacher complexity ceiling behind the i.i.d. bound, covering
-number bounds for a single linear map and for a whole network, and the
-PAC sample-size threshold.
+empirical Rademacher complexity ceiling behind the i.i.d. bound, the
+covering number bound for a single linear map, and the PAC sample-size
+threshold.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .activations import declared_lipschitz
 from .clinalg import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    PowerIterationResult,
+    LanczosResult,
     gram_lanczos,
     pq_norm,
     spectral_norm_power,
@@ -55,7 +55,6 @@ __all__ = [
     "bound_iid",
     "bound_sequential",
     "rademacher_bound",
-    "covering_bound_network",
     "covering_bound_linear",
     "pac_sample_size",
     "report_to_text",
@@ -72,7 +71,7 @@ def conv_spectral_norm(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
-) -> PowerIterationResult:
+) -> LanczosResult:
     """Largest singular value of the induced linear map, matrix-free.
 
     Lanczos (:func:`cvnnlab.clinalg.gram_lanczos`, as on the dense path)
@@ -81,7 +80,7 @@ def conv_spectral_norm(
     """
     kernel = np.asarray(kernel, dtype=np.complex128)
     if not np.any(kernel):
-        return PowerIterationResult(0.0, 0, True)
+        return LanczosResult(0.0, 0, True)
     shape = (1,) + tuple(input_shape)
     return gram_lanczos(
         lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel, shape),
@@ -228,23 +227,6 @@ def rademacher_bound(m: float, n: int, w: int, z_norm: float, r_a: float) -> flo
         4.0 * m / nf**1.5
         + 18.0 * z_norm * math.sqrt(2.0 * math.log(2.0 * w)) * math.log(nf) * r_a / nf
     )
-
-
-def covering_bound_network(z_norm: float, w: int, eps: float, layers) -> float:
-    """log covering number bound of the whole network's output family.
-
-    ``layers`` holds (s_i, b_i, rho_i) triples; every s_i must be positive.
-    """
-    if not (eps > 0 and eps * eps > 0):  # also nan, and an eps whose square underflows
-        raise ValueError("eps must be positive, with a nonzero square")
-    prod = 1.0
-    ratio_sum = 0.0
-    for s, b, rho in layers:
-        if s <= 0:
-            raise ValueError("covering bound needs s_i > 0")
-        prod *= s * s * rho * rho
-        ratio_sum += (b / s) ** (2.0 / 3.0)
-    return (z_norm**2 * math.log(4.0 * w * w) / (eps * eps)) * prod * ratio_sum**3
 
 
 def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: int) -> float:

@@ -16,12 +16,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
-    "EXACT_ENUM_MAX",
     "ConstantInputError",
     "SpearmanResult",
     "TrainingTrace",
-    "average_ranks",
-    "pearson",
     "spearman",
     "excess_risk",
     "correlate_trace",
@@ -65,7 +62,6 @@ def pearson(x, y) -> float:
 class SpearmanResult:
     scc: float
     p: float
-    method: str  # "exact" | "t"
 
 
 def _t_approx_p(rho: float, n: int) -> float:
@@ -145,7 +141,7 @@ def spearman(x, y, p_method: str = "auto") -> SpearmanResult:
         p = _t_approx_p(rho, n)
     else:
         raise ValueError(f"unknown p_method {p_method!r}")
-    return SpearmanResult(scc=rho, p=p, method=p_method)
+    return SpearmanResult(scc=rho, p=p)
 
 
 def excess_risk(train_acc: float, test_acc: float) -> float:

@@ -14,10 +14,9 @@ from cvnnlab.activations import (
     declared_lipschitz,
     jacobian_fields,
     lipschitz_probe,
-    modrelu,
 )
 
-ALL_KINDS = [SPLIT_TANH, CRELU, modrelu(-0.5), AMP_TANH]
+ALL_KINDS = [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.5), AMP_TANH]
 
 
 def jacobian(act, z):
@@ -58,14 +57,14 @@ class TestApply:
 
     def test_modrelu_hand_value(self):
         # (|2| - 1) * (2/2) = 1
-        assert apply(modrelu(-1.0), 2 + 0j) == pytest.approx(1 + 0j)
+        assert apply(Activation("modrelu", b=-1.0), 2 + 0j) == pytest.approx(1 + 0j)
 
     @pytest.mark.parametrize("act", ALL_KINDS)
     def test_zero_maps_to_zero(self, act):
         assert apply(act, 0j) == 0j
 
     def test_modrelu_dead_zone(self, rng):
-        act = modrelu(-1.5)
+        act = Activation("modrelu", b=-1.5)
         z = 0.9 * np.exp(1j * rng.uniform(0, 2 * np.pi, size=50))
         out = apply(act, z)
         npt.assert_array_equal(out, np.zeros_like(out))
@@ -77,7 +76,7 @@ class TestApply:
         npt.assert_allclose(dphase, 0.0, atol=1e-12)
 
     def test_modrelu_preserves_phase_where_active(self, rng):
-        act = modrelu(-0.5)
+        act = Activation("modrelu", b=-0.5)
         z = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, size=100))
         out = apply(act, z)
         npt.assert_allclose(np.angle(out), np.angle(z), atol=1e-12)
@@ -219,11 +218,12 @@ class TestDeclaredLipschitz:
         assert declared_lipschitz(AMP_TANH) == 1.0
 
     def test_modrelu_unknown(self):
-        assert declared_lipschitz(modrelu(-1.0)) == 1.0
-        assert declared_lipschitz(modrelu(0.5)) == math.inf
+        assert declared_lipschitz(Activation("modrelu", b=-1.0)) == 1.0
+        assert declared_lipschitz(Activation("modrelu", b=0.5)) == math.inf
 
     @pytest.mark.parametrize(
-        "act", [SPLIT_TANH, CRELU, AMP_TANH, modrelu(0.0), modrelu(-0.5), modrelu(-3.0)]
+        "act",
+        [SPLIT_TANH, CRELU, AMP_TANH] + [Activation("modrelu", b=b) for b in (0.0, -0.5, -3.0)],
     )
     def test_declared_covers_jacobian_norm_on_grid(self, act):
         # off the kinks the Lipschitz constant is the sup of the Jacobian's
@@ -235,7 +235,7 @@ class TestDeclaredLipschitz:
         worst = float(np.linalg.norm(jac, ord=2, axis=(1, 2)).max())
         assert 0.0 < worst <= declared_lipschitz(act) + 1e-12  # rounding only
 
-    @pytest.mark.parametrize("act", [AMP_TANH, modrelu(-0.5)])
+    @pytest.mark.parametrize("act", [AMP_TANH, Activation("modrelu", b=-0.5)])
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 50.0])
     def test_probe_under_declared(self, act, alpha):
         assert lipschitz_probe(act, alpha, 50_000, seed=4) <= declared_lipschitz(act) + 1e-12

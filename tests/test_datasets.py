@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -14,12 +15,9 @@ from cvnnlab.datasets import (
     IdxError,
     LABEL_MAGIC,
     load_idx,
-    read_idx_images,
-    read_idx_labels,
     subsample,
     synthetic_glyphs,
     synthetic_regression,
-    write_idx,
     write_idx_images,
     write_idx_labels,
 )
@@ -38,6 +36,18 @@ def idx_fixture(tmp_path):
     return images_path, labels_path, image_bytes, label_bytes
 
 
+def idx_readers(images_path, labels_path):
+    """:func:`load_idx` reading a file as the image file beside ``labels_path``,
+    and as the label file beside ``images_path``."""
+    return lambda path: load_idx(path, labels_path), lambda path: load_idx(images_path, path)
+
+
+def write_back(ds, images_path, labels_path):
+    """Write a loaded image dataset back as IDX files."""
+    write_idx_images(np.rint(ds.inputs[..., 0] * 255).astype(np.uint8), images_path)
+    write_idx_labels(ds.targets, labels_path)
+
+
 class TestLoadIdx:
     def test_hand_crafted_fixture(self, idx_fixture):
         images_path, labels_path, _, _ = idx_fixture
@@ -45,37 +55,41 @@ class TestLoadIdx:
         npt.assert_allclose(ds.inputs.real.ravel(), [0.0, 1.0, 128 / 255, 0.0])
         npt.assert_array_equal(ds.inputs.imag, np.zeros_like(ds.inputs.imag))
         assert ds.targets.tolist() == [7]
-        assert ds.image_shape == (2, 2, 1)
+        assert ds.inputs.shape == (1, 2, 2, 1)
 
     def test_wrong_magic(self, idx_fixture):
         images_path, labels_path, _, _ = idx_fixture
+        read_images, read_labels = idx_readers(images_path, labels_path)
         # the 9-byte label file is shorter than an image header: the magic is
         # still what gets reported
         with pytest.raises(IdxError, match="magic 0x00000801, expected 0x00000803"):
-            read_idx_images(labels_path)
+            read_images(labels_path)
         with pytest.raises(IdxError, match="magic 0x00000803, expected 0x00000801"):
-            read_idx_labels(images_path)
+            read_labels(images_path)
 
     def test_truncated_payload(self, idx_fixture, tmp_path):
-        _, _, image_bytes, label_bytes = idx_fixture
+        images_path, labels_path, image_bytes, label_bytes = idx_fixture
+        read_images, read_labels = idx_readers(images_path, labels_path)
         bad = tmp_path / "trunc.idx"
-        for reader, data in ((read_idx_images, image_bytes), (read_idx_labels, label_bytes)):
+        for reader, data in ((read_images, image_bytes), (read_labels, label_bytes)):
             bad.write_bytes(data[:-1])
             with pytest.raises(IdxError, match="payload short by 1 bytes"):
                 reader(bad)
 
-    def test_truncated_header(self, tmp_path):
+    def test_truncated_header(self, idx_fixture, tmp_path):
+        read_images, read_labels = idx_readers(*idx_fixture[:2])
         bad = tmp_path / "tiny.idx"
-        for reader, magic in ((read_idx_images, IMAGE_MAGIC), (read_idx_labels, LABEL_MAGIC)):
+        for reader, magic in ((read_images, IMAGE_MAGIC), (read_labels, LABEL_MAGIC)):
             for data in (b"\x00\x00", struct.pack(">I", magic) + b"\x00\x00\x00"):
                 bad.write_bytes(data)
                 with pytest.raises(IdxError, match="truncated header"):
                     reader(bad)
 
     def test_trailing_garbage(self, idx_fixture, tmp_path):
-        _, _, image_bytes, label_bytes = idx_fixture
+        images_path, labels_path, image_bytes, label_bytes = idx_fixture
+        read_images, read_labels = idx_readers(images_path, labels_path)
         bad = tmp_path / "extra.idx"
-        for reader, data in ((read_idx_images, image_bytes), (read_idx_labels, label_bytes)):
+        for reader, data in ((read_images, image_bytes), (read_labels, label_bytes)):
             bad.write_bytes(data + b"\x01")
             with pytest.raises(IdxError, match="1 trailing bytes"):
                 reader(bad)
@@ -111,7 +125,7 @@ class TestRoundTrip:
         images_path, labels_path, image_bytes, label_bytes = idx_fixture
         ds = load_idx(images_path, labels_path)
         out_i, out_l = tmp_path / "out_i", tmp_path / "out_l"
-        write_idx(ds, out_i, out_l)
+        write_back(ds, out_i, out_l)
         assert out_i.read_bytes() == image_bytes
         assert out_l.read_bytes() == label_bytes
 
@@ -121,7 +135,7 @@ class TestRoundTrip:
         write_idx_images(images, tmp_path / "i")
         write_idx_labels(labels, tmp_path / "l")
         ds = load_idx(tmp_path / "i", tmp_path / "l")
-        write_idx(ds, tmp_path / "i2", tmp_path / "l2")
+        write_back(ds, tmp_path / "i2", tmp_path / "l2")
         assert (tmp_path / "i").read_bytes() == (tmp_path / "i2").read_bytes()
         assert (tmp_path / "l").read_bytes() == (tmp_path / "l2").read_bytes()
 
@@ -207,8 +221,18 @@ class TestGlyphs:
         write_idx_images(imgs, tmp_path / "gi")
         write_idx_labels(lbls, tmp_path / "gl")
         ds = load_idx(tmp_path / "gi", tmp_path / "gl")
-        assert ds.n == 32
-        assert ds.image_shape == (28, 28, 1)
+        assert ds.inputs.shape == (32, 28, 28, 1)
+
+    def test_bytes_pinned(self):
+        # the 10 classes, 28x28 size, prototype seed 7 and 3 blur passes are
+        # constants; these digests pin the images and labels they produce
+        imgs, lbls = synthetic_glyphs(64, seed=5, label_noise=0.1)
+        assert hashlib.sha256(imgs.tobytes()).hexdigest() == (
+            "1f01bb0711f94c87b285e375ddb0fcbc71965666e82ae4073a92ef2acc71eaa4"
+        )
+        assert hashlib.sha256(lbls.tobytes()).hexdigest() == (
+            "09a01e41d19d8b95241ee66081b9c3529375ee7e09f1240924f8f8caf7189391"
+        )
 
 
 # a right magic, or a whole small header, in front of arbitrary bytes
@@ -236,7 +260,10 @@ def test_idx_readers_on_arbitrary_bytes(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.idx"
         path.write_bytes(data)
-        for reader in (read_idx_images, read_idx_labels):
+        images_path, labels_path = Path(tmp) / "images.idx", Path(tmp) / "labels.idx"
+        images_path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 1, 1, 1) + bytes([9]))
+        labels_path.write_bytes(struct.pack(">II", LABEL_MAGIC, 1) + bytes([2]))
+        for reader in idx_readers(images_path, labels_path):
             try:
                 reader(path)
             except IdxError:

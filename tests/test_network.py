@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnnlab import lanes, network
-from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, modrelu
+from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, Activation
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.network import (
     AbsHead,
@@ -400,19 +400,19 @@ class TestSgd:
         net = build_network([Dense(2, 2)], seed=0)
         w0 = net.weights[0].copy()
         g = np.full((2, 2), 0.25 + 0.5j)
-        state = sgd_init(net)
-        sgd_step(net, [(g, np.zeros(2, complex))], lr=1.0, momentum=0.0, state=state)
+        velocities = sgd_init(net)
+        sgd_step(net, [(g, np.zeros(2, complex))], lr=1.0, momentum=0.0, velocities=velocities)
         npt.assert_allclose(net.weights[0], w0 - g)
 
     def test_momentum_recursion(self):
         net = build_network([Dense(1, 1)], seed=0)
         g = np.array([[1.0 + 0j]])
-        state = sgd_init(net)
+        velocities = sgd_init(net)
         w0 = net.weights[0].copy()
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, state=state)
+        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
         first = w0 - net.weights[0]
         w1 = net.weights[0].copy()
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, state=state)
+        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
         second = w1 - net.weights[0]
         npt.assert_allclose(first, 0.1 * g)
         npt.assert_allclose(second, 1.9 * 0.1 * g)  # v = 1.9 g after two steps
@@ -420,43 +420,43 @@ class TestSgd:
     def test_zero_grad_fresh_state_no_move(self):
         net = build_network([Dense(2, 2)], seed=1)
         w0 = net.weights[0].copy()
-        state = sgd_init(net)
+        velocities = sgd_init(net)
         zeros = (np.zeros((2, 2), complex), np.zeros(2, complex))
-        sgd_step(net, [zeros], lr=0.5, momentum=0.9, state=state)
+        sgd_step(net, [zeros], lr=0.5, momentum=0.9, velocities=velocities)
         npt.assert_array_equal(net.weights[0], w0)
 
     def test_zero_grad_decays_velocity(self):
         net = build_network([Dense(1, 1)], seed=2)
         g = np.array([[2.0 + 1j]])
-        state = sgd_init(net)
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, state=state)
-        v1 = state.velocities[0].copy()
+        velocities = sgd_init(net)
+        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
+        v1 = velocities[0].copy()
         zeros = (np.zeros((1, 1), complex), np.zeros(1, complex))
-        sgd_step(net, [zeros], lr=0.1, momentum=0.9, state=state)
-        npt.assert_allclose(state.velocities[0], 0.9 * v1)
+        sgd_step(net, [zeros], lr=0.1, momentum=0.9, velocities=velocities)
+        npt.assert_allclose(velocities[0], 0.9 * v1)
 
     def test_threshold_updates_gated(self):
         net = build_network([Dense(2, 2)], seed=3)
-        state = sgd_init(net)
+        velocities = sgd_init(net)
         g = (np.zeros((2, 2), complex), np.ones(2, complex))
-        sgd_step(net, [g], lr=0.1, momentum=0.0, state=state)
+        sgd_step(net, [g], lr=0.1, momentum=0.0, velocities=velocities)
         assert not np.any(net.thresholds[0] != 0)
 
     def test_validates_hyperparameters(self):
         net = build_network([Dense(1, 1)], seed=0)
-        state = sgd_init(net)
+        velocities = sgd_init(net)
         with pytest.raises(ValueError):
-            sgd_step(net, [None], lr=0.0, momentum=0.5, state=state)
+            sgd_step(net, [None], lr=0.0, momentum=0.5, velocities=velocities)
         with pytest.raises(ValueError):
-            sgd_step(net, [None], lr=0.1, momentum=1.0, state=state)
+            sgd_step(net, [None], lr=0.1, momentum=1.0, velocities=velocities)
 
     def test_rejects_nan_lr_before_any_update(self):
         net = build_network([Dense(3, 2)], seed=0)
         before = net.weights[0].copy()
-        state = sgd_init(net)
+        velocities = sgd_init(net)
         g = (np.ones((3, 2), complex), np.zeros(2, complex))
         with pytest.raises(ValueError, match="lr must be positive"):
-            sgd_step(net, [g], lr=math.nan, momentum=0.0, state=state)
+            sgd_step(net, [g], lr=math.nan, momentum=0.0, velocities=velocities)
         npt.assert_array_equal(net.weights[0], before)
 
 
@@ -471,7 +471,7 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(123)
             net = build_network([Dense(4, 3, SPLIT_TANH), Dense(3, 2)], seed=9)
-            state = sgd_init(net)
+            velocities = sgd_init(net)
             loss = LossKind("l2")
             x = random_complex(rng, 16, 4)
             y = random_complex(rng, 16, 2)
@@ -480,7 +480,7 @@ class TestDeterminism:
                 for start in range(0, 16, 8):
                     idx = order[start : start + 8]
                     grads = backward(net, x[idx], y[idx], loss)
-                    sgd_step(net, grads, 0.05, 0.9, state)
+                    sgd_step(net, grads, 0.05, 0.9, velocities)
             return net
 
         n1, n2 = run(), run()
@@ -500,8 +500,9 @@ class TestLanes:
     DENSE = [Dense(6, 7, SPLIT_TANH), Dense(7, 3, CRELU), Dense(3, 2)]
     # the general (non-diagonal) activation backprop, on conv and dense layers
     PHASE = [
-        Conv(3, 3, 1, 2, AMP_TANH), Conv(3, 3, 2, 3, modrelu(-0.3)), MaxPoolModulus(2),
-        Dense(27, 4, modrelu(-0.3)), Dense(4, 2, AMP_TANH), Dense(2, 2),
+        Conv(3, 3, 1, 2, AMP_TANH), Conv(3, 3, 2, 3, Activation("modrelu", b=-0.3)),
+        MaxPoolModulus(2), Dense(27, 4, Activation("modrelu", b=-0.3)), Dense(4, 2, AMP_TANH),
+        Dense(2, 2),
     ]
 
     def _case(self, kind, n, rng):
@@ -556,7 +557,7 @@ class TestLanes:
             kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
             self._assert_same_grads(kept, want)
 
-    @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, modrelu(-0.3), AMP_TANH],
+    @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.3), AMP_TANH],
                              ids=lambda a: a.kind)
     @pytest.mark.parametrize("n", [1, 33, 100])
     def test_act_backprop_blocks_are_one_whole_batch_backprop(self, act, n, rng, pooled):
@@ -726,7 +727,7 @@ class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         # extreme magnitudes, a modrelu threshold and nonzero thresholds
         extreme = Network(
-            [Dense(1, 2, modrelu(-0.25))],
+            [Dense(1, 2, Activation("modrelu", b=-0.25))],
             [np.array([[5e-324 + 1.7976931348623157e308j, -1e-300 + 0.1j]])],
             [np.array([3.0 - 7e-9j, -2.5e100 + 1j])],
         )
@@ -861,7 +862,10 @@ def _paths(doc, prefix=()):
 def _valid_checkpoint_text():
     """A saved (3, 3, 1)-input network with every layer type."""
     net = build_network(
-        [Conv(2, 2, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 3, modrelu(-0.5)), AbsHead(3)],
+        [
+            Conv(2, 2, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 3, Activation("modrelu", b=-0.5)),
+            AbsHead(3),
+        ],
         seed=4,
     )
     with tempfile.TemporaryDirectory() as tmp:

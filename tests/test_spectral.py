@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cvnnlab.activations import CRELU, modrelu
+from cvnnlab.activations import CRELU, Activation
 from cvnnlab.clinalg import spectral_norm_oracle, spectral_norm_power
 from cvnnlab.config import build_layers
 from cvnnlab.conv import LoweringBudgetError, adjoint, apply, layer_matrix, weight_grad
@@ -24,7 +24,6 @@ from cvnnlab.spectral import (
     bound_sequential,
     conv_spectral_norm,
     covering_bound_linear,
-    covering_bound_network,
     pac_sample_size,
     rademacher_bound,
     report_from_text,
@@ -301,13 +300,13 @@ class TestAnalyze:
         assert limited.sn_product == pytest.approx(expected, rel=1e-12)
 
     def test_modrelu_marks_empirical(self, rng):
-        net = build_network([Dense(3, 3, modrelu(-0.5))], seed=4)
+        net = build_network([Dense(3, 3, Activation("modrelu", b=-0.5))], seed=4)
         rep = analyze(net, (3,))
         assert rep.layers[0].rho == 1.0
         assert rep.r_a is not None and not rep.sn_product_only
 
     def test_modrelu_positive_threshold_has_no_r_a(self):
-        net = build_network([Dense(3, 3, modrelu(0.5)), Dense(3, 2)], seed=4)
+        net = build_network([Dense(3, 3, Activation("modrelu", b=0.5)), Dense(3, 2)], seed=4)
         rep = analyze(net, (3,))
         assert rep.layers[0].rho == math.inf
         assert rep.sn_product_only and rep.r_a is None
@@ -469,43 +468,10 @@ class TestCoveringBounds:
         manual = math.ceil(4.0 * 9.0 / 0.25) * math.log(4.0 * 4 * 7)
         assert with_inf == pytest.approx(manual, rel=1e-14)
 
-    def test_network_single_layer(self):
-        assert covering_bound_network(1.0, 1, 1.0, [(1.0, 1.0, 1.0)]) == pytest.approx(
-            math.log(4.0)
-        )
-
-    def test_network_eps_scaling(self):
-        layers = [(2.0, 3.0, 1.0), (1.5, 2.0, 1.0)]
-        b1 = covering_bound_network(2.0, 8, 1.0, layers)
-        b2 = covering_bound_network(2.0, 8, 2.0, layers)
-        assert b1 / b2 == pytest.approx(4.0, rel=1e-12)
-
-    def test_network_r_a_relation(self, rng):
-        # bound equals (z sqrt(ln 4W^2) / eps)^2 * (prod rho s)^2 * (sum (b/s)^(2/3))^3
-        layers = [
-            (float(rng.uniform(0.5, 3)), float(rng.uniform(0.5, 3)), float(rng.uniform(0.5, 2)))
-            for _ in range(3)
-        ]
-        z, w, eps = 2.5, 16, 0.7
-        got = covering_bound_network(z, w, eps, layers)
-        lip = np.prod([s * rho for s, _, rho in layers])
-        ratio = sum((b / s) ** (2.0 / 3.0) for s, b, _ in layers)
-        manual = (z**2 * math.log(4 * w * w) / eps**2) * lip**2 * ratio**3
-        assert got == pytest.approx(manual, rel=1e-12)
-
     @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1e200, 1e-200), (math.nan, 0.5)])
     def test_linear_count_beyond_floats_raises(self, a, eps):
         with pytest.raises(ValueError):
             covering_bound_linear(a, 1.0, 2, math.inf, eps, 2)
-
-    @pytest.mark.parametrize("eps", [math.nan, 1e-200, 0.0])
-    def test_network_eps_without_a_positive_square_raises(self, eps):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            covering_bound_network(1.0, 2, eps, [(1.0, 1.0, 1.0)])
-
-    def test_network_rejects_zero_layer(self):
-        with pytest.raises(ValueError):
-            covering_bound_network(1.0, 2, 0.5, [(0.0, 1.0, 1.0)])
 
 
 class TestPacSampleSize:
@@ -554,7 +520,7 @@ class TestReportSerialization:
         back = report_from_text(text)
         assert back == rep
         # an infinite rho and nonzero thresholds set the report's other flags
-        net = build_network([Dense(3, 4, modrelu(0.5)), Dense(4, 2)], seed=3)
+        net = build_network([Dense(3, 4, Activation("modrelu", b=0.5)), Dense(4, 2)], seed=3)
         net.thresholds[0][:] = 0.25
         rep = analyze(net, (3,))
         assert rep.sn_product_only and rep.thresholds_nonzero

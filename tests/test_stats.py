@@ -188,10 +188,9 @@ class TestPValues:
             spearman(x, y, p_method="exact")
 
     def test_auto_switches_method(self, rng):
-        small = spearman(rng.standard_normal(6), rng.standard_normal(6))
-        large = spearman(rng.standard_normal(30), rng.standard_normal(30))
-        assert small.method == "exact"
-        assert large.method == "t"
+        for n, method in ((6, "exact"), (30, "t")):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            assert spearman(x, y).p == spearman(x, y, p_method=method).p
 
     def test_p_in_unit_interval(self, rng):
         for n in (5, 10, 40):
