@@ -27,8 +27,9 @@ loss, accuracy and excess-risk fields are always finite; the
 sn_product, r_a, and layer_norms fields are empty on epochs without
 analysis, and r_a is empty in sn-product-only mode (a conv lowering over
 the memory budget, or an activation with no finite Lipschitz constant).
-All printed and written floats carry 17 significant digits
-(:func:`cvnnlab.textio.f17`).  Identical config and seed
+All printed floats and those in the trace and reports carry 17
+significant digits (:func:`cvnnlab.textio.f17`); the checkpoint keeps its
+parameters as binary.  Identical config and seed
 reproduce output files byte for byte.
 
 For the l2/regression loss the accuracy columns are fixed at 0 (there is

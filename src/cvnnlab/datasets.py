@@ -101,9 +101,15 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def _write_idx(array, path, magic: int, ndim: int, shape_error: str) -> None:
-    array = np.asarray(array, dtype=np.uint8)
-    if array.ndim != ndim:
+    values = np.asarray(array)
+    if values.ndim != ndim:
         raise ValueError(shape_error)
+    real = values.dtype.kind in "biuf"  # not complex, text or objects
+    if real:
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+            array = values.astype(np.uint8)
+    if not (real and np.array_equal(array, values)):
+        raise ValueError("IDX values must be integers in 0..255")
     with open(path, "wb") as fh:
         fh.write(struct.pack(f">I{ndim}I", magic, *array.shape))
         fh.write(array.tobytes())

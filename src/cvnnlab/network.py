@@ -64,10 +64,15 @@ backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
 at the desk protocol's batch of 128) from a store that this thread keeps
 from one call to the next instead of mapping them afresh each step.
 Outside it, and always in forward, the arrays are fresh.
+
+A checkpoint (format 2) is compact JSON: readable layer records, and each
+parameter array as one base64 string of its entries in C order as
+little-endian complex128.  The loader refuses every other format version.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import functools
 import json
@@ -80,7 +85,7 @@ import numpy as np
 from . import activations, conv, lanes
 from .activations import Activation
 from .clinalg import matmul_complex
-from .textio import json_text, write_atomic
+from .textio import f17, write_atomic
 
 __all__ = [
     "Dense",
@@ -103,7 +108,7 @@ __all__ = [
     "CheckpointError",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _STEP_BLOCK = 32  # samples per task of every per-sample stage, whatever the number of cores
 _FORWARD_BLOCK = 128  # samples per forward task, whatever the number of cores
 
@@ -675,18 +680,21 @@ def _layer_from_json(doc):
         raise CheckpointError(f"bad layer record: {exc}") from exc
 
 
-def _param_lists(key, arr):
-    return {key + "_re": arr.real.ravel().tolist(), key + "_im": arr.imag.ravel().tolist()}
+def _b64(arr) -> str:
+    """Base64 of the entries in C order as little-endian complex128."""
+    return base64.b64encode(arr.astype("<c16", copy=False).tobytes()).decode("ascii")
 
 
 def save_checkpoint(net: Network, path) -> None:
     """Write the network as a self-describing JSON document.
 
-    Floats carry 17 significant digits, which round-trips doubles exactly;
-    the file is replaced atomically.
+    Layer records are plain JSON; each parameter array is one base64
+    string of its entries in C order as little-endian complex128
+    (``"<c16"``), so doubles round-trip bit for bit, signed zeros and
+    subnormals included.  The file is replaced atomically.
     """
     params = [
-        None if w is None else {**_param_lists("weight", w), **_param_lists("threshold", h)}
+        None if w is None else {"weight": _b64(w), "threshold": _b64(h)}
         for w, h in zip(net.weights, net.thresholds)
     ]
     doc = {
@@ -694,20 +702,18 @@ def save_checkpoint(net: Network, path) -> None:
         "layers": [_layer_to_json(s) for s in net.layers],
         "params": params,
     }
-    write_atomic(path, json_text(doc) + "\n")
+    write_atomic(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _param_array(doc, key, shape):
     try:
-        re = np.asarray(doc[key + "_re"], dtype=float)
-        im = np.asarray(doc[key + "_im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"bad parameter arrays for {key}: {exc}") from exc
+        raw = base64.b64decode(doc[key], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CheckpointError(f"bad parameter array for {key}: {exc}") from exc
     expected = math.prod(shape)
-    if re.size != expected or im.size != expected:
-        raise CheckpointError(f"{key}: expected {expected} values, got {re.size}/{im.size}")
-    arr = re.ravel().astype(np.complex128)  # re + 1j * im would turn -0.0 into 0.0
-    arr.imag = im.ravel()
+    if len(raw) != 16 * expected:
+        raise CheckpointError(f"{key}: expected {expected} values, got {f17(len(raw) / 16)}")
+    arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)  # a writable native copy
     if not np.all(np.isfinite(arr)):
         raise CheckpointError(f"{key}: non-finite values")
     return arr.reshape(shape)

@@ -1,15 +1,16 @@
 """The text encodings of the files cvnnlab writes and reads back: 17-digit
-floats (the trace, the reports, the checkpoint), flat ``key = value`` files
-(configs and reports), 17-digit JSON (the checkpoint), and atomic
-replacement, so a crash never leaves a truncated checkpoint or report.
+floats (the trace and the reports), flat ``key = value`` files (configs and
+reports), and atomic replacement, so a crash never leaves a truncated
+checkpoint or report.  The checkpoint's JSON, whose parameters are base64
+binary rather than decimal text, is written by
+:func:`cvnnlab.network.save_checkpoint`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-__all__ = ["f17", "read_kv", "kv_text", "json_text", "write_atomic"]
+__all__ = ["f17", "read_kv", "kv_text", "write_atomic"]
 
 
 def f17(x) -> str:
@@ -42,29 +43,6 @@ def kv_text(pairs) -> str:
     """One ``key = value`` line per pair, floats by :func:`f17`, bools as
     ``true``/``false``, the rest by ``str``; None values are left out."""
     return "".join(f"{key} = {_kv_value(value)}\n" for key, value in pairs if value is not None)
-
-
-def json_text(doc) -> str:
-    """Compact JSON for ``doc``, every float at 17 significant digits and
-    negative zero as ``-0.0`` (JSON reads ``-0`` back as the integer 0)."""
-    if isinstance(doc, float):
-        text = f17(doc)
-        return "-0.0" if text == "-0" else text
-    if isinstance(doc, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{json_text(v)}" for k, v in doc.items()) + "}"
-    if isinstance(doc, (list, tuple)):
-        if set(map(type, doc)) == {float}:  # a checkpoint's parameter list
-            return "[" + _float_items(doc) + "]"
-        return "[" + ",".join(map(json_text, doc)) + "]"
-    return json.dumps(doc)
-
-
-def _float_items(floats) -> str:
-    """Comma-separated :func:`f17` texts of ``floats``, formatted in one pass."""
-    text = "," + ("%.17g," * len(floats)) % tuple(floats)
-    # only -0.0 prints as the item "-0"; in a run of them the first replace
-    # takes every other one, since neighbours share a comma
-    return text.replace(",-0,", ",-0.0,").replace(",-0,", ",-0.0,")[1:-1]
 
 
 def write_atomic(path, text: str) -> None:

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -504,10 +505,12 @@ class TestAnalyzeCommand:
         save_checkpoint(net, ck)
         doc = json.loads(ck.read_text())
         doc["layers"][1]["in_dim"] = 5  # the first layer gives 2 features
-        doc["params"][1].update(weight_re=[1.0] * 5, weight_im=[0.0] * 5)
+        # a well-formed (5, 1) weight, so only the composition is wrong
+        doc["params"][1]["weight"] = base64.b64encode(np.ones(5, "<c16").tobytes()).decode()
         ck.write_text(json.dumps(doc))
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "3"]) == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and "dense expects 5 inputs" in err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3

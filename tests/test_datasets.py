@@ -139,6 +139,25 @@ class TestRoundTrip:
         assert (tmp_path / "i").read_bytes() == (tmp_path / "i2").read_bytes()
         assert (tmp_path / "l").read_bytes() == (tmp_path / "l2").read_bytes()
 
+    @pytest.mark.parametrize("write, values", [
+        (write_idx_labels, np.array([300, -1, 7])),  # would wrap to 44, 255, 7
+        (write_idx_labels, np.array([2.0, np.nan])),
+        (write_idx_images, np.array([[[0.7, 1.9, 255.9]]])),  # would truncate to 0, 1, 255
+        (write_idx_images, np.array([[[0.0, np.inf]]])),
+        (write_idx_labels, np.array([1 + 1j])),
+        (write_idx_labels, np.array(["1"])),
+    ])
+    def test_writers_refuse_values_a_byte_cannot_hold(self, tmp_path, write, values):
+        with pytest.raises(ValueError, match="integers in 0..255"):
+            write(values, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_writers_take_in_range_integers_of_any_dtype(self, tmp_path):
+        write_idx_labels(np.array([0, 255, 7], dtype=np.int64), tmp_path / "l")
+        write_idx_images(np.array([[[0.0, 255.0]]]), tmp_path / "i")
+        assert (tmp_path / "l").read_bytes()[-3:] == bytes([0, 255, 7])
+        assert (tmp_path / "i").read_bytes()[-2:] == bytes([0, 255])
+
 
 class TestSyntheticRegression:
     def test_teacher_outputs_at_zero_noise(self):

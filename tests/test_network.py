@@ -1,7 +1,9 @@
+import base64
 import functools
 import json
 import math
 import os
+import struct
 import tempfile
 import warnings
 import weakref
@@ -781,9 +783,30 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())
-        doc["layers"][2]["out_dim"] = 5  # declared dims no longer match arrays
+        short = base64.b64decode(doc["params"][2]["weight"])[:-16]  # one value too few
+        doc["params"][2]["weight"] = base64.b64encode(short).decode()
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="weight: expected 40 values, got 32/32"):
+        with pytest.raises(CheckpointError, match="weight: expected 32 values, got 31$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        (base64.b64encode(bytes(15)).decode(), "threshold: expected 4 values, got 0.9375"),
+        (base64.b64encode(bytes(80)).decode(), "threshold: expected 4 values, got 5"),
+        (base64.b64encode(np.full(4, np.nan, "<c16").tobytes()).decode(), "threshold: non-finite"),
+        # 4 zeros with a character inserted, which a lenient decoder would skip
+        ("AAAA*" + base64.b64encode(bytes(64)).decode()[4:], "bad parameter array for threshold"),
+        ("AAA", "bad parameter array for threshold"),  # padding missing
+        ("\u00e9", "bad parameter array for threshold"),
+        (4, "bad parameter array for threshold"),
+        ([0.0, 1.0], "bad parameter array for threshold"),
+    ])
+    def test_bad_payload(self, tmp_path, payload, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._net(), path)
+        doc = json.loads(path.read_text())
+        doc["params"][2]["threshold"] = payload
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("in_dim", [0, 2.0, True, "2", None])
@@ -806,27 +829,72 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="unsupported format_version 99"):
             load_checkpoint(path)
 
-    def test_old_train_thresholds_key_is_ignored(self, tmp_path):
-        # checkpoints saved while thresholds could be trained carry this key
-        net = Network([Dense(1, 2)], [np.array([[1 + 2j, 3 - 1j]])], [np.array([0.5 - 0.25j, -1j])])
+    def test_format_1_is_refused(self, tmp_path):
+        # format 1 stored each part as a list of 17-digit decimal floats
         path = tmp_path / "ckpt.json"
-        save_checkpoint(net, path)
-        saved = path.read_bytes()
-        doc = json.loads(saved)
-        path.write_text(json.dumps({"format_version": 1, "train_thresholds": True, **doc}))
-        loaded = load_checkpoint(path)
-        npt.assert_array_equal(loaded.thresholds[0], net.thresholds[0])
-        save_checkpoint(loaded, path)
-        assert path.read_bytes() == saved
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "layers": [{"type": "dense", "in_dim": 1, "out_dim": 1, "activation": None}],
+            "params": [{"weight_re": [1.0], "weight_im": [2.0],
+                        "threshold_re": [0.0], "threshold_im": [0.0]}],
+        }))
+        with pytest.raises(CheckpointError, match="unsupported format_version 1$"):
+            load_checkpoint(path)
 
-    def test_seventeen_digit_floats(self, tmp_path):
-        # a value whose shortest repr is shorter than 17 significant digits
-        net = Network([Dense(1, 1)], [np.array([[0.1 + 0.25j]])], [np.zeros(1, complex)])
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        values = np.array([
+            0.1 + 0.25j, complex(-0.0, 5e-324), complex(1.7976931348623157e308, -1.7976931348623157e308),
+        ])
+        net = Network([Dense(1, 3)], [values[None, :]], [values[::-1].copy()])
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
-        assert "0.10000000000000001" in path.read_text()
         loaded = load_checkpoint(path)
-        assert loaded.weights[0][0, 0] == 0.1 + 0.25j
+        for saved, read in ((net.weights[0], loaded.weights[0]), (net.thresholds[0], loaded.thresholds[0])):
+            assert read.tobytes() == saved.tobytes()
+            npt.assert_array_equal(np.signbit(read.real), np.signbit(saved.real))
+            npt.assert_array_equal(np.signbit(read.imag), np.signbit(saved.imag))
+
+    def test_saved_text_pinned(self, tmp_path):
+        # every layer type; a 2x2 weight shows the C order, -0.0 the sign bit
+        net = Network(
+            [Conv(1, 1, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 2, Activation("modrelu", b=-0.5)),
+             AbsHead(2)],
+            [np.array([1.0, complex(-0.0, -2.0)]).reshape(1, 1, 1, 2), None,
+             np.array([[1, 2], [3, 4j]]), None],
+            [np.array([0.5, complex(-0.0, -0.25)]), None, np.zeros(2, complex), None],
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        text = path.read_text()
+        assert text == (
+            '{"format_version":2,"layers":['
+            '{"type":"conv","kernel_h":1,"kernel_w":1,"in_channels":1,"out_channels":2,'
+            '"activation":{"kind":"crelu","b":0.0}},'
+            '{"type":"maxpool","window":2},'
+            '{"type":"dense","in_dim":2,"out_dim":2,"activation":{"kind":"modrelu","b":-0.5}},'
+            '{"type":"abshead","out_classes":2}],"params":['
+            '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAACAAAAAAAAAAMA=",'
+            '"threshold":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAACAAAAAAAAA0L8="},null,'
+            '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQA==",'
+            '"threshold":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},null]}\n'
+        )
+        # the same payload spelled out: (re, im) doubles, little-endian, row by row
+        weight = base64.b64decode(json.loads(text)["params"][2]["weight"])
+        assert weight == struct.pack("<8d", 1, 0, 2, 0, 3, 0, 0, 4)
+
+    def test_loaded_weights_are_writable_and_train(self, tmp_path, rng):
+        net = build_network([Dense(3, 4, SPLIT_TANH), Dense(4, 2)], seed=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        for w in loaded.weights + loaded.thresholds:
+            assert w.flags.writeable and w.flags.c_contiguous and w.dtype == np.complex128
+            assert w.dtype.isnative
+        x, y = random_complex(rng, 5, 3), random_complex(rng, 5, 2)
+        for each in (net, loaded):
+            sgd_step(each, backward(each, x, y, LossKind("l2")), 0.1, 0.9, sgd_init(each))
+        for a, b in zip(net.weights, loaded.weights):
+            assert a.tobytes() == b.tobytes()
 
 
 # --- garbage input: the loader raises only CheckpointError ---------------
@@ -880,12 +948,27 @@ def test_checkpoint_loader_on_arbitrary_json(doc):
     _load_text(json.dumps(doc))
 
 
+B64_GARBAGE = [
+    base64.b64encode(bytes(15)).decode(),  # valid base64, not a whole complex128
+    # nan at the lengths of the dense threshold and the conv weight
+    base64.b64encode(np.full(3, np.nan, "<c16").tobytes()).decode(),
+    base64.b64encode(np.full(8, np.nan, "<c16").tobytes()).decode(),
+    "AA*A",  # invalid characters
+    "AAA",
+    "\u00e9\u00e9\u00e9\u00e9",
+    "",
+    3.5,  # not a string
+    [1.0, 2.0],
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_checkpoint_loader_on_mutated_checkpoint(data):
     doc = json.loads(_valid_checkpoint_text())
     path = data.draw(st.sampled_from(list(_paths(doc))))
-    value = data.draw(st.just(None) | json_values | st.sampled_from([0, -1, 2.0, True, 10**40]))
+    value = data.draw(st.just(None) | json_values | st.sampled_from([0, -1, 2.0, True, 10**40])
+                      | st.sampled_from(B64_GARBAGE))
     if not path:
         doc = value
     else:

@@ -1,4 +1,3 @@
-import json
 import os
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnnlab.spectral import LayerNorms, SpectralReport, report_from_text, report_to_text
-from cvnnlab.textio import f17, json_text, kv_text, read_kv, write_atomic
+from cvnnlab.textio import f17, kv_text, read_kv, write_atomic
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 no_nan = st.floats(allow_nan=False)
@@ -84,70 +83,6 @@ def test_report_reader_on_arbitrary_text(text):
         report_from_text(text)
     except ValueError:
         pass
-
-
-json_docs = st.recursive(
-    st.none() | st.booleans() | st.integers() | finite | st.text(),
-    lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(st.text(), children, max_size=5),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_docs)
-def test_json_writer_round_trips(doc):
-    out = json_text(doc)
-    assert json.loads(out) == doc  # float equality is exact
-    assert out.isascii() and "\n" not in out
-
-
-def test_json_writer_formats():
-    doc = {"v": [0.1, 1.0, -2.5e-300], "k": None, "b": True, "s": "é", "n": 3}
-    assert json_text(doc) == (
-        '{"v":[0.10000000000000001,1,-2.5e-300],'
-        '"k":null,"b":true,"s":"\\u00e9","n":3}'
-    )
-    assert json_text((1, [2, ()])) == "[1,[2,[]]]"
-
-
-def _json_text_per_float(doc):
-    """The JSON writer as it was before float lists were formatted in one
-    pass: one recursive call per float."""
-    if isinstance(doc, float):
-        text = f17(doc)
-        return "-0.0" if text == "-0" else text
-    if isinstance(doc, dict):
-        items = (f"{json.dumps(k)}:{_json_text_per_float(v)}" for k, v in doc.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(doc, (list, tuple)):
-        return "[" + ",".join(map(_json_text_per_float, doc)) + "]"
-    return json.dumps(doc)
-
-
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
-               1e308, -1e308, 0.1, -0.1, 1.0, float("inf"), float("-inf"), float("nan")]
-
-
-@pytest.mark.parametrize("floats", [
-    EDGE_FLOATS,
-    EDGE_FLOATS[::-1],
-    [-0.0],
-    [-0.0, -0.0, -0.0],  # a run: neighbouring items share a comma
-    [-0.0, 0.0, -0.0, -0.0, 1.0, -0.0],
-    [1e-05, -1e-05, 1e+100, 123456789012345678.0],
-    (0.5, -0.0),
-])
-def test_json_float_lists_match_the_per_float_writer(floats):
-    for doc in (floats, {"w": floats, "n": [1, floats, True]}):
-        assert json_text(doc) == _json_text_per_float(doc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0]), max_size=12)
-       | st.lists(st.floats() | st.integers() | st.booleans(), max_size=6))
-def test_json_lists_match_the_per_float_writer(items):
-    assert json_text(items) == _json_text_per_float(items)
 
 
 def test_write_atomic_replaces_the_file(tmp_path):
