@@ -59,15 +59,14 @@ from .datasets import Dataset, IdxError, load_idx, subsample, synthetic_regressi
 from .network import (
     AbsHead,
     CheckpointError,
-    LossKind,
     Network,
     backward,
     build_network,
-    compute_loss,
     forward,
     kept_arrays,
     load_checkpoint,
     max_width,
+    per_sample_losses,
     save_checkpoint,
     sgd_init,
     sgd_step,
@@ -120,13 +119,13 @@ def _load_data(cfg: ExperimentConfig):
     return train, test
 
 
-def _evaluate(net: Network, ds: Dataset, loss: LossKind, update_ceiling: bool):
-    """(mean loss, accuracy) over the whole dataset, from one forward pass."""
+def _evaluate(net: Network, ds: Dataset, loss: str):
+    """(per-sample losses, accuracy) over the whole dataset, from one forward pass."""
     out = forward(net, ds.inputs)
-    mean = compute_loss(out, ds.targets, loss, update_ceiling)
+    losses = per_sample_losses(out, ds.targets, loss)
     if not np.issubdtype(ds.targets.dtype, np.integer):
-        return mean, 0.0
-    return mean, np.count_nonzero(np.argmax(out, axis=1) == ds.targets) / ds.n
+        return losses, 0.0
+    return losses, np.count_nonzero(np.argmax(out, axis=1) == ds.targets) / ds.n
 
 
 def run_training(cfg: ExperimentConfig):
@@ -140,13 +139,13 @@ def run_training(cfg: ExperimentConfig):
     if cfg.loss == "l2" and isinstance(layers[-1], AbsHead):
         raise ConfigError("l2 loss needs a complex output (drop the abs head)")
     net = build_network(layers, seed=cfg.seed)
-    loss = LossKind(cfg.loss)
     velocities = sgd_init(net)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
     warn_nonconverged = False
+    m_ceiling = 0.0  # the bounds' M: largest per-sample training loss at any epoch's end
 
     with open(trace_path, "w", encoding="ascii") as trace:
         trace.write(TRACE_HEADER + "\n")
@@ -157,16 +156,18 @@ def run_training(cfg: ExperimentConfig):
             with kept_arrays():  # the steps share their arrays; evaluation does not
                 for start in range(0, train.n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    grads = backward(net, train.inputs[idx], train.targets[idx], loss)
+                    grads = backward(net, train.inputs[idx], train.targets[idx], cfg.loss)
                     sgd_step(net, grads, cfg.lr, cfg.momentum, velocities)
 
-            train_loss, train_acc = _evaluate(net, train, loss, update_ceiling=True)
+            losses, train_acc = _evaluate(net, train, cfg.loss)
+            train_loss = float(losses.mean())
+            m_ceiling = max(m_ceiling, float(losses.max()))
             params = [p for p in net.weights + net.thresholds if p is not None]
             if not (math.isfinite(train_loss) and all(np.isfinite(p).all() for p in params)):
                 raise FloatingPointError(
                     f"epoch {epoch}: training diverged (non-finite loss or parameters)"
                 )
-            _, test_acc = _evaluate(net, test, loss, update_ceiling=False)
+            _, test_acc = _evaluate(net, test, cfg.loss)
             er = excess_risk(train_acc, test_acc)
 
             if epoch % cfg.analysis_every == 0:
@@ -197,7 +198,7 @@ def run_training(cfg: ExperimentConfig):
     return {
         "trace": trace_path,
         "checkpoint": ckpt_path,
-        "m_ceiling": loss.m_ceiling,
+        "m_ceiling": m_ceiling,
         "max_width": max_width(net, input_shape),
         "nonconverged": warn_nonconverged,
     }

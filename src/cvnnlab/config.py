@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .activations import Activation
-from .network import AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
+from .network import LOSSES, AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
 from .textio import read_kv
 
 __all__ = [
@@ -61,7 +61,7 @@ class ExperimentConfig:
     arch: str = "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs"
     activation: str = "crelu"
     # optimization
-    loss: str = "cross_entropy"  # cross_entropy | l2
+    loss: str = "cross_entropy"  # one of network.LOSSES
     lr: float = 0.01
     momentum: float = 0.9
     epochs: int = 100
@@ -124,8 +124,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("lr must be positive")
     if not 0.0 <= cfg.momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
-    if cfg.loss not in ("cross_entropy", "l2"):
-        raise ConfigError(f"loss must be cross_entropy or l2, got {cfg.loss!r}")
+    if cfg.loss not in LOSSES:
+        raise ConfigError(f"loss must be {' or '.join(LOSSES)}, got {cfg.loss!r}")
     parse_activation(cfg.activation)
     if cfg.dataset == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):

@@ -1,5 +1,7 @@
 """Executable checks of the covering machinery: Maurey sparsification and
-the linear-map cover construction.
+the linear-map cover construction, beside the covering-number bound they
+check (:func:`covering_bound_linear`, Bartlett, Foster & Telgarsky 2017,
+Lemma 3.2).
 
 Maurey sparsification replaces a convex combination f = sum_i alpha_i g_i
 (alpha = sum_i alpha_i > 0) by a k-atom average (alpha/k) sum_i k_i g_i with
@@ -33,7 +35,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clinalg import frobenius_norm, pq_norm
-from .spectral import _maurey_k, covering_bound_linear
 from .textio import f17, kv_text
 
 __all__ = [
@@ -133,6 +134,31 @@ def _coefficients(weights, d: int, m: int) -> np.ndarray:
     basis weights along the last axis; leading axes are kept."""
     w = np.reshape(weights, np.shape(weights)[:-1] + (4, d, m))
     return (w[..., 0, :, :] - w[..., 1, :, :]) + 1j * (w[..., 2, :, :] - w[..., 3, :, :])
+
+
+def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: int) -> float:
+    """log covering number bound for {ZA : ||A||_{q,s} <= a} with ||Z||_p <= b.
+
+    ``r`` is the exponent conjugate to the data's p-norm; r = inf gives the
+    m^(2/r) = 1 instantiation the i.i.d. bound uses.
+    """
+    if m < 1 or d < 1:
+        raise ValueError("m, d must be positive integers")
+    if r < 1:
+        raise ValueError("r must be >= 1 (possibly inf)")
+    return _maurey_k(a, b, m, r, eps) * math.log(4.0 * d * m)
+
+
+def _maurey_k(a: float, b: float, m: int, r: float, eps: float) -> int:
+    """Atoms k = ceil(a^2 b^2 m^(2/r) / eps^2) that Maurey sparsification
+    needs to cover {ZA : ||A||_{q,s} <= a} at scale eps, ||Z||_p <= b."""
+    if not (a > 0 and b > 0 and eps > 0):  # also nan
+        raise ValueError("a, b, eps must be positive")
+    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
+    ratio = a * a * b * b * m_pow / (eps * eps) if eps * eps > 0 else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError("k = ceil(a^2 b^2 m^(2/r) / eps^2) is beyond the float range")
+    return math.ceil(ratio)
 
 
 @dataclass(frozen=True)

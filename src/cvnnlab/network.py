@@ -29,6 +29,11 @@ It caches the flat index of that entry into the layer input, and its
 backward pass scatters through it.  The abs head maps a complex feature
 vector to entry moduli followed by softmax.
 
+A loss is one of the names in :data:`LOSSES`: ``"l2"`` on a complex output
+or ``"cross_entropy"`` on abs-head probabilities.  This module computes
+per-sample losses and their gradients; the training loop keeps the loss
+ceiling M.
+
 Thresholds are added in the forward pass and differentiated in the backward
 pass but never trained: they keep the values a network was built (zero) or
 loaded with.  The bound machinery assumes threshold-free networks and warns.
@@ -93,14 +98,13 @@ __all__ = [
     "MaxPoolModulus",
     "AbsHead",
     "Network",
-    "LossKind",
     "build_network",
     "infer_shapes",
     "max_width",
     "forward",
     "backward",
     "kept_arrays",
-    "compute_loss",
+    "per_sample_losses",
     "sgd_init",
     "sgd_step",
     "save_checkpoint",
@@ -482,23 +486,21 @@ def _checked_batch(net: Network, batch):
 # losses
 
 
-@dataclass
-class LossKind:
-    """Loss selector; ``m_ceiling`` records the largest per-sample loss seen."""
-
-    kind: str  # "l2" | "cross_entropy"
-    m_ceiling: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("l2", "cross_entropy"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+LOSSES = ("l2", "cross_entropy")
 
 
-def per_sample_losses(output, target, loss: LossKind) -> np.ndarray:
-    if loss.kind == "l2":
+def _check_loss(loss):
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}: expected one of {', '.join(LOSSES)}")
+
+
+def per_sample_losses(output, target, loss: str) -> np.ndarray:
+    """The loss of each sample: the l2 distance of a complex output row from
+    its target, or -log of the labelled class's abs-head probability."""
+    _check_loss(loss)
+    if loss == "l2":
         out, tgt = _checked_l2_target(output, target)
         return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
-    # cross entropy on abs-head softmax probabilities
     if np.iscomplexobj(output):
         raise ValueError("cross-entropy loss needs abs-head class probabilities")
     probs = np.atleast_2d(output)
@@ -518,37 +520,26 @@ def _checked_l2_target(output, target):
 
 def _checked_labels(target, probs):
     labels = np.asarray(target)
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
+    if labels.ndim != 1 or labels.shape[0] != probs.shape[0] or labels.dtype.kind not in "iu":
         raise ValueError("labels must be one integer per sample")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ValueError("label out of range")
     return labels
 
 
-def compute_loss(output, target, loss: LossKind, update_ceiling: bool = True) -> float:
-    """Batch-mean loss; optionally advances the running per-sample ceiling M.
-
-    The ceiling is meant to track training-set losses only, so evaluation
-    passes on held-out data should pass ``update_ceiling=False``.
-    """
-    vals = per_sample_losses(output, target, loss)
-    if update_ceiling and vals.size:
-        loss.m_ceiling = max(loss.m_ceiling, float(vals.max()))
-    return float(vals.mean()) if vals.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # backward
 
 
-def backward(net: Network, batch, targets, loss: LossKind):
-    """Gradients of the batch-mean loss for every parameter.
+def backward(net: Network, batch, targets, loss: str):
+    """Gradients of the batch-mean loss (a name in :data:`LOSSES`) for every parameter.
 
     Returns a list aligned with ``net.layers``: ``(dW, dH)`` complex arrays
     for weighted layers (re/im parts pair the partials w.r.t. the re/im
     parameter components), ``None`` elsewhere.  No gradient is formed with
     respect to the batch: the pass ends at layer 0's ``(dW, dH)``.
     """
+    _check_loss(loss)
     batch = _checked_batch(net, batch)
     caches: list = []
     out = _forward_walk(net, batch, caches)
@@ -556,7 +547,7 @@ def backward(net: Network, batch, targets, loss: LossKind):
     grads: list = [None] * len(net.layers)
 
     # gradient at the network output
-    if loss.kind == "l2":
+    if loss == "l2":
         out, tgt = _checked_l2_target(out, targets)
         diff = out - tgt
         norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))

@@ -20,9 +20,10 @@ and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
 are 1-Lipschitz and contribute neither s_i nor b_i.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
-empirical Rademacher complexity ceiling behind the i.i.d. bound, the
-covering number bound for a single linear map, and the PAC sample-size
-threshold.
+empirical Rademacher complexity ceiling behind the i.i.d. bound, and the
+PAC sample-size threshold.  The covering-number bound of one linear map,
+which those bounds rest on, lives with its executable check in
+:mod:`cvnnlab.covering`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "bound_iid",
     "bound_sequential",
     "rademacher_bound",
-    "covering_bound_linear",
     "pac_sample_size",
     "report_to_text",
     "report_from_text",
@@ -227,31 +227,6 @@ def rademacher_bound(m: float, n: int, w: int, z_norm: float, r_a: float) -> flo
         4.0 * m / nf**1.5
         + 18.0 * z_norm * math.sqrt(2.0 * math.log(2.0 * w)) * math.log(nf) * r_a / nf
     )
-
-
-def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: int) -> float:
-    """log covering number bound for {ZA : ||A||_{q,s} <= a} with ||Z||_p <= b.
-
-    ``r`` is the exponent conjugate to the data's p-norm; r = inf gives the
-    m^(2/r) = 1 instantiation the i.i.d. bound uses.
-    """
-    if m < 1 or d < 1:
-        raise ValueError("m, d must be positive integers")
-    if r < 1:
-        raise ValueError("r must be >= 1 (possibly inf)")
-    return _maurey_k(a, b, m, r, eps) * math.log(4.0 * d * m)
-
-
-def _maurey_k(a: float, b: float, m: int, r: float, eps: float) -> int:
-    """Atoms k = ceil(a^2 b^2 m^(2/r) / eps^2) that Maurey sparsification
-    needs to cover {ZA : ||A||_{q,s} <= a} at scale eps, ||Z||_p <= b."""
-    if not (a > 0 and b > 0 and eps > 0):  # also nan
-        raise ValueError("a, b, eps must be positive")
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    ratio = a * a * b * b * m_pow / (eps * eps) if eps * eps > 0 else math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ValueError("k = ceil(a^2 b^2 m^(2/r) / eps^2) is beyond the float range")
-    return math.ceil(ratio)
 
 
 def pac_sample_size(

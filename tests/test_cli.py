@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvnnlab import cli
 from cvnnlab.activations import CRELU
 from cvnnlab.cli import TraceError, _load_data, main, parse_trace_csv, run_training, TRACE_HEADER
 from cvnnlab.config import (
@@ -26,11 +27,9 @@ from cvnnlab.network import (
     AbsHead,
     Conv,
     Dense,
-    LossKind,
     MaxPoolModulus,
     Network,
     build_network,
-    compute_loss,
     forward,
     load_checkpoint,
     per_sample_losses,
@@ -229,7 +228,7 @@ class TestTrainCommand:
             tmp_path / "b" / "checkpoint.json"
         ).read_bytes()
 
-    def test_evaluation_is_compute_loss_of_one_forward_over_the_split(self, tmp_path):
+    def test_evaluation_is_per_sample_losses_of_one_forward_over_the_split(self, tmp_path):
         """A split of more than 256 samples with a ragged tail: the trace's
         train_loss and the ceiling M come from one forward pass of the saved
         network over the whole split."""
@@ -239,10 +238,29 @@ class TestTrainCommand:
         train, _ = _load_data(cfg)
         out = forward(load_checkpoint(result["checkpoint"]), train.inputs)
         row = Path(result["trace"]).read_text().splitlines()[1].split(",")
-        assert float(row[1]) == compute_loss(out, train.targets, LossKind("l2"))
-        losses = per_sample_losses(out, train.targets, LossKind("l2"))
+        losses = per_sample_losses(out, train.targets, "l2")
+        assert float(row[1]) == float(losses.mean())
         assert losses.argmax() >= 256  # so a ceiling over any leading slice falls short
         assert result["m_ceiling"] == losses.max()
+
+    def test_m_ceiling_is_the_largest_training_loss_over_the_epochs(self, tmp_path, monkeypatch):
+        """M counts every epoch's training-split evaluation and no test-split
+        one: here the first epoch holds the largest training loss, and the
+        test split a larger one still."""
+        seen = []
+
+        def spy(output, target, loss):
+            seen.append(per_sample_losses(output, target, loss))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "per_sample_losses", spy)
+        text = SYNTH_CFG.format(epochs=2, out_dir=tmp_path / "run")
+        text = text.replace("train_n = 64", "train_n = 32").replace("test_n = 32", "test_n = 128")
+        result = run_training(parse_config(text))
+        assert [len(losses) for losses in seen] == [32, 128, 32, 128]  # train, test per epoch
+        train_max = [float(losses.max()) for losses in seen[::2]]
+        assert result["m_ceiling"] == max(train_max) > train_max[-1]
+        assert result["m_ceiling"] < max(float(losses.max()) for losses in seen[1::2])
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

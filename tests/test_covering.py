@@ -12,10 +12,10 @@ from cvnnlab.covering import (
     cover_check,
     cover_report_to_text,
     cover_target,
+    covering_bound_linear,
     maurey_expectation_bound,
     maurey_sparsify,
 )
-from cvnnlab.spectral import covering_bound_linear
 
 from conftest import random_complex
 

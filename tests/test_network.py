@@ -18,17 +18,16 @@ from hypothesis import strategies as st
 from cvnnlab import lanes, network
 from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, Activation
 from cvnnlab.clinalg import spectral_norm_oracle
+from cvnnlab.config import ConfigError, parse_config
 from cvnnlab.network import (
     AbsHead,
     CheckpointError,
     Conv,
     Dense,
-    LossKind,
     MaxPoolModulus,
     Network,
     backward,
     build_network,
-    compute_loss,
     forward,
     infer_shapes,
     load_checkpoint,
@@ -46,7 +45,7 @@ def finite_diff_grads(net, x, y, loss_kind, h=1e-6):
     """Central finite differences of the batch loss for every parameter."""
 
     def batch_loss():
-        return compute_loss(forward(net, x), y, LossKind(loss_kind), update_ceiling=False)
+        return float(per_sample_losses(forward(net, x), y, loss_kind).mean())
 
     out = []
     for pos in range(len(net.layers)):
@@ -177,7 +176,7 @@ class TestBackward:
             [np.zeros(2, complex)],
         )
         x = np.zeros((4, 3), complex)
-        grads = backward(net, x, np.zeros((4, 2), complex), LossKind("l2"))
+        grads = backward(net, x, np.zeros((4, 2), complex), "l2")
         dw, dh = grads[0]
         npt.assert_array_equal(dw, np.zeros((3, 2), complex))
         npt.assert_array_equal(dh, np.zeros(2, complex))
@@ -187,7 +186,7 @@ class TestBackward:
         net = build_network(layers, seed=5)
         x = random_complex(rng, 8, 4, scale=0.7)
         y = random_complex(rng, 8, 2, scale=0.7)
-        analytic = backward(net, x, y, LossKind("l2"))
+        analytic = backward(net, x, y, "l2")
         numeric = finite_diff_grads(net, x, y, "l2")
         assert max_rel_err(analytic, numeric) <= 1e-5
 
@@ -202,7 +201,7 @@ class TestBackward:
         net = build_network(layers, seed=11)
         x = random_complex(rng, 6, 36, scale=0.8).reshape(6, 6, 6, 1)
         labels = rng.integers(0, 3, size=6)
-        analytic = backward(net, x, labels, LossKind("cross_entropy"))
+        analytic = backward(net, x, labels, "cross_entropy")
         numeric = finite_diff_grads(net, x, labels, "cross_entropy")
         assert max_rel_err(analytic, numeric, floor=1e-6) <= 1e-5
 
@@ -212,7 +211,7 @@ class TestBackward:
         net = Network([Dense(3, 2)], [w], [np.zeros(2, complex)])
         x = random_complex(rng, 5, 3)
         y = random_complex(rng, 5, 2)
-        grads = [g for g in backward(net, x, y, LossKind("l2")) if g is not None]
+        grads = [g for g in backward(net, x, y, "l2") if g is not None]
         dw, _ = grads[0]
 
         xs = np.hstack([x.real, x.imag])  # (n, 2 d_in)
@@ -258,8 +257,8 @@ class TestRealInputs:
         x = rng.uniform(0.0, 1.0, size=(9,) + shape)
         labels = rng.integers(0, 3, size=9)
         seen = self._spy_batches(monkeypatch)
-        real = backward(net, x, labels, LossKind("cross_entropy"))
-        cast = backward(net, x.astype(np.complex128), labels, LossKind("cross_entropy"))
+        real = backward(net, x, labels, "cross_entropy")
+        cast = backward(net, x.astype(np.complex128), labels, "cross_entropy")
         assert seen == [np.float64, np.complex128]
         for (dw_r, dh_r), (dw_c, dh_c) in (p for p in zip(real, cast) if p[0] is not None):
             for got, want in ((dw_r, dw_c), (dh_r, dh_c)):
@@ -280,7 +279,7 @@ class TestRealInputs:
         adjoint = network.conv.adjoint
         monkeypatch.setattr(network.conv, "adjoint", lambda *a: calls.append(1) or adjoint(*a))
         net = build_network(self.CONV_FIRST, seed=2)
-        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], LossKind("cross_entropy"))
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], "cross_entropy")
         assert len(calls) == 1  # conv at position 2 only
 
     def test_one_activation_backprop_per_activated_layer(self, rng, monkeypatch):
@@ -291,7 +290,7 @@ class TestRealInputs:
             lambda act, z, g, *out: calls.append(act.kind) or act_backprop(act, z, g, *out),
         )
         net = build_network(self.CONV_FIRST, seed=2)
-        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], LossKind("cross_entropy"))
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], "cross_entropy")
         # last activated layer first
         assert calls == ["crelu", "split_tanh", "crelu"]
 
@@ -357,44 +356,57 @@ def test_pool_backward_scatter_matches_reference_bitwise(shape, window, rng):
 class TestLosses:
     def test_l2_zero_on_match(self, rng):
         out = random_complex(rng, 3, 2)
-        assert compute_loss(out, out, LossKind("l2")) == 0.0
+        assert float(per_sample_losses(out, out, "l2").mean()) == 0.0
 
     def test_l2_hand_value(self):
         out = np.array([[3 + 4j, 0j]])
         target = np.zeros((1, 2), complex)
-        assert compute_loss(out, target, LossKind("l2")) == pytest.approx(5.0)
+        assert float(per_sample_losses(out, target, "l2").mean()) == pytest.approx(5.0)
 
     def test_ce_uniform_softmax(self):
         probs = np.full((4, 10), 0.1)
-        loss = compute_loss(probs, np.array([0, 3, 5, 9]), LossKind("cross_entropy"))
+        loss = float(per_sample_losses(probs, np.array([0, 3, 5, 9]), "cross_entropy").mean())
         assert loss == pytest.approx(math.log(10.0), rel=1e-12)
 
-    def test_ceiling_tracks_training_only(self, rng):
-        loss = LossKind("l2")
-        out = np.array([[3 + 4j]])
-        compute_loss(out, np.zeros((1, 1), complex), loss)
-        assert loss.m_ceiling == pytest.approx(5.0)
-        compute_loss(10 * out, np.zeros((1, 1), complex), loss, update_ceiling=False)
-        assert loss.m_ceiling == pytest.approx(5.0)
-        compute_loss(2 * out, np.zeros((1, 1), complex), loss)
-        assert loss.m_ceiling == pytest.approx(10.0)
+    @pytest.mark.parametrize("name", ["hinge", "L2", ""])
+    def test_unknown_loss_name_rejected(self, rng, name):
+        net = build_network([Dense(3, 2)], seed=0)
+        x = random_complex(rng, 4, 3)
+        with pytest.raises(ValueError, match="unknown loss"):
+            per_sample_losses(forward(net, x), np.zeros((4, 2), complex), name)
+        with pytest.raises(ValueError, match="unknown loss"):  # before the batch is read
+            backward(net, x[:, :2], np.zeros((4, 2), complex), name)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"dataset = synthetic\nloss = {name}\n")
+        assert all(known in str(err.value) for known in network.LOSSES)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.0], [0.0, 2.0], [True, False]], ids=["fractional", "integral", "bool"]
+    )
+    def test_labels_must_have_an_integer_dtype(self, rng, labels):
+        net = build_network([Dense(3, 3), AbsHead(3)], seed=0)
+        x = random_complex(rng, 2, 3)
+        with pytest.raises(ValueError, match="one integer per sample"):
+            per_sample_losses(forward(net, x), np.array(labels), "cross_entropy")
+        with pytest.raises(ValueError, match="one integer per sample"):
+            backward(net, x, np.array(labels), "cross_entropy")
 
     def test_ce_needs_abs_head_output(self, rng):
         with pytest.raises(ValueError, match="abs-head"):
-            per_sample_losses(random_complex(rng, 2, 3), np.array([0, 1]), LossKind("cross_entropy"))
+            per_sample_losses(random_complex(rng, 2, 3), np.array([0, 1]), "cross_entropy")
 
     def test_l2_rejects_probabilities(self):
         with pytest.raises(ValueError, match="complex"):
-            per_sample_losses(np.full((2, 3), 0.3), np.zeros((2, 3), complex), LossKind("l2"))
+            per_sample_losses(np.full((2, 3), 0.3), np.zeros((2, 3), complex), "l2")
 
     def test_l2_target_shape_checked_in_backward_too(self, rng):
         net = build_network([Dense(3, 2)], seed=0)
         x = random_complex(rng, 4, 3)
         target = np.zeros((1, 2), complex)  # one row for a batch of four
         with pytest.raises(ValueError, match="shape mismatch"):
-            per_sample_losses(forward(net, x), target, LossKind("l2"))
+            per_sample_losses(forward(net, x), target, "l2")
         with pytest.raises(ValueError, match="shape mismatch"):
-            backward(net, x, target, LossKind("l2"))
+            backward(net, x, target, "l2")
 
 
 class TestSgd:
@@ -474,7 +486,7 @@ class TestDeterminism:
             rng = np.random.default_rng(123)
             net = build_network([Dense(4, 3, SPLIT_TANH), Dense(3, 2)], seed=9)
             velocities = sgd_init(net)
-            loss = LossKind("l2")
+            loss = "l2"
             x = random_complex(rng, 16, 4)
             y = random_complex(rng, 16, 2)
             for epoch in range(3):
@@ -545,18 +557,18 @@ class TestLanes:
         store; inside it, after a larger batch has left its values there.
         The blocks also agree, to rounding, with one block of the batch."""
         net, x, y, loss = self._case(kind, n + 40, rng)
-        want = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
-        self._assert_same_grads(backward(net, x[:n], y[:n], LossKind(loss)), want)
+        want = single_lane(monkeypatch, backward, net, x[:n], y[:n], loss)
+        self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
         with monkeypatch.context() as m:
             m.setattr(network, "_STEP_BLOCK", 1 << 30)
-            whole = backward(net, x[:n], y[:n], LossKind(loss))
+            whole = backward(net, x[:n], y[:n], loss)
         for g, w in zip(whole, want):
             for a, b in zip(g or (), w or ()):
                 npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
         with network.kept_arrays():
-            backward(net, x[::-1], y[::-1], LossKind(loss))
-            self._assert_same_grads(backward(net, x[:n], y[:n], LossKind(loss)), want)
-            kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], LossKind(loss))
+            backward(net, x[::-1], y[::-1], loss)
+            self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
+            kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], loss)
             self._assert_same_grads(kept, want)
 
     @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.3), AMP_TANH],
@@ -620,7 +632,7 @@ class TestKeptArrays:
     def test_returned_gradients_survive_the_next_step(self, rng):
         net = build_network(self.LAYERS, seed=5)
         x, y = self._data(rng, 256)
-        loss = LossKind("cross_entropy")
+        loss = "cross_entropy"
         with network.kept_arrays():
             first = backward(net, x[:128], y[:128], loss)
             saved = [None if g is None else [a.tobytes() for a in g] for g in first]
@@ -635,7 +647,7 @@ class TestKeptArrays:
     def test_a_ragged_batch_after_full_ones_matches_a_fresh_call(self, rng):
         net = build_network(self.LAYERS, seed=6)
         x, y = self._data(rng, 288)
-        loss = LossKind("cross_entropy")
+        loss = "cross_entropy"
         want = backward(net, x[256:], y[256:], loss)
         with network.kept_arrays():
             backward(net, x[:128], y[:128], loss)
@@ -648,12 +660,12 @@ class TestKeptArrays:
         x, y = self._data(rng, 64)
         assert getattr(network._kept, "store", None) is None
         with network.kept_arrays():
-            backward(net, x, y, LossKind("cross_entropy"))
+            backward(net, x, y, "cross_entropy")
             refs = [weakref.ref(a) for a in network._kept.store.values()]
         assert refs and network._kept.store is None
         assert all(r() is None for r in refs)
         with pytest.raises(FloatingPointError), network.kept_arrays():
-            backward(net, x, y, LossKind("cross_entropy"))
+            backward(net, x, y, "cross_entropy")
             refs = [weakref.ref(a) for a in network._kept.store.values()]
             raise FloatingPointError("training diverged")
         assert refs and network._kept.store is None
@@ -663,7 +675,7 @@ class TestKeptArrays:
         net = build_network(self.LAYERS, seed=8)
         x, y = self._data(rng, 64)
         with network.kept_arrays():
-            backward(net, x, y, LossKind("cross_entropy"))
+            backward(net, x, y, "cross_entropy")
             out = forward(net, x)
             assert not any(np.shares_memory(out, a) for a in network._kept.store.values())
 
@@ -892,7 +904,7 @@ class TestCheckpoints:
             assert w.dtype.isnative
         x, y = random_complex(rng, 5, 3), random_complex(rng, 5, 2)
         for each in (net, loaded):
-            sgd_step(each, backward(each, x, y, LossKind("l2")), 0.1, 0.9, sgd_init(each))
+            sgd_step(each, backward(each, x, y, "l2"), 0.1, 0.9, sgd_init(each))
         for a, b in zip(net.weights, loaded.weights):
             assert a.tobytes() == b.tobytes()
 

@@ -122,3 +122,18 @@ def test_every_exported_name_is_defined():
         loaded = importlib.import_module(f"cvnnlab.{module}")
         missing = [name for name in names if not hasattr(loaded, name)]
         assert not missing, f"{module}.__all__ names what it does not define: {missing}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A relative ``from .m import _name`` in the package reaches past another
+    module's public surface; the walk also sees names inside parenthesised
+    multi-line imports."""
+    reached = [
+        f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level >= 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not reached, f"private names imported across modules: {reached}"

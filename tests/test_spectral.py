@@ -8,6 +8,7 @@ from cvnnlab.activations import CRELU, Activation
 from cvnnlab.clinalg import spectral_norm_oracle, spectral_norm_power
 from cvnnlab.config import build_layers
 from cvnnlab.conv import LoweringBudgetError, adjoint, apply, layer_matrix, weight_grad
+from cvnnlab.covering import covering_bound_linear
 from cvnnlab.network import (
     AbsHead,
     Conv,
@@ -23,7 +24,6 @@ from cvnnlab.spectral import (
     bound_iid,
     bound_sequential,
     conv_spectral_norm,
-    covering_bound_linear,
     pac_sample_size,
     rademacher_bound,
     report_from_text,
