@@ -29,8 +29,8 @@ __all__ = [
     "spectral_norm_oracle",
 ]
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+_RESIDUAL_SHARE = 1e-10  # Lanczos stopping share of theta (see gram_lanczos)
 _BASIS_BLOCK = 32  # Lanczos basis rows allocated at a time
 
 
@@ -117,20 +117,19 @@ class LanczosResult:
     converged: bool
 
 
-def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> LanczosResult:
+def gram_lanczos(gram_apply, shape, max_iter, seed) -> LanczosResult:
     """sqrt of the largest eigenvalue of a Hermitian PSD operator (a Gram map
     w = A*A v on arrays of ``shape``), by Lanczos from a seeded random start.
 
     The basis is kept orthonormal by two Gram-Schmidt passes per step.  The
     top Ritz value theta of the tridiagonal is a lower bound on the
     eigenvalue; iteration stops once its residual beta_k |e_k^T s| falls to
-    ``tol * theta`` (beta_k = 0 means an invariant subspace: theta is exact).
+    the fixed share 1e-10 of theta (beta_k = 0 means an invariant subspace:
+    theta is exact).
     The Krylov dimension is capped at min(max_iter, size); reaching the size
     is exact, so it counts as converged.  ``iterations`` counts operator
     applications.  An overflow stops with value inf and ``converged=False``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q = start.ravel() / np.linalg.norm(start)
@@ -156,19 +155,14 @@ def gram_lanczos(gram_apply, shape, tol, max_iter, seed) -> LanczosResult:
         beta = float(np.linalg.norm(w))
         evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         theta = max(float(evals[-1]), 0.0)
-        if beta * abs(evecs[-1, -1]) <= tol * theta or k == n:
+        if beta * abs(evecs[-1, -1]) <= _RESIDUAL_SHARE * theta or k == n:
             return LanczosResult(math.sqrt(theta), k, True)
         betas.append(beta)
         q = w / beta
     return LanczosResult(math.sqrt(theta), k_max, False)
 
 
-def spectral_norm_power(
-    a,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> LanczosResult:
+def spectral_norm_power(a, max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> LanczosResult:
     """Largest singular value by :func:`gram_lanczos` on A*A.
 
     The zero matrix short-circuits to 0.  Non-convergence within
@@ -179,7 +173,7 @@ def spectral_norm_power(
     if a.size == 0 or not np.any(a):
         return LanczosResult(0.0, 0, True)
     a_h = a.conj().T
-    return gram_lanczos(lambda v: a_h @ (a @ v), a.shape[1], tol, max_iter, seed)
+    return gram_lanczos(lambda v: a_h @ (a @ v), a.shape[1], max_iter, seed)
 
 
 def spectral_norm_oracle(a) -> float:

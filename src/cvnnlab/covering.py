@@ -15,16 +15,17 @@ twice the expectation bound with probability >= 1/2, so 64 trials fail with
 probability <= 2^-64.  Asserting the factor-2 ceiling is therefore sound;
 hitting the expectation itself is reported but never asserted.
 
-The cover check instantiates the construction behind the linear covering
-bound: targets ZA with ||A||_{2,1} <= a are decomposed over the 4dm signed
-basis directions +-(y e_i) e_j^T and +-(i y e_i) e_j^T built from the
-column-normalized data matrix y, then sparsified with
-k = ceil(a^2 ||Z||^2 m^(2/r) / eps^2) atoms.  Weights over the basis act
-through their d x m coefficient matrix S (a sparsified point is y S_k), so
-the basis stays implicit and a check needs memory O(trials (d m + n m)).
-Coverage is verified pointwise on sampled targets (the full cover has N^k
-points and is never enumerated); the count of distinct sparsified points
-stands in for the cover cardinality.
+The cover check runs the construction behind the linear covering bound in
+the one instantiation the i.i.d. and sequential bounds use: a (2,1)-norm
+bound on the weights and a Frobenius bound on the data.  Targets ZA with
+||A||_{2,1} <= a are decomposed over the 4dm signed basis directions
++-(y e_i) e_j^T and +-(i y e_i) e_j^T built from the column-normalized data
+matrix y, then sparsified with k = ceil(a^2 ||Z||_F^2 / eps^2) atoms.
+Weights over the basis act through their d x m coefficient matrix S (a
+sparsified point is y S_k), so the basis stays implicit and a check needs
+memory O(trials (d m + n m)).  Coverage is verified pointwise on sampled
+targets (the full cover has N^k points and is never enumerated); the count
+of distinct sparsified points stands in for the cover cardinality.
 """
 
 from __future__ import annotations
@@ -136,28 +137,21 @@ def _coefficients(weights, d: int, m: int) -> np.ndarray:
     return (w[..., 0, :, :] - w[..., 1, :, :]) + 1j * (w[..., 2, :, :] - w[..., 3, :, :])
 
 
-def covering_bound_linear(a: float, b: float, m: int, r: float, eps: float, d: int) -> float:
-    """log covering number bound for {ZA : ||A||_{q,s} <= a} with ||Z||_p <= b.
-
-    ``r`` is the exponent conjugate to the data's p-norm; r = inf gives the
-    m^(2/r) = 1 instantiation the i.i.d. bound uses.
-    """
+def covering_bound_linear(a: float, b: float, m: int, eps: float, d: int) -> float:
+    """log covering number bound for {ZA : ||A||_{2,1} <= a} with ||Z||_F <= b."""
     if m < 1 or d < 1:
         raise ValueError("m, d must be positive integers")
-    if r < 1:
-        raise ValueError("r must be >= 1 (possibly inf)")
-    return _maurey_k(a, b, m, r, eps) * math.log(4.0 * d * m)
+    return _maurey_k(a, b, eps) * math.log(4.0 * d * m)
 
 
-def _maurey_k(a: float, b: float, m: int, r: float, eps: float) -> int:
-    """Atoms k = ceil(a^2 b^2 m^(2/r) / eps^2) that Maurey sparsification
-    needs to cover {ZA : ||A||_{q,s} <= a} at scale eps, ||Z||_p <= b."""
+def _maurey_k(a: float, b: float, eps: float) -> int:
+    """Atoms k = ceil(a^2 b^2 / eps^2) that Maurey sparsification needs to
+    cover {ZA : ||A||_{2,1} <= a} at scale eps, ||Z||_F <= b."""
     if not (a > 0 and b > 0 and eps > 0):  # also nan
         raise ValueError("a, b, eps must be positive")
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    ratio = a * a * b * b * m_pow / (eps * eps) if eps * eps > 0 else math.inf
+    ratio = a * a * b * b / (eps * eps) if eps * eps > 0 else math.inf
     if not 0.0 < ratio < math.inf:
-        raise ValueError("k = ceil(a^2 b^2 m^(2/r) / eps^2) is beyond the float range")
+        raise ValueError("k = ceil(a^2 b^2 / eps^2) is beyond the float range")
     return math.ceil(ratio)
 
 
@@ -170,7 +164,6 @@ class CoverReport:
     n: int
     a: float
     eps: float
-    r: float
     k: int
     trials: int
     samples: int
@@ -227,9 +220,8 @@ def cover_check(
     eps: float,
     n_samples: int,
     trials: int,
+    m: int,
     seed: int = 0,
-    m: int | None = None,
-    r: float = math.inf,
 ) -> CoverReport:
     """Pointwise verification that sparsified combinations cover {ZA}.
 
@@ -242,13 +234,11 @@ def cover_check(
     if z.ndim != 2 or not np.any(z):
         raise ValueError("z must be a nonzero matrix")
     n, d = z.shape
-    if m is None:
-        m = d
     if m < 1 or n_samples < 1:
         raise ValueError("m and n_samples must be positive")
     b_norm = frobenius_norm(z)
-    k = _maurey_k(a, b_norm, m, r, eps)
-    alpha_proof = a * (1.0 if math.isinf(r) else float(m) ** (1.0 / r)) * b_norm
+    k = _maurey_k(a, b_norm, eps)
+    alpha_proof = a * b_norm
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -274,7 +264,6 @@ def cover_check(
         n=n,
         a=a,
         eps=eps,
-        r=r,
         k=k,
         trials=trials,
         samples=n_samples,
@@ -282,7 +271,7 @@ def cover_check(
         theoretical_error=alpha_proof / math.sqrt(k),
         frac_within_eps=within / n_samples,
         distinct_cover_points_used=len(distinct),
-        bound_ln_cover=covering_bound_linear(a, b_norm, m, r, eps, d),
+        bound_ln_cover=covering_bound_linear(a, b_norm, m, eps, d),
     )
 
 

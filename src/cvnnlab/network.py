@@ -642,7 +642,10 @@ def _activation_from_json(doc):
     if doc is None:
         return None
     try:
-        return Activation(doc["kind"], b=float(doc.get("b", 0.0)))
+        kind, b = doc["kind"], doc.get("b", 0.0)
+        if type(b) not in (int, float):  # a JSON number; bool is refused
+            raise TypeError(f"b must be a number, got {b!r}")
+        return Activation(kind, b=float(b))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"bad activation record: {exc}") from exc
 

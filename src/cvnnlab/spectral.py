@@ -37,7 +37,6 @@ from . import conv
 from .activations import declared_lipschitz
 from .clinalg import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     LanczosResult,
     gram_lanczos,
     pq_norm,
@@ -66,11 +65,7 @@ __all__ = [
 
 
 def conv_spectral_norm(
-    kernel,
-    input_shape,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
+    kernel, input_shape, max_iter: int = DEFAULT_MAX_ITER, seed: int = 0
 ) -> LanczosResult:
     """Largest singular value of the induced linear map, matrix-free.
 
@@ -84,7 +79,7 @@ def conv_spectral_norm(
     shape = (1,) + tuple(input_shape)
     return gram_lanczos(
         lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel, shape),
-        shape, tol, max_iter, seed,
+        shape, max_iter, seed,
     )
 
 
@@ -269,7 +264,8 @@ def report_to_text(report: SpectralReport) -> str:
 
 
 def report_from_text(text: str) -> SpectralReport:
-    """Inverse of :func:`report_to_text`; a missing key raises ValueError.
+    """Inverse of :func:`report_to_text`; a missing key, a flag other than
+    ``true`` or ``false`` or a report with no layers raises ValueError.
 
     A ``spectral-report-v1`` text is refused: it may carry a probed rho and
     an r_a built from it."""
@@ -286,7 +282,14 @@ def report_from_text(text: str) -> SpectralReport:
         return get(key) if key in kv else None
 
     def flag(key):
-        return get(key, str) == "true"
+        value = get(key, str)
+        if value not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        return value == "true"
+
+    layer_count = get("layer_count", int)
+    if layer_count < 1:
+        raise ValueError(f"layer_count must be at least 1, got {layer_count}")
 
     layers = tuple(
         LayerNorms(
@@ -296,7 +299,7 @@ def report_from_text(text: str) -> SpectralReport:
             b=optional(f"layer.{i}.b"),
             rho=get(f"layer.{i}.rho"),
         )
-        for i in range(get("layer_count", int))
+        for i in range(layer_count)
     )
     return SpectralReport(
         layers=layers,

@@ -686,6 +686,27 @@ class TestBoundsCommand:
         assert rc == 2
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("power_iteration_converged", "yes"), ("sn_product_only", "TRUE"),
+        ("layer_count", "0"), ("layer_count", "-3"),
+    ])
+    def test_malformed_flag_or_layer_count_is_input_error(self, tmp_path, capsys, key, value):
+        from cvnnlab.spectral import report_from_text
+
+        rep = self._report(tmp_path)
+        lines = rep.read_text().splitlines()
+        text = "\n".join(f"{key} = {value}" if l.startswith(key + " =") else l for l in lines)
+        rep.write_text(text + "\n")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            report_from_text(rep.read_text())
+        capsys.readouterr()
+        rc = main([
+            "bounds", "--report", str(rep), "--mode", "iid",
+            "--m", "1", "--n", "100", "--w", "2", "--z-norm", "10",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
     def test_sn_product_only_rejected(self, tmp_path):
         from cvnnlab.network import build_network
 

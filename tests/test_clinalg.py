@@ -120,10 +120,6 @@ class TestSpectralNorm:
         assert not res.converged
         assert res.value > 0.0
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            spectral_norm_power(np.eye(2), tol=0.0)
-
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6])
     def test_small_top_gap(self, gap):
         # power iteration needs ~1/gap steps here and can stall while
@@ -143,8 +139,8 @@ class TestSpectralNorm:
         # 3 steps span the whole space, so the result is exact and converged
         # whatever max_iter allows
         a = random_complex(rng, 5, 3)
-        res = spectral_norm_power(a, tol=1e-300, max_iter=50)
-        assert res.converged and res.iterations <= 3
+        res = spectral_norm_power(a, max_iter=50)
+        assert res.converged and res.iterations == 3
         assert abs(res.value - spectral_norm_oracle(a)) <= 1e-12 * res.value
 
     def test_overflow_is_not_a_silent_zero(self):

@@ -191,7 +191,7 @@ class TestCoverCheck:
         b = float(np.sqrt(np.sum(np.abs(z) ** 2)))
         assert rep.k == math.ceil(b * b / 0.25)
         assert rep.bound_ln_cover == pytest.approx(
-            covering_bound_linear(1.0, b, 2, math.inf, 0.5, 2), rel=1e-12
+            covering_bound_linear(1.0, b, 2, 0.5, 2), rel=1e-12
         )
         assert rep.theoretical_error <= rep.eps + 1e-12
 
@@ -258,11 +258,11 @@ class TestCoverCheck:
     def test_rejects_bad_inputs(self, rng):
         z = random_complex(rng, 3, 2)
         with pytest.raises(ValueError):
-            cover_check(np.zeros((3, 2)), 1.0, 0.5, 1, 4)
+            cover_check(np.zeros((3, 2)), 1.0, 0.5, 1, 4, m=2)
         with pytest.raises(ValueError):
-            cover_check(z, -1.0, 0.5, 1, 4)
+            cover_check(z, -1.0, 0.5, 1, 4, m=2)
         with pytest.raises(ValueError):
-            cover_check(z, 1.0, 0.0, 1, 4)
+            cover_check(z, 1.0, 0.0, 1, 4, m=2)
 
     @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1e200, 1e-200), (math.nan, 0.5)])
     def test_count_beyond_floats_raises(self, rng, a, eps):
@@ -278,7 +278,7 @@ class TestCoverCheck:
 
     def test_serialization_golden_text(self):
         rep = CoverReport(
-            d=3, m=2, n=4, a=1.0, eps=0.5, r=math.inf, k=37, trials=8, samples=5,
+            d=3, m=2, n=4, a=1.0, eps=0.5, k=37, trials=8, samples=5,
             achieved_error=0.1, theoretical_error=0.25, frac_within_eps=1.0,
             distinct_cover_points_used=5, bound_ln_cover=12.5,
         )
@@ -289,7 +289,6 @@ class TestCoverCheck:
             "n = 4\n"
             "a = 1\n"
             "eps = 0.5\n"
-            "r = inf\n"
             "k = 37\n"
             "trials = 8\n"
             "samples = 5\n"
@@ -304,4 +303,4 @@ class TestCoverCheck:
         z = random_complex(rng, 3, 2)
         z[:, 1] = 0.0
         with pytest.raises(ValueError, match="z must have no zero column"):
-            cover_check(z, 1.0, 0.5, 1, 4)
+            cover_check(z, 1.0, 0.5, 1, 4, m=2)

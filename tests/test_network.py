@@ -831,6 +831,17 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="dense dimensions must be (integers|positive)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("b", ["0.25", True, None])
+    def test_activation_b_must_be_a_number(self, tmp_path, b):
+        net = build_network([Dense(2, 2, Activation("modrelu", b=-0.25))], seed=1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["activation"]["b"] = b
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="bad activation record"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         net = self._net()
         path = tmp_path / "ckpt.json"

@@ -455,23 +455,23 @@ class TestBounds:
 
 class TestCoveringBounds:
     def test_linear_unit_case(self):
-        assert covering_bound_linear(1, 1, 1, math.inf, 1, 1) == pytest.approx(math.log(4.0))
+        assert covering_bound_linear(1, 1, 1, 1, 1) == pytest.approx(math.log(4.0))
 
     def test_linear_ceiling_floor(self):
-        # eps >= a b m^(1/r): the ceiling collapses to 1
-        assert covering_bound_linear(1.0, 1.0, 3, math.inf, 2.0, 2) == pytest.approx(
+        # eps >= a b: the ceiling collapses to 1
+        assert covering_bound_linear(1.0, 1.0, 3, 2.0, 2) == pytest.approx(
             math.log(24.0)
         )
 
     def test_linear_inf_exponent(self):
-        with_inf = covering_bound_linear(2.0, 3.0, 7, math.inf, 0.5, 4)
+        with_inf = covering_bound_linear(2.0, 3.0, 7, 0.5, 4)
         manual = math.ceil(4.0 * 9.0 / 0.25) * math.log(4.0 * 4 * 7)
         assert with_inf == pytest.approx(manual, rel=1e-14)
 
     @pytest.mark.parametrize("a, eps", [(math.inf, 0.5), (1e200, 1e-200), (math.nan, 0.5)])
     def test_linear_count_beyond_floats_raises(self, a, eps):
         with pytest.raises(ValueError):
-            covering_bound_linear(a, 1.0, 2, math.inf, eps, 2)
+            covering_bound_linear(a, 1.0, 2, eps, 2)
 
 
 class TestPacSampleSize:

@@ -60,7 +60,7 @@ layer_norms = st.builds(
 )
 spectral_reports = st.builds(
     SpectralReport,
-    layers=st.lists(layer_norms, max_size=5).map(tuple),
+    layers=st.lists(layer_norms, min_size=1, max_size=5).map(tuple),
     sn_product=no_nan,
     lipschitz_product=no_nan,
     r_a=st.none() | no_nan,
