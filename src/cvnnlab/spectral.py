@@ -17,7 +17,8 @@ activation's declared constant on all of C
 a lowering exceeds the memory budget, or an activation has no finite
 constant (modrelu with b > 0), the report degrades to sn-product-only mode
 and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
-are 1-Lipschitz and contribute neither s_i nor b_i.
+are 1-Lipschitz and contribute neither s_i nor b_i.  A report stores the
+layer records and two flags; its products, R_A and mode derive from them.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
 empirical Rademacher complexity ceiling behind the i.i.d. bound, and the
@@ -95,16 +96,52 @@ class LayerNorms:
     b: float | None
     rho: float
 
+    def __post_init__(self):
+        # written as "not x >= 0" so that nan fails too
+        if self.kind not in ("dense", "conv") or not (
+            self.position >= 0 and self.s >= 0 and (self.b is None or self.b >= 0) and self.rho > 0
+        ):
+            raise ValueError(f"a layer needs kind dense or conv, position, s, b >= 0, rho > 0: {self}")
+
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """Layer records and two flags; the aggregates derive from the records."""
+
     layers: tuple
-    sn_product: float
-    lipschitz_product: float
-    r_a: float | None
-    sn_product_only: bool
     thresholds_nonzero: bool
     power_iteration_converged: bool  # every layer's solve; the name is report format v2's
+
+    @property
+    def sn_product_only(self) -> bool:
+        return any(rec.b is None or math.isinf(rec.rho) for rec in self.layers)
+
+    @property
+    def _zero_map(self) -> bool:
+        # a zero map makes the network constant, whatever rho or s = inf elsewhere
+        return any(rec.s == 0.0 for rec in self.layers)
+
+    @property
+    def sn_product(self) -> float:
+        return 0.0 if self._zero_map else math.prod(rec.s for rec in self.layers)
+
+    @property
+    def lipschitz_product(self) -> float:
+        return 0.0 if self._zero_map else math.prod(rec.rho * rec.s for rec in self.layers)
+
+    @property
+    def r_a(self) -> float | None:
+        if self.sn_product_only:
+            return None
+        if self._zero_map:
+            return 0.0
+        if any(math.isinf(rec.s) for rec in self.layers):
+            return math.inf  # b / s would read 0 (or nan) and hide the overflow
+        ratio_sum = sum((rec.b / rec.s) ** (2.0 / 3.0) for rec in self.layers)
+        try:
+            return self.lipschitz_product * ratio_sum**1.5
+        except OverflowError:  # a hand-made record with b / s beyond any layer width
+            return math.inf
 
 
 def analyze(net: Network, input_shape) -> SpectralReport:
@@ -115,7 +152,6 @@ def analyze(net: Network, input_shape) -> SpectralReport:
     """
     shapes = infer_shapes(net.layers, input_shape)
     records = []
-    sn_product_only = False
     converged = True
     for pos, spec in enumerate(net.layers):
         if spec.param_shapes() is None:
@@ -123,12 +159,10 @@ def analyze(net: Network, input_shape) -> SpectralReport:
         if isinstance(spec, Dense):
             a = net.weights[pos]
             res = spectral_norm_power(a)
-            s = res.value
             b = pq_norm(a.T, 2, 1)
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
             res = conv_spectral_norm(kernel, shapes[pos])
-            s = res.value
             try:
                 m = layer_matrix(kernel, shapes[pos])
                 # the weight-matrix orientation (inputs x outputs) is the
@@ -136,41 +170,15 @@ def analyze(net: Network, input_shape) -> SpectralReport:
                 # is the (2,1) norm of the lowering itself
                 b = pq_norm(m, 2, 1)
             except LoweringBudgetError:
-                b = None
-                sn_product_only = True
+                b = None  # sn-product-only
         converged = converged and res.converged
         rho = 1.0 if spec.activation is None else declared_lipschitz(spec.activation)
-        sn_product_only |= math.isinf(rho)
         kind = "dense" if isinstance(spec, Dense) else "conv"
-        records.append(LayerNorms(position=pos, kind=kind, s=s, b=b, rho=rho))
+        records.append(LayerNorms(position=pos, kind=kind, s=res.value, b=b, rho=rho))
     if not records:
         raise ValueError("network has no weighted layers")
-    # a zero map makes the network constant, even after rho = inf or an
-    # overflowed s = inf elsewhere (whose product with 0 would read nan)
-    zero_map = any(rec.s == 0.0 for rec in records)
-    sn_product = 0.0 if zero_map else math.prod(rec.s for rec in records)
-    lipschitz_product = 0.0 if zero_map else math.prod(rec.rho * rec.s for rec in records)
-    if sn_product_only:
-        r_a = None
-    elif zero_map:
-        r_a = 0.0
-    elif any(math.isinf(rec.s) for rec in records):
-        r_a = math.inf  # b / s would read 0 (or nan) and hide the overflow
-    else:
-        ratio_sum = sum((rec.b / rec.s) ** (2.0 / 3.0) for rec in records)
-        r_a = lipschitz_product * ratio_sum**1.5
-    thresholds_nonzero = any(
-        h is not None and np.any(np.abs(h) > 0.0) for h in net.thresholds
-    )
-    return SpectralReport(
-        layers=tuple(records),
-        sn_product=sn_product,
-        lipschitz_product=lipschitz_product,
-        r_a=r_a,
-        sn_product_only=sn_product_only,
-        thresholds_nonzero=thresholds_nonzero,
-        power_iteration_converged=converged,
-    )
+    thresholds_nonzero = any(h is not None and np.any(np.abs(h) > 0.0) for h in net.thresholds)
+    return SpectralReport(tuple(records), thresholds_nonzero, power_iteration_converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +272,10 @@ def report_to_text(report: SpectralReport) -> str:
 
 
 def report_from_text(text: str) -> SpectralReport:
-    """Inverse of :func:`report_to_text`; a missing key, a flag other than
-    ``true`` or ``false`` or a report with no layers raises ValueError.
+    """Inverse of :func:`report_to_text`.  A missing key, a flag other than
+    ``true`` or ``false``, a report with no layers, an invalid layer record,
+    or an ``sn_product_only`` or aggregate line other than the writer prints
+    for the layers raises ValueError.
 
     A ``spectral-report-v1`` text is refused: it may carry a probed rho and
     an r_a built from it."""
@@ -277,9 +287,6 @@ def report_from_text(text: str) -> SpectralReport:
         if key not in kv:
             raise ValueError(f"report lacks {key!r}")
         return convert(kv[key])
-
-    def optional(key):
-        return get(key) if key in kv else None
 
     def flag(key):
         value = get(key, str)
@@ -296,17 +303,18 @@ def report_from_text(text: str) -> SpectralReport:
             position=get(f"layer.{i}.position", int),
             kind=get(f"layer.{i}.kind", str),
             s=get(f"layer.{i}.s"),
-            b=optional(f"layer.{i}.b"),
+            b=get(f"layer.{i}.b") if f"layer.{i}.b" in kv else None,
             rho=get(f"layer.{i}.rho"),
         )
         for i in range(layer_count)
     )
-    return SpectralReport(
-        layers=layers,
-        sn_product=get("sn_product"),
-        lipschitz_product=get("lipschitz_product"),
-        r_a=optional("r_a"),
-        sn_product_only=flag("sn_product_only"),
-        thresholds_nonzero=flag("thresholds_nonzero"),
-        power_iteration_converged=flag("power_iteration_converged"),
-    )
+    report = SpectralReport(layers, flag("thresholds_nonzero"), flag("power_iteration_converged"))
+    flag("sn_product_only")
+    # compared as printed text, so that nan, inf and an absent r_a compare as written
+    derived = {key: value for _, key, value in read_kv(report_to_text(report))}
+    for key in ("sn_product_only", "sn_product", "lipschitz_product", "r_a"):
+        if kv.get(key) != derived.get(key):
+            get(key, str)  # a missing line is named
+            raise ValueError(f"{key} = {kv[key]} does not follow from the layers "
+                             f"(expected {derived.get(key, 'no such line')})")
+    return report

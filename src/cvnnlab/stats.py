@@ -33,18 +33,9 @@ class ConstantInputError(ValueError):
 
 def average_ranks(x) -> np.ndarray:
     """1-based ranks with ties replaced by their average (midranks)."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.shape[0], dtype=float)
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # the 1-based rank of each distinct value's last copy
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def pearson(x, y) -> float:

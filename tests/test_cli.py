@@ -707,6 +707,56 @@ class TestBoundsCommand:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    def _bounds_on(self, rep, capsys):
+        capsys.readouterr()
+        rc = main([
+            "bounds", "--report", str(rep), "--mode", "iid",
+            "--m", "1", "--n", "100", "--w", "2", "--z-norm", "10",
+        ])
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["sn_product_only = true", "r_a = 1e-9", "sn_product = 7"])
+    def test_aggregate_disagreeing_with_layers_is_input_error(self, tmp_path, capsys, line):
+        from cvnnlab.spectral import report_from_text
+
+        rep = self._report(tmp_path)
+        key = line.split(" = ")[0]
+        text = "".join(line + "\n" if l.startswith(key + " = ") else l + "\n"
+                       for l in rep.read_text().splitlines())
+        assert text != rep.read_text()
+        rep.write_text(text)
+        with pytest.raises(ValueError, match=f"^{key} = .* does not follow from the layers"):
+            report_from_text(text)
+        assert self._bounds_on(rep, capsys) == (2, "")
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "banana"), ("position", "-7"), ("rho", "-5"), ("s", "-2"), ("b", "nan"),
+    ])
+    def test_invalid_layer_record_is_input_error(self, tmp_path, capsys, key, value):
+        from cvnnlab.spectral import report_from_text
+
+        rep = self._report(tmp_path)
+        field = f"layer.0.{key} = "
+        text = "".join(field + value + "\n" if l.startswith(field) else l + "\n"
+                       for l in rep.read_text().splitlines())
+        rep.write_text(text)
+        with pytest.raises(ValueError, match="^a layer needs kind dense or conv"):
+            report_from_text(text)
+        assert self._bounds_on(rep, capsys) == (2, "")
+
+    def test_r_a_beyond_the_float_range_reads_inf(self, tmp_path, capsys):
+        from cvnnlab.spectral import LayerNorms, SpectralReport, report_from_text, report_to_text
+
+        # b / s = 1e308 per layer: the ratio sum is finite, its 1.5th power is not
+        rec = LayerNorms(position=0, kind="dense", s=1e-8, b=1e300, rho=1.0)
+        report = SpectralReport((rec, rec), thresholds_nonzero=False, power_iteration_converged=True)
+        assert report.r_a == math.inf
+        rep = tmp_path / "rep.txt"
+        rep.write_text(report_to_text(report))
+        assert report_from_text(rep.read_text()) == report
+        rc, out = self._bounds_on(rep, capsys)
+        assert rc == 0 and "r_a = inf\n" in out
+
     def test_sn_product_only_rejected(self, tmp_path):
         from cvnnlab.network import build_network
 

@@ -1,14 +1,14 @@
+import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvnnlab.spectral import LayerNorms, SpectralReport, report_from_text, report_to_text
 from cvnnlab.textio import f17, kv_text, read_kv, write_atomic
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-no_nan = st.floats(allow_nan=False)
 
 
 @settings(max_examples=500, deadline=None)
@@ -50,30 +50,45 @@ def test_kv_writer_renders_each_type():
     assert text == "f = 0.10000000000000001\nt = true\nn = false\ni = 3\ns = x y\n"
 
 
+# s and b >= 0, with 0, tiny values and inf drawn often; the aggregates derive from them
+norms = st.floats(min_value=0.0) | st.sampled_from([0.0, 5e-324, 1e-200, math.inf])
 layer_norms = st.builds(
     LayerNorms,
     position=st.integers(0, 10**6),
     kind=st.sampled_from(["dense", "conv"]),
-    s=no_nan,
-    b=st.none() | no_nan,
-    rho=no_nan,
+    s=norms,
+    b=st.none() | norms,
+    rho=st.sampled_from([1.0, math.inf]),
 )
 spectral_reports = st.builds(
     SpectralReport,
     layers=st.lists(layer_norms, min_size=1, max_size=5).map(tuple),
-    sn_product=no_nan,
-    lipschitz_product=no_nan,
-    r_a=st.none() | no_nan,
-    sn_product_only=st.booleans(),
     thresholds_nonzero=st.booleans(),
     power_iteration_converged=st.booleans(),
 )
 
 
+def _dense(s, b, rho=1.0):
+    return LayerNorms(position=0, kind="dense", s=s, b=b, rho=rho)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spectral_reports)
+@example(SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), False, True))
+@example(SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), False, True))
+@example(SpectralReport((_dense(1e-200, math.inf),) * 2, False, True))  # r_a = 0 * inf = nan
 def test_spectral_report_round_trip(report):
     assert report_from_text(report_to_text(report)) == report
+
+
+def test_spectral_report_degenerate_aggregates():
+    zero_beside_inf_rho = SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), False, True)
+    assert (zero_beside_inf_rho.sn_product, zero_beside_inf_rho.lipschitz_product) == (0.0, 0.0)
+    assert zero_beside_inf_rho.sn_product_only and zero_beside_inf_rho.r_a is None
+    assert SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), False, True).r_a == math.inf
+    underflow = SpectralReport((_dense(1e-200, math.inf),) * 2, False, True)
+    assert underflow.lipschitz_product == 0.0 and math.isnan(underflow.r_a)
+    assert "r_a = nan\n" in report_to_text(underflow)
 
 
 @settings(max_examples=200, deadline=None)
