@@ -43,6 +43,9 @@ import math
 import os
 import sys
 
+# one OpenBLAS thread per lane: the same output bytes on one core and on many
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .activations import declared_lipschitz, lipschitz_probe
@@ -162,8 +165,8 @@ def run_training(cfg: ExperimentConfig):
             losses, train_acc = _evaluate(net, train, cfg.loss)
             train_loss = float(losses.mean())
             m_ceiling = max(m_ceiling, float(losses.max()))
-            params = [p for p in net.weights + net.thresholds if p is not None]
-            if not (math.isfinite(train_loss) and all(np.isfinite(p).all() for p in params)):
+            weights = [w for w in net.weights if w is not None]
+            if not (math.isfinite(train_loss) and all(np.isfinite(w).all() for w in weights)):
                 raise FloatingPointError(
                     f"epoch {epoch}: training diverged (non-finite loss or parameters)"
                 )
@@ -266,8 +269,6 @@ def _report_warnings(report: SpectralReport) -> list[str]:
         warnings.append("sn-product-only: conv lowering exceeded the memory budget")
     if any(math.isinf(rec.rho) for rec in report.layers):
         warnings.append("sn-product-only: an activation has no finite Lipschitz constant")
-    if report.thresholds_nonzero:
-        warnings.append("thresholds-nonzero: bound theory assumes threshold-free nets")
     if not report.power_iteration_converged:
         warnings.append("the spectral-norm solver did not converge")
     return warnings

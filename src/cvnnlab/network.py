@@ -1,7 +1,7 @@
 """Complex-valued networks: construction, forward pass, backprop, SGD, checkpoints.
 
-Layers are immutable specs; a :class:`Network` owns the complex parameters.
-Each spec's ``param_shapes()`` (weight and threshold shapes, or None) and
+Layers are immutable specs; a :class:`Network` owns the complex weights.
+Each spec's ``param_shapes()`` (weight and zero-threshold shapes, or None) and
 ``output_shape(shape)`` are the one statement of layer geometry: shape
 inference, construction, parameter validation, checkpoint loading and the
 config's architecture builder all read them.
@@ -10,7 +10,7 @@ to a complex quantity q = a + bi are carried as the complex number
 dL/da + i dL/db, so complex arrays serve as gradient containers and the
 activation 2x2 Jacobians plug in uniformly (none of the supported
 activations is holomorphic).  The gradient with respect to the network
-input is never used, so backprop stops at layer 0's parameter gradients.
+input is never used, so backprop stops at layer 0's weight gradient.
 
 A real batch (image pixels) stays real up to a dense or conv layer 0, whose
 forward product and weight gradient then take real GEMMs on the weight's
@@ -18,7 +18,7 @@ forward product and weight gradient then take real GEMMs on the weight's
 receives the batch cast to complex.  Either way each layer's output has
 the dtype it has for the complex cast of the batch.
 
-Dense layers store W with shape (in_dim, out_dim) and compute x @ W + H on
+Dense layers store W with shape (in_dim, out_dim) and compute x @ W on
 row-major batches.  Conv layers run stride-1 valid cross-correlation with a
 (kh, kw, cin, cout) kernel on (n, h, w, c) batches; their forward pass,
 input gradient and kernel gradient all come from :mod:`cvnnlab.conv`, the
@@ -34,9 +34,9 @@ or ``"cross_entropy"`` on abs-head probabilities.  This module computes
 per-sample losses and their gradients; the training loop keeps the loss
 ceiling M.
 
-Thresholds are added in the forward pass and differentiated in the backward
-pass but never trained: they keep the values a network was built (zero) or
-loaded with.  The bound machinery assumes threshold-free networks and warns.
+Networks are threshold-free, as the bounds assume: a :class:`Network`
+refuses a nonzero threshold, so its stored thresholds (and a checkpoint's
+threshold payloads) are zeros that no pass adds or differentiates.
 
 Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
 one worker per further core the process may run on.  This module is the
@@ -50,19 +50,19 @@ outputs in order; evaluation hands it a whole split at once.
 :func:`backward` walks the whole batch layer by layer, and inside a layer
 every per-sample stage runs as fixed blocks of ``_STEP_BLOCK`` (32) samples
 dealt across the lanes, each block writing only its own samples of the
-layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM, the
-threshold add and the activation; modulus pooling, whose flat index counts
-from the batch's first sample; then the activation backprop
-(:func:`act_backprop`), the pool scatter, the dense input gradient and the
-conv adjoint (one GEMM per block).  The parameter gradients stay single
-whole-batch reductions: each layer's weight gradient runs on a worker
-beside its input gradient, and the threshold sums run on the calling
-thread.  Block boundaries do not depend on the number of cores, so
-outputs and gradients are the same bytes on one core and on many.  Each
-call of forward or backward, and each :func:`act_backprop` inside
-backward, stays on the calling thread.  Tasks inherit the caller's numpy
-error state (``np.errstate``), and a call made on a pool worker runs its
-blocks inline, so calls never nest on the pool.
+layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM and
+the activation; modulus pooling, whose flat index counts from the batch's
+first sample; then the activation backprop (:func:`act_backprop`), the pool
+scatter, the dense input gradient and the conv adjoint (one GEMM per
+block).  Each layer's weight gradient stays one whole-batch reduction, run
+on a worker beside its input gradient.  Block boundaries do not depend on
+the number of cores, so outputs and gradients are the same bytes on one
+core and on many when OpenBLAS runs one thread: :mod:`cvnnlab.cli` sets
+``OPENBLAS_NUM_THREADS=1``, and a library caller sets it before importing
+numpy.  Each call of forward or backward, and each :func:`act_backprop`
+inside backward, stays on the calling thread.  Tasks inherit the caller's
+numpy error state (``np.errstate``), and a call made on a pool worker runs
+its blocks inline, so calls never nest on the pool.
 
 Inside :func:`kept_arrays`, which training opens around each epoch's steps,
 backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
@@ -249,9 +249,10 @@ class Network:
             expected = spec.param_shapes() or (None, None)
             if got != expected:
                 raise ValueError(f"{spec}: parameter shapes {got}, expected {expected}")
-        for arr in self.weights + self.thresholds:
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("parameters must be finite")
+        if not all(w is None or np.all(np.isfinite(w)) for w in self.weights):
+            raise ValueError("weights must be finite")
+        if any(h is not None and np.any(h) for h in self.thresholds):  # also nan; -0.0 passes
+            raise ValueError("thresholds must be zero: the bounds are for threshold-free networks")
         # every shape from the first dense layer on is fixed; conv prefixes
         # depend on the input shape and are checked when one is given
         first = next((i for i, s in enumerate(self.layers) if isinstance(s, Dense)), None)
@@ -387,7 +388,7 @@ def _softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _layer_forward(pos, spec, w, h, x, cache):
+def _layer_forward(pos, spec, w, x, cache):
     """Layer ``pos``'s output for the batch ``x``.  With the dict ``cache``
     (the training step) its arrays come from :func:`_step_array`, each stage
     runs in blocks across the lanes (:func:`_in_blocks`), what the backward
@@ -421,7 +422,6 @@ def _layer_forward(pos, spec, w, h, x, cache):
 
         def block(rows):
             product(rows)
-            pre[rows] += h
             if act:
                 activations.apply(act, pre[rows], out[rows])
 
@@ -449,9 +449,9 @@ def _forward_walk(net: Network, x, caches=None):
     cache is appended; without it (a forward block) they are fresh, and
     each layer's are freed once the next layer has run, so forward blocks
     in flight side by side stay small."""
-    for pos, (spec, w, h) in enumerate(zip(net.layers, net.weights, net.thresholds)):
+    for pos, (spec, w) in enumerate(zip(net.layers, net.weights)):
         cache = None if caches is None else {"input_shape": x.shape}
-        x = _layer_forward(pos, spec, w, h, x, cache)
+        x = _layer_forward(pos, spec, w, x, cache)
         if cache is not None:
             caches.append(cache)
     return x
@@ -532,12 +532,12 @@ def _checked_labels(target, probs):
 
 
 def backward(net: Network, batch, targets, loss: str):
-    """Gradients of the batch-mean loss (a name in :data:`LOSSES`) for every parameter.
+    """Gradients of the batch-mean loss (a name in :data:`LOSSES`) for every weight.
 
-    Returns a list aligned with ``net.layers``: ``(dW, dH)`` complex arrays
-    for weighted layers (re/im parts pair the partials w.r.t. the re/im
-    parameter components), ``None`` elsewhere.  No gradient is formed with
-    respect to the batch: the pass ends at layer 0's ``(dW, dH)``.
+    Returns a list aligned with ``net.layers``: a complex ``dW`` for weighted
+    layers (re/im parts pair the partials w.r.t. the re/im weight
+    components), ``None`` elsewhere.  No gradient is formed with respect to
+    the batch: the pass ends at layer 0's ``dW``.
     """
     _check_loss(loss)
     batch = _checked_batch(net, batch)
@@ -576,22 +576,20 @@ def backward(net: Network, batch, targets, loss: str):
         if isinstance(spec, Dense):
             x = cache["x"]
             dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
-            dh = grad.sum(axis=0)
             if pos:
                 w_herm = net.weights[pos].conj().T
                 dx = _step_array(pos, "dx", x.shape, np.complex128)
                 _in_blocks(lambda rows: np.matmul(grad[rows], w_herm, out=dx[rows]), n)
                 grad = dx.reshape(cache["input_shape"])
-            grads[pos] = (dw.result(), dh)
+            grads[pos] = dw.result()
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
             dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
-            db = grad.sum(axis=(0, 1, 2))
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
                 _in_blocks(lambda r: conv.adjoint(grad[r], kernel, dx[r].shape, dx[r]), n)
                 grad = dx
-            grads[pos] = (dw.result().reshape(kernel.shape), db)
+            grads[pos] = dw.result().reshape(kernel.shape)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
@@ -615,7 +613,7 @@ def sgd_init(net: Network) -> list:
 def sgd_step(net: Network, grads, lr: float, momentum: float, velocities: list) -> None:
     """v <- momentum v + dW; W <- W - lr v, applied to re/im parts independently.
 
-    Mutates the weights and velocities in place; thresholds never move.
+    Mutates the weights and velocities in place.
     """
     if not lr > 0:  # also nan
         raise ValueError("lr must be positive")
@@ -626,7 +624,7 @@ def sgd_step(net: Network, grads, lr: float, momentum: float, velocities: list) 
             continue
         v = velocities[pos]
         v *= momentum
-        v += g[0]
+        v += g
         net.weights[pos] -= lr * v
 
 

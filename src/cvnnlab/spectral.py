@@ -18,7 +18,7 @@ a lowering exceeds the memory budget, or an activation has no finite
 constant (modrelu with b > 0), the report degrades to sn-product-only mode
 and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
 are 1-Lipschitz and contribute neither s_i nor b_i.  A report stores the
-layer records and two flags; its products, R_A and mode derive from them.
+layer records and one flag; its products, R_A and mode derive from them.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
 empirical Rademacher complexity ceiling behind the i.i.d. bound, and the
@@ -106,11 +106,10 @@ class LayerNorms:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Layer records and two flags; the aggregates derive from the records."""
+    """Layer records and one flag; the aggregates derive from the records."""
 
     layers: tuple
-    thresholds_nonzero: bool
-    power_iteration_converged: bool  # every layer's solve; the name is report format v2's
+    power_iteration_converged: bool  # every layer's solve; the name predates Lanczos
 
     @property
     def sn_product_only(self) -> bool:
@@ -177,8 +176,7 @@ def analyze(net: Network, input_shape) -> SpectralReport:
         records.append(LayerNorms(position=pos, kind=kind, s=res.value, b=b, rho=rho))
     if not records:
         raise ValueError("network has no weighted layers")
-    thresholds_nonzero = any(h is not None and np.any(np.abs(h) > 0.0) for h in net.thresholds)
-    return SpectralReport(tuple(records), thresholds_nonzero, power_iteration_converged=converged)
+    return SpectralReport(tuple(records), power_iteration_converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +253,13 @@ def pac_sample_size(
 # ---------------------------------------------------------------------------
 # flat key-value serialization
 
-REPORT_FORMAT = "spectral-report-v2"
+REPORT_FORMAT = "spectral-report-v3"
 
-_REPORT_FLAGS = ("sn_product_only", "thresholds_nonzero", "power_iteration_converged")
+_REPORT_FLAGS = ("sn_product_only", "power_iteration_converged")
 
 
 def report_to_text(report: SpectralReport) -> str:
-    """Format ``spectral-report-v2``: the flags, each layer's fields under
+    """Format ``spectral-report-v3``: the flags, each layer's fields under
     ``layer.<i>.`` and the aggregates; a None ``b`` or ``r_a`` is left out."""
     pairs = [("format", REPORT_FORMAT), ("layer_count", len(report.layers))]
     pairs += [(name, getattr(report, name)) for name in _REPORT_FLAGS]
@@ -277,8 +275,8 @@ def report_from_text(text: str) -> SpectralReport:
     or an ``sn_product_only`` or aggregate line other than the writer prints
     for the layers raises ValueError.
 
-    A ``spectral-report-v1`` text is refused: it may carry a probed rho and
-    an r_a built from it."""
+    Earlier formats are refused: a v1 text may carry a probed rho, and a v2
+    text may describe a network with nonzero thresholds."""
     kv = {key: value for _, key, value in read_kv(text)}
     if kv.get("format") != REPORT_FORMAT:
         raise ValueError(f"unsupported report format {kv.get('format')!r}")
@@ -308,7 +306,7 @@ def report_from_text(text: str) -> SpectralReport:
         )
         for i in range(layer_count)
     )
-    report = SpectralReport(layers, flag("thresholds_nonzero"), flag("power_iteration_converged"))
+    report = SpectralReport(layers, flag("power_iteration_converged"))
     flag("sn_product_only")
     # compared as printed text, so that nan, inf and an absent r_a compare as written
     derived = {key: value for _, key, value in read_kv(report_to_text(report))}

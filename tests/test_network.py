@@ -42,7 +42,7 @@ from conftest import random_complex, single_lane
 
 
 def finite_diff_grads(net, x, y, loss_kind, h=1e-6):
-    """Central finite differences of the batch loss for every parameter."""
+    """Central finite differences of the batch loss for every weight."""
 
     def batch_loss():
         return float(per_sample_losses(forward(net, x), y, loss_kind).mean())
@@ -52,38 +52,35 @@ def finite_diff_grads(net, x, y, loss_kind, h=1e-6):
         if net.weights[pos] is None:
             out.append(None)
             continue
-        pieces = []
-        for arr in (net.weights[pos], net.thresholds[pos]):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                for delta in (h, 1j * h):
-                    arr[ix] += delta
-                    lp = batch_loss()
-                    arr[ix] -= 2 * delta
-                    lm = batch_loss()
-                    arr[ix] += delta
-                    num = (lp - lm) / (2 * h)
-                    if delta == h:
-                        g[ix] += num
-                    else:
-                        g[ix] += 1j * num
-            pieces.append(g)
-        out.append(tuple(pieces))
+        arr = net.weights[pos]
+        g = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            for delta in (h, 1j * h):
+                arr[ix] += delta
+                lp = batch_loss()
+                arr[ix] -= 2 * delta
+                lm = batch_loss()
+                arr[ix] += delta
+                num = (lp - lm) / (2 * h)
+                if delta == h:
+                    g[ix] += num
+                else:
+                    g[ix] += 1j * num
+        out.append(g)
     return out
 
 
 def max_rel_err(analytic, numeric, floor=1e-8):
     err = 0.0
-    for a, n in zip(analytic, numeric):
-        if a is None:
+    for ga, gn in zip(analytic, numeric):
+        if ga is None:
             continue
-        for ga, gn in zip(a, n):
-            for part in (np.real, np.imag):
-                pa, pn = part(ga), part(gn)
-                denom = np.maximum(np.abs(pn), floor)
-                err = max(err, float(np.max(np.abs(pa - pn) / denom)))
+        for part in (np.real, np.imag):
+            pa, pn = part(ga), part(gn)
+            denom = np.maximum(np.abs(pn), floor)
+            err = max(err, float(np.max(np.abs(pa - pn) / denom)))
     return err
 
 
@@ -96,11 +93,6 @@ class TestForward:
         )
         out = forward(net, np.zeros((1, 2), dtype=complex))
         npt.assert_array_equal(out, np.zeros((1, 2), dtype=complex))
-
-    def test_single_neuron_with_threshold(self):
-        net = Network([Dense(1, 1)], [np.array([[1j]])], [np.array([1.0 + 0j])])
-        out = forward(net, np.array([[1.0 + 0j]]))
-        npt.assert_allclose(out, [[1 + 1j]])
 
     def test_two_layer_matches_real_embedding(self, rng):
         """Pre-activation linear stack vs the stacked-real block computation."""
@@ -177,9 +169,7 @@ class TestBackward:
         )
         x = np.zeros((4, 3), complex)
         grads = backward(net, x, np.zeros((4, 2), complex), "l2")
-        dw, dh = grads[0]
-        npt.assert_array_equal(dw, np.zeros((3, 2), complex))
-        npt.assert_array_equal(dh, np.zeros(2, complex))
+        npt.assert_array_equal(grads[0], np.zeros((3, 2), complex))
 
     def test_dense_gradcheck_l2(self, rng):
         layers = [Dense(4, 3, SPLIT_TANH), Dense(3, 2, SPLIT_TANH)]
@@ -211,8 +201,7 @@ class TestBackward:
         net = Network([Dense(3, 2)], [w], [np.zeros(2, complex)])
         x = random_complex(rng, 5, 3)
         y = random_complex(rng, 5, 2)
-        grads = [g for g in backward(net, x, y, "l2") if g is not None]
-        dw, _ = grads[0]
+        dw = backward(net, x, y, "l2")[0]
 
         xs = np.hstack([x.real, x.imag])  # (n, 2 d_in)
         we = np.block([[w.real, w.imag], [-w.imag, w.real]])
@@ -260,10 +249,9 @@ class TestRealInputs:
         real = backward(net, x, labels, "cross_entropy")
         cast = backward(net, x.astype(np.complex128), labels, "cross_entropy")
         assert seen == [np.float64, np.complex128]
-        for (dw_r, dh_r), (dw_c, dh_c) in (p for p in zip(real, cast) if p[0] is not None):
-            for got, want in ((dw_r, dw_c), (dh_r, dh_c)):
-                assert got.dtype == np.complex128
-                npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+        for got, want in (p for p in zip(real, cast) if p[0] is not None):
+            assert got.dtype == np.complex128
+            npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_forward_output_dtypes_unchanged(self, rng):
         x = rng.uniform(0.0, 1.0, size=(4, 7, 7, 1))
@@ -415,7 +403,7 @@ class TestSgd:
         w0 = net.weights[0].copy()
         g = np.full((2, 2), 0.25 + 0.5j)
         velocities = sgd_init(net)
-        sgd_step(net, [(g, np.zeros(2, complex))], lr=1.0, momentum=0.0, velocities=velocities)
+        sgd_step(net, [g], lr=1.0, momentum=0.0, velocities=velocities)
         npt.assert_allclose(net.weights[0], w0 - g)
 
     def test_momentum_recursion(self):
@@ -423,10 +411,10 @@ class TestSgd:
         g = np.array([[1.0 + 0j]])
         velocities = sgd_init(net)
         w0 = net.weights[0].copy()
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
+        sgd_step(net, [g], lr=0.1, momentum=0.9, velocities=velocities)
         first = w0 - net.weights[0]
         w1 = net.weights[0].copy()
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
+        sgd_step(net, [g], lr=0.1, momentum=0.9, velocities=velocities)
         second = w1 - net.weights[0]
         npt.assert_allclose(first, 0.1 * g)
         npt.assert_allclose(second, 1.9 * 0.1 * g)  # v = 1.9 g after two steps
@@ -435,26 +423,17 @@ class TestSgd:
         net = build_network([Dense(2, 2)], seed=1)
         w0 = net.weights[0].copy()
         velocities = sgd_init(net)
-        zeros = (np.zeros((2, 2), complex), np.zeros(2, complex))
-        sgd_step(net, [zeros], lr=0.5, momentum=0.9, velocities=velocities)
+        sgd_step(net, [np.zeros((2, 2), complex)], lr=0.5, momentum=0.9, velocities=velocities)
         npt.assert_array_equal(net.weights[0], w0)
 
     def test_zero_grad_decays_velocity(self):
         net = build_network([Dense(1, 1)], seed=2)
         g = np.array([[2.0 + 1j]])
         velocities = sgd_init(net)
-        sgd_step(net, [(g, np.zeros(1, complex))], lr=0.1, momentum=0.9, velocities=velocities)
+        sgd_step(net, [g], lr=0.1, momentum=0.9, velocities=velocities)
         v1 = velocities[0].copy()
-        zeros = (np.zeros((1, 1), complex), np.zeros(1, complex))
-        sgd_step(net, [zeros], lr=0.1, momentum=0.9, velocities=velocities)
+        sgd_step(net, [np.zeros((1, 1), complex)], lr=0.1, momentum=0.9, velocities=velocities)
         npt.assert_allclose(velocities[0], 0.9 * v1)
-
-    def test_threshold_updates_gated(self):
-        net = build_network([Dense(2, 2)], seed=3)
-        velocities = sgd_init(net)
-        g = (np.zeros((2, 2), complex), np.ones(2, complex))
-        sgd_step(net, [g], lr=0.1, momentum=0.0, velocities=velocities)
-        assert not np.any(net.thresholds[0] != 0)
 
     def test_validates_hyperparameters(self):
         net = build_network([Dense(1, 1)], seed=0)
@@ -548,7 +527,7 @@ class TestLanes:
         for g, w in zip(got, want, strict=True):
             assert (g is None) == (w is None)
             if g is not None:
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
+                assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("kind", ["conv", "dense", "phase"])
     @pytest.mark.parametrize("n", [1, 21, 31, 32, 33, 100, 128, 129])
@@ -563,8 +542,8 @@ class TestLanes:
             m.setattr(network, "_STEP_BLOCK", 1 << 30)
             whole = backward(net, x[:n], y[:n], loss)
         for g, w in zip(whole, want):
-            for a, b in zip(g or (), w or ()):
-                npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+            if g is not None:
+                npt.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
         with network.kept_arrays():
             backward(net, x[::-1], y[::-1], loss)
             self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
@@ -722,6 +701,14 @@ class TestShapesAndMetadata:
         with pytest.raises(ValueError, match="parameter shapes"):
             Network(layers, weights, thresholds)
 
+    @pytest.mark.parametrize("value", [0.25, 0.25j, complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_network_admits_only_zero_thresholds(self, value):
+        w = np.zeros((3, 2), complex)
+        signed = np.array([complex(-0.0, -0.0), complex(0.0, -0.0)])
+        assert Network([Dense(3, 2)], [w], [signed]).thresholds[0].tobytes() == signed.tobytes()
+        with pytest.raises(ValueError, match="thresholds must be zero"):
+            Network([Dense(3, 2)], [w], [np.array([-0.0, value])])
+
     def test_network_checks_dense_composition(self):
         with pytest.raises(ValueError, match="dense expects 5 inputs, got 2"):
             Network(
@@ -739,11 +726,12 @@ class TestCheckpoints:
         )
 
     def test_round_trip_bitwise(self, tmp_path):
-        # extreme magnitudes, a modrelu threshold and nonzero thresholds
+        # extreme magnitudes and a modrelu threshold
         extreme = Network(
-            [Dense(1, 2, Activation("modrelu", b=-0.25))],
-            [np.array([[5e-324 + 1.7976931348623157e308j, -1e-300 + 0.1j]])],
-            [np.array([3.0 - 7e-9j, -2.5e100 + 1j])],
+            [Dense(2, 2, Activation("modrelu", b=-0.25))],
+            [np.array([[5e-324 + 1.7976931348623157e308j, -1e-300 + 0.1j],
+                       [3.0 - 7e-9j, -2.5e100 + 1j]])],
+            [np.zeros(2, complex)],
         )
         # negative zeros in both parts: the sign of zero must survive too
         signed_zeros = Network(
@@ -821,6 +809,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    def test_nonzero_threshold_payload_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._net(), path)
+        doc = json.loads(path.read_text())
+        doc["params"][2]["threshold"] = base64.b64encode(
+            np.array([0.0, 0.25, 0.0, 0.0], "<c16").tobytes()).decode()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="thresholds must be zero"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("in_dim", [0, 2.0, True, "2", None])
     def test_bad_layer_dimension_is_malformed(self, tmp_path, in_dim):
         path = tmp_path / "ckpt.json"
@@ -868,7 +866,8 @@ class TestCheckpoints:
         values = np.array([
             0.1 + 0.25j, complex(-0.0, 5e-324), complex(1.7976931348623157e308, -1.7976931348623157e308),
         ])
-        net = Network([Dense(1, 3)], [values[None, :]], [values[::-1].copy()])
+        net = Network([Dense(2, 3)], [np.stack([values, values[::-1]])],
+                      [np.array([complex(-0.0, -0.0), 0j, complex(0.0, -0.0)])])
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
@@ -879,12 +878,13 @@ class TestCheckpoints:
 
     def test_saved_text_pinned(self, tmp_path):
         # every layer type; a 2x2 weight shows the C order, -0.0 the sign bit
+        # (also in a zero threshold)
         net = Network(
             [Conv(1, 1, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 2, Activation("modrelu", b=-0.5)),
              AbsHead(2)],
             [np.array([1.0, complex(-0.0, -2.0)]).reshape(1, 1, 1, 2), None,
              np.array([[1, 2], [3, 4j]]), None],
-            [np.array([0.5, complex(-0.0, -0.25)]), None, np.zeros(2, complex), None],
+            [np.array([complex(-0.0, 0.0), complex(0.0, -0.0)]), None, np.zeros(2, complex), None],
         )
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
@@ -897,13 +897,15 @@ class TestCheckpoints:
             '{"type":"dense","in_dim":2,"out_dim":2,"activation":{"kind":"modrelu","b":-0.5}},'
             '{"type":"abshead","out_classes":2}],"params":['
             '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAACAAAAAAAAAAMA=",'
-            '"threshold":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAACAAAAAAAAA0L8="},null,'
+            '"threshold":"AAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAIA="},null,'
             '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQA==",'
             '"threshold":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},null]}\n'
         )
         # the same payload spelled out: (re, im) doubles, little-endian, row by row
         weight = base64.b64decode(json.loads(text)["params"][2]["weight"])
         assert weight == struct.pack("<8d", 1, 0, 2, 0, 3, 0, 0, 4)
+        threshold = base64.b64decode(json.loads(text)["params"][0]["threshold"])
+        assert threshold == struct.pack("<4d", -0.0, 0.0, 0.0, -0.0)
 
     def test_loaded_weights_are_writable_and_train(self, tmp_path, rng):
         net = build_network([Dense(3, 4, SPLIT_TANH), Dense(4, 2)], seed=3)

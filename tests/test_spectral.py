@@ -316,11 +316,6 @@ class TestAnalyze:
         assert rep.lipschitz_product == 0.0
         assert report_from_text(report_to_text(rep)) == rep
 
-    def test_threshold_warning_flag(self):
-        net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.array([0.5, 0j])])
-        rep = analyze(net, (2,))
-        assert rep.thresholds_nonzero
-
     def test_pool_and_head_contribute_nothing(self, rng):
         layers = [Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)]
         net = build_network(layers, seed=2)
@@ -519,11 +514,10 @@ class TestReportSerialization:
         text = report_to_text(rep)
         back = report_from_text(text)
         assert back == rep
-        # an infinite rho and nonzero thresholds set the report's other flags
+        # an infinite rho sets the derived sn_product_only flag
         net = build_network([Dense(3, 4, Activation("modrelu", b=0.5)), Dense(4, 2)], seed=3)
-        net.thresholds[0][:] = 0.25
         rep = analyze(net, (3,))
-        assert rep.sn_product_only and rep.thresholds_nonzero
+        assert rep.sn_product_only
         assert report_from_text(report_to_text(rep)) == rep
 
     def test_sn_product_only_round_trip(self, rng):
@@ -548,11 +542,12 @@ class TestReportSerialization:
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
         text = report_to_text(analyze(net, (2,)))
         assert "layer.0.s = 1\n" in text
-        assert text.startswith("format = spectral-report-v2\n")
+        assert text.startswith("format = spectral-report-v3\n")
+        assert len(text.splitlines()) == 12  # format, count, 2 flags, 5 layer fields, 3 aggregates
         assert "empirical_rho" not in text
 
     def test_v1_report_rejected(self):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
-        text = report_to_text(analyze(net, (2,))).replace("-v2\n", "-v1\n", 1)
+        text = report_to_text(analyze(net, (2,))).replace("-v3\n", "-v1\n", 1)
         with pytest.raises(ValueError, match="unsupported report format 'spectral-report-v1'"):
             report_from_text(text)

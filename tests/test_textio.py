@@ -63,7 +63,6 @@ layer_norms = st.builds(
 spectral_reports = st.builds(
     SpectralReport,
     layers=st.lists(layer_norms, min_size=1, max_size=5).map(tuple),
-    thresholds_nonzero=st.booleans(),
     power_iteration_converged=st.booleans(),
 )
 
@@ -74,19 +73,19 @@ def _dense(s, b, rho=1.0):
 
 @settings(max_examples=200, deadline=None)
 @given(spectral_reports)
-@example(SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), False, True))
-@example(SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), False, True))
-@example(SpectralReport((_dense(1e-200, math.inf),) * 2, False, True))  # r_a = 0 * inf = nan
+@example(SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), True))
+@example(SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), True))
+@example(SpectralReport((_dense(1e-200, math.inf),) * 2, True))  # r_a = 0 * inf = nan
 def test_spectral_report_round_trip(report):
     assert report_from_text(report_to_text(report)) == report
 
 
 def test_spectral_report_degenerate_aggregates():
-    zero_beside_inf_rho = SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), False, True)
+    zero_beside_inf_rho = SpectralReport((_dense(0.0, 0.0, math.inf), _dense(2.0, 1.0)), True)
     assert (zero_beside_inf_rho.sn_product, zero_beside_inf_rho.lipschitz_product) == (0.0, 0.0)
     assert zero_beside_inf_rho.sn_product_only and zero_beside_inf_rho.r_a is None
-    assert SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), False, True).r_a == math.inf
-    underflow = SpectralReport((_dense(1e-200, math.inf),) * 2, False, True)
+    assert SpectralReport((_dense(math.inf, 3.0), _dense(2.0, 1.0)), True).r_a == math.inf
+    underflow = SpectralReport((_dense(1e-200, math.inf),) * 2, True)
     assert underflow.lipschitz_product == 0.0 and math.isnan(underflow.r_a)
     assert "r_a = nan\n" in report_to_text(underflow)
 
