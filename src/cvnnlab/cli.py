@@ -274,16 +274,20 @@ def _report_warnings(report: SpectralReport) -> list[str]:
     return warnings
 
 
+def _write_report(out, text) -> None:
+    """``text`` to the file ``out``, written atomically, or to stdout without one."""
+    if out:
+        write_atomic(out, text)
+        print(f"report = {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_analyze(args) -> int:
     net = load_checkpoint(args.checkpoint)
     input_shape = parse_shape(args.input_shape)
     report = analyze(net, input_shape)
-    text = report_to_text(report)
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"report = {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_report(args.out, report_to_text(report))
     warnings = _report_warnings(report)
     for w in warnings:
         print(f"warning: {w}")
@@ -341,12 +345,7 @@ def cmd_cover_lab(args) -> int:
         seed=args.seed + 10_000,
         m=args.m,
     )
-    text = cover_report_to_text(report)
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"report = {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_report(args.out, cover_report_to_text(report))
     return 0
 
 

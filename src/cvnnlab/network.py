@@ -1,7 +1,7 @@
 """Complex-valued networks: construction, forward pass, backprop, SGD, checkpoints.
 
 Layers are immutable specs; a :class:`Network` owns the complex weights.
-Each spec's ``param_shapes()`` (weight and zero-threshold shapes, or None) and
+Each spec's ``weight_shape()`` (or None for a layer without a weight) and
 ``output_shape(shape)`` are the one statement of layer geometry: shape
 inference, construction, parameter validation, checkpoint loading and the
 config's architecture builder all read them.
@@ -35,8 +35,8 @@ per-sample losses and their gradients; the training loop keeps the loss
 ceiling M.
 
 Networks are threshold-free, as the bounds assume: a :class:`Network`
-refuses a nonzero threshold, so its stored thresholds (and a checkpoint's
-threshold payloads) are zeros that no pass adds or differentiates.
+refuses a nonzero threshold, so its thresholds are zeros, made from the
+weights, that no pass adds or differentiates and no checkpoint stores.
 
 Threading runs on the :mod:`cvnnlab.lanes` pool: the calling thread plus
 one worker per further core the process may run on.  This module is the
@@ -51,7 +51,7 @@ outputs in order; evaluation hands it a whole split at once.
 every per-sample stage runs as fixed blocks of ``_STEP_BLOCK`` (32) samples
 dealt across the lanes, each block writing only its own samples of the
 layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM and
-the activation; modulus pooling, whose flat index counts from the batch's
+the activation; modulus pooling, whose flat index counts from the block's
 first sample; then the activation backprop (:func:`act_backprop`), the pool
 scatter, the dense input gradient and the conv adjoint (one GEMM per
 block).  Each layer's weight gradient stays one whole-batch reduction, run
@@ -70,9 +70,9 @@ at the desk protocol's batch of 128) from a store that this thread keeps
 from one call to the next instead of mapping them afresh each step.
 Outside it, and always in forward, the arrays are fresh.
 
-A checkpoint (format 2) is compact JSON: readable layer records, and each
-parameter array as one base64 string of its entries in C order as
-little-endian complex128.  The loader refuses every other format version.
+A checkpoint (format 3) is compact JSON: readable layer records, and each
+weight as one base64 string of its entries in C order as little-endian
+complex128.  The loader refuses every other format version.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import numpy as np
 from . import activations, conv, lanes
 from .activations import Activation
 from .clinalg import matmul_complex
-from .textio import f17, write_atomic
+from .textio import write_atomic
 
 __all__ = [
     "Dense",
@@ -112,7 +112,7 @@ __all__ = [
     "CheckpointError",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _STEP_BLOCK = 32  # samples per task of every per-sample stage, whatever the number of cores
 _FORWARD_BLOCK = 128  # samples per forward task, whatever the number of cores
 
@@ -137,8 +137,8 @@ class Dense:
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("dense dimensions must be positive")
 
-    def param_shapes(self):
-        return (self.in_dim, self.out_dim), (self.out_dim,)
+    def weight_shape(self):
+        return (self.in_dim, self.out_dim)
 
     def output_shape(self, shape):
         flat = math.prod(shape)
@@ -161,9 +161,8 @@ class Conv:
         if min(self.kernel_h, self.kernel_w, self.in_channels, self.out_channels) < 1:
             raise ValueError("conv dimensions must be positive")
 
-    def param_shapes(self):
-        kshape = (self.kernel_h, self.kernel_w, self.in_channels, self.out_channels)
-        return kshape, (self.out_channels,)
+    def weight_shape(self):
+        return (self.kernel_h, self.kernel_w, self.in_channels, self.out_channels)
 
     def output_shape(self, shape):
         h, w, c = _image_shape("conv", shape)
@@ -183,7 +182,7 @@ class MaxPoolModulus:
         if self.window < 1:
             raise ValueError("pool window must be positive")
 
-    def param_shapes(self):
+    def weight_shape(self):
         return None
 
     def output_shape(self, shape):
@@ -202,7 +201,7 @@ class AbsHead:
         if self.out_classes < 1:
             raise ValueError("out_classes must be positive")
 
-    def param_shapes(self):
+    def weight_shape(self):
         return None
 
     def output_shape(self, shape):
@@ -245,10 +244,11 @@ class Network:
         if len(self.weights) != len(self.layers) or len(self.thresholds) != len(self.layers):
             raise ValueError("parameter lists must align with layers")
         for spec, w, h in zip(self.layers, self.weights, self.thresholds):
-            got = tuple(None if a is None else a.shape for a in (w, h))
-            expected = spec.param_shapes() or (None, None)
-            if got != expected:
-                raise ValueError(f"{spec}: parameter shapes {got}, expected {expected}")
+            got = None if w is None else w.shape
+            if got != spec.weight_shape():
+                raise ValueError(f"{spec}: weight shape {got}, expected {spec.weight_shape()}")
+            if (h is None) != (w is None):
+                raise ValueError(f"{spec}: a threshold goes with each weight and only with one")
         if not all(w is None or np.all(np.isfinite(w)) for w in self.weights):
             raise ValueError("weights must be finite")
         if any(h is not None and np.any(h) for h in self.thresholds):  # also nan; -0.0 passes
@@ -263,21 +263,24 @@ class Network:
                 raise ValueError(f"{exc} (counting from layer {first})") from None
 
 
+def _zero_thresholds(weights):
+    """The thresholds a network with ``weights`` holds: zeros, one per output
+    of each weighted layer, and None where there is no weight."""
+    return [None if w is None else np.zeros(w.shape[-1], np.complex128) for w in weights]
+
+
 def build_network(layers, seed=0) -> Network:
     """Fresh network with re/im weight parts ~ N(0, 1/(2 fan_in)), zero thresholds."""
     rng = np.random.default_rng(seed)
-    weights, thresholds = [], []
+    weights = []
     for spec in layers:
-        shapes = spec.param_shapes()
-        if shapes is None:
+        shape = spec.weight_shape()
+        if shape is None:
             weights.append(None)
-            thresholds.append(None)
             continue
-        wshape, hshape = shapes
-        std = math.sqrt(1.0 / (2.0 * math.prod(wshape[:-1])))  # fan-in
-        weights.append(std * (rng.standard_normal(wshape) + 1j * rng.standard_normal(wshape)))
-        thresholds.append(np.zeros(hshape, dtype=np.complex128))
-    return Network(layers, weights, thresholds)
+        std = math.sqrt(1.0 / (2.0 * math.prod(shape[:-1])))  # fan-in
+        weights.append(std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    return Network(layers, weights, _zero_thresholds(weights))
 
 
 def max_width(net: Network, input_shape) -> int:
@@ -346,10 +349,9 @@ def act_backprop(act: Activation, z, grad, out):
     return out
 
 
-def _pool_forward(x, window, out=None, idx=None, first=0):
-    """Per window, the entry of largest modulus and its flat index into the
-    layer input, of which ``x`` holds the samples from ``first`` on; written
-    into ``out`` and ``idx`` when given."""
+def _pool_forward(x, window, out=None, idx=None):
+    """Per window, the entry of largest modulus and its flat index into
+    ``x``; written into ``out`` and ``idx`` when given."""
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
     # (offset from the window origin, strided view) for each of the w*w taps
@@ -371,14 +373,15 @@ def _pool_forward(x, window, out=None, idx=None, first=0):
             + np.arange(oh)[:, None, None] * (window * w * c)
             + np.arange(ow)[:, None] * (window * c) + np.arange(c))
     out = np.take(x.reshape(-1), off, out=out, mode="clip")  # every index is in range
-    off += first * (h * w * c)
     return out, off
 
 
-def _pool_backward(grad, flat_idx, dx, rows=slice(None)):
-    """Zero samples ``rows`` of ``dx``, then land each output gradient on the
-    input entry its window selected (``flat_idx`` counts over all of ``dx``)."""
-    dx[rows] = 0.0
+def _pool_backward(grad, flat_idx, dx):
+    """Zero ``dx``, then land each output gradient on the input entry its
+    window selected (``flat_idx`` counts over ``dx``).  ``dx`` is
+    C-contiguous, so its reshape is a view: in the training step it is an
+    axis-0 slice of a :func:`_step_array`."""
+    dx[...] = 0.0
     dx.reshape(-1)[flat_idx] = grad
     return dx
 
@@ -430,7 +433,7 @@ def _layer_forward(pos, spec, w, x, cache):
     elif isinstance(spec, MaxPoolModulus):
         shape = (n,) + spec.output_shape(x.shape[1:])
         out, idx = new("out", shape, np.complex128), new("idx", shape, np.intp)
-        run(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows], rows.start), n)
+        run(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows]), n)
         saved = {"flat_idx": idx}
     elif isinstance(spec, AbsHead):
         flat = x.reshape(n, -1)
@@ -594,7 +597,7 @@ def backward(net: Network, batch, targets, loss: str):
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
                 idx = cache["flat_idx"]
-                _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx, rows), n)
+                _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx[rows]), n)
                 grad = dx
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
@@ -680,34 +683,32 @@ def _b64(arr) -> str:
 def save_checkpoint(net: Network, path) -> None:
     """Write the network as a self-describing JSON document.
 
-    Layer records are plain JSON; each parameter array is one base64
-    string of its entries in C order as little-endian complex128
-    (``"<c16"``), so doubles round-trip bit for bit, signed zeros and
-    subnormals included.  The file is replaced atomically.
+    Layer records are plain JSON; each weight is one base64 string of its
+    entries in C order as little-endian complex128 (``"<c16"``), so
+    doubles round-trip bit for bit, signed zeros and subnormals included,
+    and a layer without a weight has null.  The zero thresholds are not
+    stored.  The file is replaced atomically.
     """
-    params = [
-        None if w is None else {"weight": _b64(w), "threshold": _b64(h)}
-        for w, h in zip(net.weights, net.thresholds)
-    ]
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "layers": [_layer_to_json(s) for s in net.layers],
-        "params": params,
+        "params": [None if w is None else _b64(w) for w in net.weights],
     }
     write_atomic(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
-def _param_array(doc, key, shape):
+def _weight_array(text, pos, shape):
+    """Layer ``pos``'s weight from its base64 string ``text``."""
     try:
-        raw = base64.b64decode(doc[key], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise CheckpointError(f"bad parameter array for {key}: {exc}") from exc
-    expected = math.prod(shape)
-    if len(raw) != 16 * expected:
-        raise CheckpointError(f"{key}: expected {expected} values, got {f17(len(raw) / 16)}")
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CheckpointError(f"bad weight payload of layer {pos}: {exc}") from exc
+    expected = 16 * math.prod(shape)
+    if len(raw) != expected:
+        raise CheckpointError(f"layer {pos} weight: expected {expected} bytes, got {len(raw)}")
     arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)  # a writable native copy
     if not np.all(np.isfinite(arr)):
-        raise CheckpointError(f"{key}: non-finite values")
+        raise CheckpointError(f"layer {pos} weight: non-finite values")
     return arr.reshape(shape)
 
 
@@ -731,15 +732,14 @@ def load_checkpoint(path) -> Network:
     if len(layers_doc) != len(params_doc):
         raise CheckpointError("layers and params lists differ in length")
     layers = [_layer_from_json(d) for d in layers_doc]
-    weights, thresholds = [], []
-    for spec, pdoc in zip(layers, params_doc):
-        shapes = spec.param_shapes()
-        if (shapes is None) != (pdoc is None):
+    weights = []
+    for pos, (spec, pdoc) in enumerate(zip(layers, params_doc)):
+        shape = spec.weight_shape()
+        if (shape is None) != (pdoc is None):
             state = "lacks" if pdoc is None else "must not carry"
-            raise CheckpointError(f"{type(spec).__name__} layer {state} parameters")
-        weights.append(None if shapes is None else _param_array(pdoc, "weight", shapes[0]))
-        thresholds.append(None if shapes is None else _param_array(pdoc, "threshold", shapes[1]))
+            raise CheckpointError(f"{type(spec).__name__} layer {pos} {state} a weight")
+        weights.append(None if shape is None else _weight_array(pdoc, pos, shape))
     try:
-        return Network(layers, weights, thresholds)
+        return Network(layers, weights, _zero_thresholds(weights))
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc

@@ -153,7 +153,7 @@ def analyze(net: Network, input_shape) -> SpectralReport:
     records = []
     converged = True
     for pos, spec in enumerate(net.layers):
-        if spec.param_shapes() is None:
+        if spec.weight_shape() is None:
             continue  # 1-Lipschitz, no weight: contributes nothing to R_A
         if isinstance(spec, Dense):
             a = net.weights[pos]

@@ -209,9 +209,8 @@ class TestArchBuilder:
     )
     def test_built_parameters_have_spec_shapes(self, arch, shape):
         net = build_network(build_layers(arch, CRELU, shape), seed=0)
-        for spec, w, h in zip(net.layers, net.weights, net.thresholds):
-            got = (None, None) if w is None else (w.shape, h.shape)
-            assert got == (spec.param_shapes() or (None, None))
+        for spec, w in zip(net.layers, net.weights):
+            assert (None if w is None else w.shape) == spec.weight_shape()
 
 
 class TestTrainCommand:
@@ -564,21 +563,23 @@ class TestAnalyzeCommand:
         doc = json.loads(ck.read_text())
         doc["layers"][1]["in_dim"] = 5  # the first layer gives 2 features
         # a well-formed (5, 1) weight, so only the composition is wrong
-        doc["params"][1]["weight"] = base64.b64encode(np.ones(5, "<c16").tobytes()).decode()
+        doc["params"][1] = base64.b64encode(np.ones(5, "<c16").tobytes()).decode()
         ck.write_text(json.dumps(doc))
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "3"]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "dense expects 5 inputs" in err
 
-    def test_nonzero_threshold_is_data_error(self, tmp_path, capsys):
+    def test_format_2_checkpoint_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
         save_checkpoint(Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)]), ck)
         doc = json.loads(ck.read_text())
-        doc["params"][0]["threshold"] = base64.b64encode(np.array([0.5, 0.0], "<c16").tobytes()).decode()
+        # format 2 stored a zero threshold payload beside each weight
+        doc["format_version"] = 2
+        doc["params"] = [{"weight": doc["params"][0], "threshold": base64.b64encode(bytes(32)).decode()}]
         ck.write_text(json.dumps(doc))
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "2"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "thresholds must be zero" in captured.err
+        assert captured.out == "" and "unsupported format_version 2" in captured.err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--checkpoint", str(tmp_path / "nope"), "--input-shape", "2"]) == 3

@@ -688,17 +688,17 @@ class TestShapesAndMetadata:
             infer_shapes([Dense(4, 3), Dense(4, 2)], (4,))
 
     @pytest.mark.parametrize(
-        "case", ["weight_shape", "threshold_shape", "pool_with_params", "dense_without_params"]
+        "case", ["weight_shape", "pool_with_params", "dense_without_params", "dense_without_threshold"]
     )
     def test_network_checks_parameter_shapes(self, case):
         w, h = np.zeros((3, 2), complex), np.zeros(2, complex)
-        layers, weights, thresholds = {
-            "weight_shape": ([Dense(3, 2)], [w.T], [h]),
-            "threshold_shape": ([Dense(3, 2)], [w], [np.zeros(3, complex)]),
-            "pool_with_params": ([MaxPoolModulus(2)], [w], [h]),
-            "dense_without_params": ([Dense(3, 2)], [None], [None]),
+        layers, weights, thresholds, message = {
+            "weight_shape": ([Dense(3, 2)], [w.T], [h], "weight shape"),
+            "pool_with_params": ([MaxPoolModulus(2)], [w], [h], "weight shape"),
+            "dense_without_params": ([Dense(3, 2)], [None], [None], "weight shape"),
+            "dense_without_threshold": ([Dense(3, 2)], [w], [None], "a threshold goes with each weight"),
         }[case]
-        with pytest.raises(ValueError, match="parameter shapes"):
+        with pytest.raises(ValueError, match=message):
             Network(layers, weights, thresholds)
 
     @pytest.mark.parametrize("value", [0.25, 0.25j, complex(np.nan, 0.0), complex(0.0, np.nan)])
@@ -716,6 +716,16 @@ class TestShapesAndMetadata:
                 [np.zeros((3, 2), complex), np.zeros((5, 1), complex)],
                 [np.zeros(2, complex), np.zeros(1, complex)],
             )
+
+
+# a format-2 file as the format-2 writer saved it: a zero threshold payload
+# beside each weight
+FORMAT_2_TEXT = (
+    '{"format_version":2,"layers":['
+    '{"type":"dense","in_dim":2,"out_dim":2,"activation":null}],"params":['
+    '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAAA==",'
+    '"threshold":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="}]}\n'
+)
 
 
 class TestCheckpoints:
@@ -737,7 +747,7 @@ class TestCheckpoints:
         signed_zeros = Network(
             [Dense(2, 1)],
             [np.array([[complex(-0.0, 0.5)], [complex(0.25, -0.0)]])],
-            [np.array([complex(-0.0, -0.0)])],
+            [np.zeros(1, complex)],
         )
         for net in (self._net(), extreme, signed_zeros):
             path = tmp_path / "ckpt.json"
@@ -783,40 +793,34 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())
-        short = base64.b64decode(doc["params"][2]["weight"])[:-16]  # one value too few
-        doc["params"][2]["weight"] = base64.b64encode(short).decode()
+        short = base64.b64decode(doc["params"][2])[:-16]  # one value too few
+        doc["params"][2] = base64.b64encode(short).decode()
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="weight: expected 32 values, got 31$"):
+        with pytest.raises(CheckpointError, match="^layer 2 weight: expected 512 bytes, got 496$"):
             load_checkpoint(path)
 
+    # the dense layer's weight holds 32 values, 512 bytes
     @pytest.mark.parametrize("payload, message", [
-        (base64.b64encode(bytes(15)).decode(), "threshold: expected 4 values, got 0.9375"),
-        (base64.b64encode(bytes(80)).decode(), "threshold: expected 4 values, got 5"),
-        (base64.b64encode(np.full(4, np.nan, "<c16").tobytes()).decode(), "threshold: non-finite"),
-        # 4 zeros with a character inserted, which a lenient decoder would skip
-        ("AAAA*" + base64.b64encode(bytes(64)).decode()[4:], "bad parameter array for threshold"),
-        ("AAA", "bad parameter array for threshold"),  # padding missing
-        ("\u00e9", "bad parameter array for threshold"),
-        (4, "bad parameter array for threshold"),
-        ([0.0, 1.0], "bad parameter array for threshold"),
-    ])
+        (base64.b64encode(bytes(15)).decode(), "^layer 2 weight: expected 512 bytes, got 15$"),
+        (base64.b64encode(bytes(80)).decode(), "^layer 2 weight: expected 512 bytes, got 80$"),
+        (base64.b64encode(np.full(32, np.nan, "<c16").tobytes()).decode(), "layer 2 weight: non-finite"),
+        # 32 zeros with a character inserted, which a lenient decoder would skip
+        ("AAAA*" + base64.b64encode(bytes(512)).decode()[4:], "bad weight payload of layer 2"),
+        ("AAA", "bad weight payload of layer 2"),  # padding missing
+        ("\u00e9", "bad weight payload of layer 2"),
+        (4, "bad weight payload of layer 2"),
+        ([0.0, 1.0], "bad weight payload of layer 2"),
+        # a format-2 parameter record
+        ({"weight": base64.b64encode(bytes(512)).decode()}, "bad weight payload of layer 2"),
+    ], ids=["15_bytes", "5_values", "nan", "bad_character", "no_padding", "non_ascii", "number",
+            "list", "object"])
     def test_bad_payload(self, tmp_path, payload, message):
         path = tmp_path / "ckpt.json"
         save_checkpoint(self._net(), path)
         doc = json.loads(path.read_text())
-        doc["params"][2]["threshold"] = payload
+        doc["params"][2] = payload
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(path)
-
-    def test_nonzero_threshold_payload_refused(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(self._net(), path)
-        doc = json.loads(path.read_text())
-        doc["params"][2]["threshold"] = base64.b64encode(
-            np.array([0.0, 0.25, 0.0, 0.0], "<c16").tobytes()).decode()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="thresholds must be zero"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("in_dim", [0, 2.0, True, "2", None])
@@ -862,50 +866,51 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="unsupported format_version 1$"):
             load_checkpoint(path)
 
+    def test_format_2_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(FORMAT_2_TEXT)
+        with pytest.raises(CheckpointError, match="unsupported format_version 2$"):
+            load_checkpoint(path)
+
     def test_edge_values_round_trip_bitwise(self, tmp_path):
         values = np.array([
             0.1 + 0.25j, complex(-0.0, 5e-324), complex(1.7976931348623157e308, -1.7976931348623157e308),
         ])
-        net = Network([Dense(2, 3)], [np.stack([values, values[::-1]])],
-                      [np.array([complex(-0.0, -0.0), 0j, complex(0.0, -0.0)])])
+        net = Network([Dense(2, 3)], [np.stack([values, values[::-1]])], [np.zeros(3, complex)])
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        for saved, read in ((net.weights[0], loaded.weights[0]), (net.thresholds[0], loaded.thresholds[0])):
-            assert read.tobytes() == saved.tobytes()
-            npt.assert_array_equal(np.signbit(read.real), np.signbit(saved.real))
-            npt.assert_array_equal(np.signbit(read.imag), np.signbit(saved.imag))
+        saved, read = net.weights[0], load_checkpoint(path).weights[0]
+        assert read.tobytes() == saved.tobytes()
+        npt.assert_array_equal(np.signbit(read.real), np.signbit(saved.real))
+        npt.assert_array_equal(np.signbit(read.imag), np.signbit(saved.imag))
 
     def test_saved_text_pinned(self, tmp_path):
         # every layer type; a 2x2 weight shows the C order, -0.0 the sign bit
-        # (also in a zero threshold)
         net = Network(
             [Conv(1, 1, 1, 2, CRELU), MaxPoolModulus(2), Dense(2, 2, Activation("modrelu", b=-0.5)),
              AbsHead(2)],
             [np.array([1.0, complex(-0.0, -2.0)]).reshape(1, 1, 1, 2), None,
              np.array([[1, 2], [3, 4j]]), None],
-            [np.array([complex(-0.0, 0.0), complex(0.0, -0.0)]), None, np.zeros(2, complex), None],
+            [np.zeros(2, complex), None, np.zeros(2, complex), None],
         )
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
         text = path.read_text()
         assert text == (
-            '{"format_version":2,"layers":['
+            '{"format_version":3,"layers":['
             '{"type":"conv","kernel_h":1,"kernel_w":1,"in_channels":1,"out_channels":2,'
             '"activation":{"kind":"crelu","b":0.0}},'
             '{"type":"maxpool","window":2},'
             '{"type":"dense","in_dim":2,"out_dim":2,"activation":{"kind":"modrelu","b":-0.5}},'
             '{"type":"abshead","out_classes":2}],"params":['
-            '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAACAAAAAAAAAAMA=",'
-            '"threshold":"AAAAAAAAAIAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAIA="},null,'
-            '{"weight":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQA==",'
-            '"threshold":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},null]}\n'
+            '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAACAAAAAAAAAAMA=",null,'
+            '"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQA==",'
+            'null]}\n'
         )
-        # the same payload spelled out: (re, im) doubles, little-endian, row by row
-        weight = base64.b64decode(json.loads(text)["params"][2]["weight"])
-        assert weight == struct.pack("<8d", 1, 0, 2, 0, 3, 0, 0, 4)
-        threshold = base64.b64decode(json.loads(text)["params"][0]["threshold"])
-        assert threshold == struct.pack("<4d", -0.0, 0.0, 0.0, -0.0)
+        # the same payloads spelled out: (re, im) doubles, little-endian, row by row
+        params = json.loads(text)["params"]
+        assert base64.b64decode(params[0]) == struct.pack("<4d", 1, 0, -0.0, -2)
+        assert base64.b64decode(params[2]) == struct.pack("<8d", 1, 0, 2, 0, 3, 0, 0, 4)
 
     def test_loaded_weights_are_writable_and_train(self, tmp_path, rng):
         net = build_network([Dense(3, 4, SPLIT_TANH), Dense(4, 2)], seed=3)
@@ -975,8 +980,8 @@ def test_checkpoint_loader_on_arbitrary_json(doc):
 
 B64_GARBAGE = [
     base64.b64encode(bytes(15)).decode(),  # valid base64, not a whole complex128
-    # nan at the lengths of the dense threshold and the conv weight
-    base64.b64encode(np.full(3, np.nan, "<c16").tobytes()).decode(),
+    # nan at the lengths of the dense weight and the conv weight
+    base64.b64encode(np.full(6, np.nan, "<c16").tobytes()).decode(),
     base64.b64encode(np.full(8, np.nan, "<c16").tobytes()).decode(),
     "AA*A",  # invalid characters
     "AAA",
