@@ -43,21 +43,24 @@ one worker per further core the process may run on.  This module is the
 only one that cuts the sample axis into blocks and deals them; the
 arithmetic it deals (:mod:`cvnnlab.conv`, :mod:`cvnnlab.activations`) is
 single-threaded.  Both passes share one forward arithmetic per layer
-(:func:`_layer_forward`) and deal it differently.  :func:`forward` cuts a
-batch into fixed blocks of ``_FORWARD_BLOCK`` (128) samples, walks each
-block on the next free lane without keeping caches, and concatenates the
-outputs in order; evaluation hands it a whole split at once.
-:func:`backward` walks the whole batch layer by layer, and inside a layer
-every per-sample stage runs as fixed blocks of ``_STEP_BLOCK`` (32) samples
-dealt across the lanes, each block writing only its own samples of the
-layer's whole-batch arrays: im2col with the conv GEMM, the dense GEMM and
-the activation; modulus pooling, whose flat index counts from the block's
+(:func:`_layer_forward`) and one block size, ``_STEP_BLOCK`` (32 samples),
+and deal them differently.  :func:`forward` cuts a batch into fixed blocks
+of that size, walks each block on the next free lane without keeping
+caches, and concatenates the outputs in order; evaluation hands it a whole
+split at once.  :func:`backward` walks the whole batch layer by layer, and
+inside a layer every per-sample stage runs as those fixed blocks dealt
+across the lanes, each block writing only its own samples of the layer's
+whole-batch arrays: im2col with the conv GEMM, the dense GEMM and the
+activation; modulus pooling, whose flat index counts from the block's
 first sample; then the activation backprop (:func:`act_backprop`), the pool
 scatter, the dense input gradient and the conv adjoint (one GEMM per
-block).  Each layer's weight gradient stays one whole-batch reduction, run
-on a worker beside its input gradient.  Block boundaries do not depend on
-the number of cores, so outputs and gradients are the same bytes on one
-core and on many when OpenBLAS runs one thread: :mod:`cvnnlab.cli` sets
+block).  The weight gradient of a layer past 0 stays one whole-batch
+reduction, run on a worker beside its input gradient.  Layer 0 has no
+input gradient to run beside, so its weight gradient runs as two fixed
+halves of its k weight rows, ``[:k // 2]`` and ``[k // 2:]``, on the
+lanes, stacked in order.  Block and half boundaries do not depend on the
+number of cores, so outputs and gradients are the same bytes on one core
+and on many when OpenBLAS runs one thread: :mod:`cvnnlab.cli` sets
 ``OPENBLAS_NUM_THREADS=1``, and a library caller sets it before importing
 numpy.  Each call of forward or backward, and each :func:`act_backprop`
 inside backward, stays on the calling thread.  Tasks inherit the caller's
@@ -79,7 +82,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import functools
 import json
 import math
 import threading
@@ -114,7 +116,6 @@ __all__ = [
 
 CHECKPOINT_VERSION = 3
 _STEP_BLOCK = 32  # samples per task of every per-sample stage, whatever the number of cores
-_FORWARD_BLOCK = 128  # samples per forward task, whatever the number of cores
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +330,9 @@ def _step_array(pos, name, shape, dtype):
 
 
 def _in_blocks(fn, n):
-    """``fn(rows)`` for each fixed slice of ``_STEP_BLOCK`` of ``n`` samples,
-    dealt across the lanes."""
-    lanes.run_blocks(fn, [slice(s, s + _STEP_BLOCK) for s in range(0, n, _STEP_BLOCK)])
+    """``[fn(rows)]`` for each fixed slice of ``_STEP_BLOCK`` of ``n``
+    samples, in order, dealt across the lanes."""
+    return lanes.run_blocks(fn, [slice(s, s + _STEP_BLOCK) for s in range(0, n, _STEP_BLOCK)])
 
 
 def _at_once(fn, n):
@@ -462,13 +463,10 @@ def _forward_walk(net: Network, x, caches=None):
 
 def forward(net: Network, batch):
     """Network output for a batch; real softmax probabilities after an abs head,
-    a complex feature matrix otherwise.  Batches above ``_FORWARD_BLOCK``
-    samples run in blocks of that size across the lanes."""
+    a complex feature matrix otherwise.  The batch runs in blocks of
+    ``_STEP_BLOCK`` samples across the lanes, each walked through every layer."""
     batch = _checked_batch(net, batch)
-    if batch.shape[0] <= _FORWARD_BLOCK:
-        return _forward_walk(net, batch)
-    blocks = [batch[s : s + _FORWARD_BLOCK] for s in range(0, batch.shape[0], _FORWARD_BLOCK)]
-    return np.concatenate(lanes.run_blocks(functools.partial(_forward_walk, net), blocks))
+    return np.concatenate(_in_blocks(lambda rows: _forward_walk(net, batch[rows]), len(batch)))
 
 
 def _checked_batch(net: Network, batch):
@@ -477,6 +475,8 @@ def _checked_batch(net: Network, batch):
     batch = np.asarray(batch)
     if batch.ndim not in (2, 4):
         raise ValueError(f"batch must be (n, d) or (n, h, w, c), got {batch.shape}")
+    if batch.shape[0] == 0:
+        raise ValueError("batch has no samples")
     infer_shapes(net.layers, batch.shape[1:])
     if np.iscomplexobj(batch):
         return batch
@@ -578,21 +578,28 @@ def backward(net: Network, batch, targets, loss: str):
             grad = act_backprop(spec.activation, cache["pre"], grad, grad)  # in place
         if isinstance(spec, Dense):
             x = cache["x"]
-            dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
             if pos:
+                dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
                 w_herm = net.weights[pos].conj().T
                 dx = _step_array(pos, "dx", x.shape, np.complex128)
                 _in_blocks(lambda rows: np.matmul(grad[rows], w_herm, out=dx[rows]), n)
                 grad = dx.reshape(cache["input_shape"])
-            grads[pos] = dw.result()
+                grads[pos] = dw.result()
+            else:
+                grads[pos] = _weight_grad_halves(
+                    lambda rows: matmul_complex(x[:, rows].conj().T, grad), x.shape[1])
         elif isinstance(spec, Conv):
-            kernel = net.weights[pos]
-            dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
+            kernel, patches = net.weights[pos], cache["patches"]
             if pos:
+                dw = lanes.submit(conv.weight_grad, patches, grad)  # beside the adjoint
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
                 _in_blocks(lambda r: conv.adjoint(grad[r], kernel, dx[r].shape, dx[r]), n)
                 grad = dx
-            grads[pos] = dw.result().reshape(kernel.shape)
+                grads[pos] = dw.result().reshape(kernel.shape)
+            else:
+                grads[pos] = _weight_grad_halves(
+                    lambda rows: conv.weight_grad(patches[..., rows], grad), patches.shape[-1]
+                ).reshape(kernel.shape)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
@@ -602,6 +609,13 @@ def backward(net: Network, batch, targets, loss: str):
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
     return grads
+
+
+def _weight_grad_halves(rows_grad, k):
+    """Layer 0's weight gradient, whose ``k`` weight rows ``rows_grad(rows)``
+    forms for a slice of them: the fixed halves ``[:k // 2]`` and
+    ``[k // 2:]`` run on the lanes and are stacked in order."""
+    return np.concatenate(lanes.run_blocks(rows_grad, [slice(0, k // 2), slice(k // 2, k)]))
 
 
 # ---------------------------------------------------------------------------
