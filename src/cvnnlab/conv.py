@@ -88,10 +88,8 @@ def adjoint(g, kernel, input_shape, out=None):
 def weight_grad(patches, g):
     """Kernel gradient from the patches of :func:`apply` and the output
     gradient ``g``, flattened to (kh*kw*cin, cout) in the kernel's row-major
-    order (``.reshape(kernel.shape)`` restores the kernel shape).  Patches
-    cut to some of their columns, ``patches[..., rows]``, give those rows."""
-    n, p, k = patches.shape  # k may be 0: an empty cut
-    p2, g2 = patches.reshape(n * p, k), g.reshape(-1, g.shape[-1])
+    order (``.reshape(kernel.shape)`` restores the kernel shape)."""
+    p2, g2 = patches.reshape(-1, patches.shape[-1]), g.reshape(-1, g.shape[-1])
     # complex p: p^H g = conj(p^T conj(g)) copies g, far smaller than p
     return (p2.T @ g2.conj()).conj() if np.iscomplexobj(p2) else matmul_complex(p2.T, g2)
 

@@ -54,13 +54,10 @@ whole-batch arrays: im2col with the conv GEMM, the dense GEMM and the
 activation; modulus pooling, whose flat index counts from the block's
 first sample; then the activation backprop (:func:`act_backprop`), the pool
 scatter, the dense input gradient and the conv adjoint (one GEMM per
-block).  The weight gradient of a layer past 0 stays one whole-batch
-reduction, run on a worker beside its input gradient.  Layer 0 has no
-input gradient to run beside, so its weight gradient runs as two fixed
-halves of its k weight rows, ``[:k // 2]`` and ``[k // 2:]``, on the
-lanes, stacked in order.  Block and half boundaries do not depend on the
-number of cores, so outputs and gradients are the same bytes on one core
-and on many when OpenBLAS runs one thread: :mod:`cvnnlab.cli` sets
+block).  Each layer's weight gradient stays one whole-batch reduction, run
+on a worker beside its input gradient.  Block boundaries do not depend on
+the number of cores, so outputs and gradients are the same bytes on one
+core and on many when OpenBLAS runs one thread: :mod:`cvnnlab.cli` sets
 ``OPENBLAS_NUM_THREADS=1``, and a library caller sets it before importing
 numpy.  Each call of forward or backward, and each :func:`act_backprop`
 inside backward, stays on the calling thread.  Tasks inherit the caller's
@@ -578,28 +575,21 @@ def backward(net: Network, batch, targets, loss: str):
             grad = act_backprop(spec.activation, cache["pre"], grad, grad)  # in place
         if isinstance(spec, Dense):
             x = cache["x"]
+            dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
             if pos:
-                dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
                 w_herm = net.weights[pos].conj().T
                 dx = _step_array(pos, "dx", x.shape, np.complex128)
                 _in_blocks(lambda rows: np.matmul(grad[rows], w_herm, out=dx[rows]), n)
                 grad = dx.reshape(cache["input_shape"])
-                grads[pos] = dw.result()
-            else:
-                grads[pos] = _weight_grad_halves(
-                    lambda rows: matmul_complex(x[:, rows].conj().T, grad), x.shape[1])
+            grads[pos] = dw.result()
         elif isinstance(spec, Conv):
-            kernel, patches = net.weights[pos], cache["patches"]
+            kernel = net.weights[pos]
+            dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
             if pos:
-                dw = lanes.submit(conv.weight_grad, patches, grad)  # beside the adjoint
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
                 _in_blocks(lambda r: conv.adjoint(grad[r], kernel, dx[r].shape, dx[r]), n)
                 grad = dx
-                grads[pos] = dw.result().reshape(kernel.shape)
-            else:
-                grads[pos] = _weight_grad_halves(
-                    lambda rows: conv.weight_grad(patches[..., rows], grad), patches.shape[-1]
-                ).reshape(kernel.shape)
+            grads[pos] = dw.result().reshape(kernel.shape)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
                 dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
@@ -609,13 +599,6 @@ def backward(net: Network, batch, targets, loss: str):
         else:  # pragma: no cover - AbsHead handled at the top
             raise TypeError(spec)
     return grads
-
-
-def _weight_grad_halves(rows_grad, k):
-    """Layer 0's weight gradient, whose ``k`` weight rows ``rows_grad(rows)``
-    forms for a slice of them: the fixed halves ``[:k // 2]`` and
-    ``[k // 2:]`` run on the lanes and are stacked in order."""
-    return np.concatenate(lanes.run_blocks(rows_grad, [slice(0, k // 2), slice(k // 2, k)]))
 
 
 # ---------------------------------------------------------------------------

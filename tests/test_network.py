@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cvnnlab import lanes, network
 from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, Activation
-from cvnnlab.clinalg import matmul_complex, spectral_norm_oracle
+from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.config import ConfigError, parse_config
 from cvnnlab.network import (
     AbsHead,
@@ -559,43 +559,6 @@ class TestLanes:
             self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
             kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], loss)
             self._assert_same_grads(kept, want)
-
-    # layer 0, its input shape and whether the batch is complex: odd weight
-    # row counts (9 patch columns, 7 input features) and one weight row,
-    # whose first half is empty
-    LAYER_ZERO = {
-        "conv_9_rows": (
-            [Conv(3, 3, 1, 3, CRELU), MaxPoolModulus(2), Dense(12, 2)], (6, 6, 1), False),
-        "dense_7_rows": ([Dense(7, 4, SPLIT_TANH), Dense(4, 2)], (7,), True),
-        "conv_1_row": ([Conv(1, 1, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 2)], (4, 4, 1), False),
-        "dense_1_row": ([Dense(1, 3, AMP_TANH), Dense(3, 2)], (1,), True),
-    }
-
-    @pytest.mark.parametrize("case", list(LAYER_ZERO))
-    @pytest.mark.parametrize("n", [1, 33])
-    def test_layer_zero_weight_gradient_halves(self, case, n, rng, pooled, monkeypatch):
-        """Layer 0's weight gradient, formed as two halves of its weight rows
-        on the lanes, is the same bytes on one lane and agrees, to rounding,
-        with the unsplit product of its input and output gradient."""
-        layers, shape, complex_batch = self.LAYER_ZERO[case]
-        net = build_network(layers, seed=9)
-        x = rng.uniform(-1.0, 1.0, size=(n,) + shape)
-        if complex_batch:
-            x = x + 1j * rng.uniform(-1.0, 1.0, size=x.shape)
-        y = random_complex(rng, n, 2)
-        seen = []  # each activation backprop's result; layer 0's comes last
-        act_backprop = network.act_backprop
-        monkeypatch.setattr(
-            network, "act_backprop", lambda *a: seen.append(act_backprop(*a)) or seen[-1])
-        got = backward(net, x, y, "l2")[0]
-        g0, w = seen[-1], net.weights[0]
-        assert got.tobytes() == single_lane(monkeypatch, backward, net, x, y, "l2")[0].tobytes()
-        if isinstance(layers[0], Conv):
-            whole = network.conv.weight_grad(network.conv.apply(x, w)[1], g0).reshape(w.shape)
-        else:
-            whole = matmul_complex(x.conj().T, g0)
-        assert got.shape == w.shape
-        npt.assert_allclose(got, whole, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole)))
 
     @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.3), AMP_TANH],
                              ids=lambda a: a.kind)
