@@ -122,10 +122,10 @@ def _load_data(cfg: ExperimentConfig):
     return train, test
 
 
-def _evaluate(net: Network, ds: Dataset, loss: str):
+def _evaluate(net: Network, ds: Dataset):
     """(per-sample losses, accuracy) over the whole dataset, from one forward pass."""
     out = forward(net, ds.inputs)
-    losses = per_sample_losses(out, ds.targets, loss)
+    losses = per_sample_losses(out, ds.targets)
     if not np.issubdtype(ds.targets.dtype, np.integer):
         return losses, 0.0
     return losses, np.count_nonzero(np.argmax(out, axis=1) == ds.targets) / ds.n
@@ -137,10 +137,9 @@ def run_training(cfg: ExperimentConfig):
     train, test = _load_data(cfg)
     input_shape = train.inputs.shape[1:]
     layers = build_layers(cfg.arch, act, input_shape)
-    if cfg.loss == "cross_entropy" and not isinstance(layers[-1], AbsHead):
-        raise ConfigError("cross_entropy loss needs an abs head as the final layer")
-    if cfg.loss == "l2" and isinstance(layers[-1], AbsHead):
-        raise ConfigError("l2 loss needs a complex output (drop the abs head)")
+    if (cfg.loss == "cross_entropy") != isinstance(layers[-1], AbsHead):
+        raise ConfigError(f"loss {cfg.loss} does not go with the head: cross_entropy "
+                          "goes with a final abs layer and l2 with a complex output")
     net = build_network(layers, seed=cfg.seed)
     velocities = sgd_init(net)
 
@@ -159,10 +158,10 @@ def run_training(cfg: ExperimentConfig):
             with kept_arrays():  # the steps share their arrays; evaluation does not
                 for start in range(0, train.n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    grads = backward(net, train.inputs[idx], train.targets[idx], cfg.loss)
+                    grads = backward(net, train.inputs[idx], train.targets[idx])
                     sgd_step(net, grads, cfg.lr, cfg.momentum, velocities)
 
-            losses, train_acc = _evaluate(net, train, cfg.loss)
+            losses, train_acc = _evaluate(net, train)
             train_loss = float(losses.mean())
             m_ceiling = max(m_ceiling, float(losses.max()))
             weights = [w for w in net.weights if w is not None]
@@ -170,7 +169,7 @@ def run_training(cfg: ExperimentConfig):
                 raise FloatingPointError(
                     f"epoch {epoch}: training diverged (non-finite loss or parameters)"
                 )
-            _, test_acc = _evaluate(net, test, cfg.loss)
+            _, test_acc = _evaluate(net, test)
             er = excess_risk(train_acc, test_acc)
 
             if epoch % cfg.analysis_every == 0:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .activations import Activation
-from .network import LOSSES, AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
+from .network import AbsHead, Conv, Dense, LayerSpec, MaxPoolModulus
 from .textio import read_kv
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+LOSSES = ("l2", "cross_entropy")  # the head decides which one a network trains with
 
 
 @dataclass
@@ -61,7 +64,7 @@ class ExperimentConfig:
     arch: str = "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs"
     activation: str = "crelu"
     # optimization
-    loss: str = "cross_entropy"  # one of network.LOSSES
+    loss: str = "cross_entropy"  # one of LOSSES, the one that goes with the head
     lr: float = 0.01
     momentum: float = 0.9
     epochs: int = 100

@@ -69,14 +69,14 @@ def apply(x, kernel, out=None, patches=None):
     return out, patches
 
 
-def adjoint(g, kernel, input_shape, out=None):
-    """Adjoint of :func:`apply` on an (n, oh, ow, cout) batch; ``input_shape``
-    is the (n, h, w, cin) shape of the batch it maps back to, and the result
-    is written into ``out`` (complex128, of that shape) when given."""
+def adjoint(g, kernel, out=None):
+    """Adjoint of :func:`apply` on an (n, oh, ow, cout) batch: the complex
+    (n, oh + kh - 1, ow + kw - 1, cin) batch it maps back to, written into
+    ``out`` (complex128, of that shape) when given."""
     kh, kw, cin, cout = kernel.shape
     n, oh, ow, _ = g.shape
     k_herm = kernel.reshape(-1, cout).conj().T
-    dx = np.empty(input_shape, dtype=np.complex128) if out is None else out
+    dx = np.empty((n, oh + kh - 1, ow + kw - 1, cin), np.complex128) if out is None else out
     dp = (g.reshape(-1, cout) @ k_herm).reshape(n, oh, ow, kh, kw, cin)
     dx[...] = 0.0
     for ky in range(kh):

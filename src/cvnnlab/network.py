@@ -29,10 +29,10 @@ It caches the flat index of that entry into the layer input, and its
 backward pass scatters through it.  The abs head maps a complex feature
 vector to entry moduli followed by softmax.
 
-A loss is one of the names in :data:`LOSSES`: ``"l2"`` on a complex output
-or ``"cross_entropy"`` on abs-head probabilities.  This module computes
-per-sample losses and their gradients; the training loop keeps the loss
-ceiling M.
+The head decides the loss: cross-entropy on the abs head's class
+probabilities, and the l2 distance on a complex output otherwise.  This
+module computes per-sample losses and their gradients; the training loop
+keeps the loss ceiling M.
 
 Networks are threshold-free, as the bounds assume: a :class:`Network`
 refuses a nonzero threshold, so its thresholds are zeros, made from the
@@ -332,19 +332,13 @@ def _in_blocks(fn, n):
     return lanes.run_blocks(fn, [slice(s, s + _STEP_BLOCK) for s in range(0, n, _STEP_BLOCK)])
 
 
-def _at_once(fn, n):
-    """``fn(rows)`` for all ``n`` samples in one slice, on this thread."""
-    fn(slice(0, n))
-
-
-def act_backprop(act: Activation, z, grad, out):
-    """:func:`cvnnlab.activations.backprop` of the batch, written into
-    ``out`` (which may be ``grad``) in ``_STEP_BLOCK`` blocks across the
-    lanes.  backward makes one call per activated layer, on the calling
-    thread: the bench wraps this function, and its span stack is
-    single-threaded."""
-    _in_blocks(lambda rows: activations.backprop(act, z[rows], grad[rows], out[rows]), len(z))
-    return out
+def act_backprop(act: Activation, z, grad):
+    """:func:`cvnnlab.activations.backprop` of the batch, written over
+    ``grad`` in ``_STEP_BLOCK`` blocks across the lanes.  backward makes one
+    call per activated layer, on the calling thread: the bench wraps this
+    function, and its span stack is single-threaded."""
+    _in_blocks(lambda rows: activations.backprop(act, z[rows], grad[rows], grad[rows]), len(z))
+    return grad
 
 
 def _pool_forward(x, window, out=None, idx=None):
@@ -390,31 +384,32 @@ def _softmax(scores):
 
 
 def _layer_forward(pos, spec, w, x, cache):
-    """Layer ``pos``'s output for the batch ``x``.  With the dict ``cache``
-    (the training step) its arrays come from :func:`_step_array`, each stage
-    runs in blocks across the lanes (:func:`_in_blocks`), what the backward
-    pass reads goes into ``cache``, and the activation writes an array of
-    its own.  Without it (a forward block, which already has a lane) the
-    arrays are fresh, each stage runs once on all of ``x`` on this thread,
-    and the activation overwrites the pre-activation."""
+    """Layer ``pos``'s output for the batch ``x``, each stage run in blocks
+    across the lanes (:func:`_in_blocks`); a forward block, which already
+    has a lane, is one block, run on this thread.  With the dict ``cache``
+    (the training step) each array that ``new`` hands out comes from
+    :func:`_step_array` and is kept in ``cache`` under the name it is stored
+    by, beside the layer's input (``"input"``), and the activation writes an
+    array of its own.  Without it the arrays are fresh and the activation
+    overwrites the pre-activation."""
     n = x.shape[0]
-    run = _at_once if cache is None else _in_blocks
 
     def new(name, shape, dtype):
-        return np.empty(shape, dtype) if cache is None else _step_array(pos, name, shape, dtype)
+        if cache is None:
+            return np.empty(shape, dtype)
+        cache[name] = _step_array(pos, name, shape, dtype)
+        return cache[name]
 
     if isinstance(spec, (Dense, Conv)):
         act = spec.activation
         pre = new("pre", (n,) + spec.output_shape(x.shape[1:]), np.complex128)
         if isinstance(spec, Dense):
             x = x.reshape(n, -1)
-            saved = {"x": x}
 
             def product(rows):
                 matmul_complex(x[rows], w, out=pre[rows])
         else:
             patches = new("patches", conv.patch_shape(x.shape, w.shape), x.dtype)
-            saved = {"patches": patches}
 
             def product(rows):
                 conv.apply(x[rows], w, pre[rows], patches[rows])
@@ -426,21 +421,15 @@ def _layer_forward(pos, spec, w, x, cache):
             if act:
                 activations.apply(act, pre[rows], out[rows])
 
-        run(block, n)
-        saved["pre"] = pre
+        _in_blocks(block, n)
     elif isinstance(spec, MaxPoolModulus):
         shape = (n,) + spec.output_shape(x.shape[1:])
         out, idx = new("out", shape, np.complex128), new("idx", shape, np.intp)
-        run(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows]), n)
-        saved = {"flat_idx": idx}
+        _in_blocks(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows]), n)
     elif isinstance(spec, AbsHead):
-        flat = x.reshape(n, -1)
-        out = _softmax(np.abs(flat))
-        saved = {"x": flat}
+        out = _softmax(np.abs(x.reshape(n, -1)))
     else:  # pragma: no cover
         raise TypeError(spec)
-    if cache is not None:
-        cache.update(saved)
     return out
 
 
@@ -451,7 +440,7 @@ def _forward_walk(net: Network, x, caches=None):
     each layer's are freed once the next layer has run, so forward blocks
     in flight side by side stay small."""
     for pos, (spec, w) in enumerate(zip(net.layers, net.weights)):
-        cache = None if caches is None else {"input_shape": x.shape}
+        cache = None if caches is None else {"input": x}
         x = _layer_forward(pos, spec, w, x, cache)
         if cache is not None:
             caches.append(cache)
@@ -486,31 +475,19 @@ def _checked_batch(net: Network, batch):
 # losses
 
 
-LOSSES = ("l2", "cross_entropy")
-
-
-def _check_loss(loss):
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}: expected one of {', '.join(LOSSES)}")
-
-
-def per_sample_losses(output, target, loss: str) -> np.ndarray:
-    """The loss of each sample: the l2 distance of a complex output row from
-    its target, or -log of the labelled class's abs-head probability."""
-    _check_loss(loss)
-    if loss == "l2":
-        out, tgt = _checked_l2_target(output, target)
-        return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
+def per_sample_losses(output, targets) -> np.ndarray:
+    """The loss of each sample, by the head that made ``output``: the l2
+    distance of a complex output row from its target, or -log of the
+    labelled class's abs-head probability."""
     if np.iscomplexobj(output):
-        raise ValueError("cross-entropy loss needs abs-head class probabilities")
+        out, tgt = _checked_l2_target(output, targets)
+        return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
     probs = np.atleast_2d(output)
-    labels = _checked_labels(target, probs)
+    labels = _checked_labels(targets, probs)
     return -np.log(probs[np.arange(probs.shape[0]), labels])
 
 
 def _checked_l2_target(output, target):
-    if not np.iscomplexobj(output):
-        raise ValueError("l2 loss needs complex network output (no abs head)")
     out = np.atleast_2d(output)
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
     if out.shape != tgt.shape:
@@ -531,15 +508,15 @@ def _checked_labels(target, probs):
 # backward
 
 
-def backward(net: Network, batch, targets, loss: str):
-    """Gradients of the batch-mean loss (a name in :data:`LOSSES`) for every weight.
+def backward(net: Network, batch, targets):
+    """Gradients of the batch-mean loss for every weight: cross-entropy
+    after an abs head, l2 otherwise (:func:`per_sample_losses`).
 
     Returns a list aligned with ``net.layers``: a complex ``dW`` for weighted
     layers (re/im parts pair the partials w.r.t. the re/im weight
     components), ``None`` elsewhere.  No gradient is formed with respect to
     the batch: the pass ends at layer 0's ``dW``.
     """
-    _check_loss(loss)
     batch = _checked_batch(net, batch)
     caches: list = []
     out = _forward_walk(net, batch, caches)
@@ -547,53 +524,52 @@ def backward(net: Network, batch, targets, loss: str):
     grads: list = [None] * len(net.layers)
 
     # gradient at the network output
-    if loss == "l2":
+    if np.iscomplexobj(out):  # l2: no abs head
         out, tgt = _checked_l2_target(out, targets)
         diff = out - tgt
         norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
         scale = np.where(norms > 0.0, 1.0 / (n * np.where(norms > 0, norms, 1.0)), 0.0)
         grad = diff * scale
         start = len(net.layers)
-    else:
-        if not isinstance(net.layers[-1], AbsHead):
-            raise ValueError("cross-entropy loss needs an abs head")
+    else:  # cross-entropy through the abs head
         labels = _checked_labels(targets, out)
         g_scores = out.copy()
         g_scores[np.arange(n), labels] -= 1.0
         g_scores /= n
-        z = caches[-1]["x"]
+        x = caches[-1]["input"]
+        z = x.reshape(n, -1)
         mods = np.abs(z)
         safe = np.where(mods > 0.0, mods, 1.0)
-        grad = np.where(mods > 0.0, g_scores / safe, 0.0) * z
-        grad = grad.reshape(caches[-1]["input_shape"])
+        grad = (np.where(mods > 0.0, g_scores / safe, 0.0) * z).reshape(x.shape)
         start = len(net.layers) - 1
 
     for pos in range(start - 1, -1, -1):
         spec = net.layers[pos]
         cache = caches[pos]
+        x = cache["input"]
         if isinstance(spec, (Dense, Conv)) and spec.activation is not None:
-            grad = act_backprop(spec.activation, cache["pre"], grad, grad)  # in place
+            grad = act_backprop(spec.activation, cache["pre"], grad)
         if isinstance(spec, Dense):
-            x = cache["x"]
-            dw = lanes.submit(matmul_complex, x.conj().T, grad)  # beside the input gradient
+            flat = x.reshape(n, -1)
+            dw = lanes.submit(matmul_complex, flat.conj().T, grad)  # beside the input gradient
             if pos:
                 w_herm = net.weights[pos].conj().T
-                dx = _step_array(pos, "dx", x.shape, np.complex128)
+                dx = _step_array(pos, "dx", flat.shape, np.complex128)
                 _in_blocks(lambda rows: np.matmul(grad[rows], w_herm, out=dx[rows]), n)
-                grad = dx.reshape(cache["input_shape"])
+                grad = dx.reshape(x.shape)
             grads[pos] = dw.result()
         elif isinstance(spec, Conv):
             kernel = net.weights[pos]
             dw = lanes.submit(conv.weight_grad, cache["patches"], grad)  # beside the adjoint
             if pos:
-                dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
-                _in_blocks(lambda r: conv.adjoint(grad[r], kernel, dx[r].shape, dx[r]), n)
+                dx = _step_array(pos, "dx", x.shape, np.complex128)
+                _in_blocks(lambda rows: conv.adjoint(grad[rows], kernel, dx[rows]), n)
                 grad = dx
             grads[pos] = dw.result().reshape(kernel.shape)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
-                dx = _step_array(pos, "dx", cache["input_shape"], np.complex128)
-                idx = cache["flat_idx"]
+                dx = _step_array(pos, "dx", x.shape, np.complex128)
+                idx = cache["idx"]
                 _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx[rows]), n)
                 grad = dx
         else:  # pragma: no cover - AbsHead handled at the top

@@ -77,10 +77,9 @@ def conv_spectral_norm(
     kernel = np.asarray(kernel, dtype=np.complex128)
     if not np.any(kernel):
         return LanczosResult(0.0, 0, True)
-    shape = (1,) + tuple(input_shape)
     return gram_lanczos(
-        lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel, shape),
-        shape, max_iter, seed,
+        lambda v: conv.adjoint(conv.apply(v, kernel)[0], kernel),
+        (1,) + tuple(input_shape), max_iter, seed,
     )
 
 

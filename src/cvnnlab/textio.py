@@ -20,8 +20,9 @@ def f17(x) -> str:
 
 def read_kv(text: str) -> list:
     """``(lineno, key, value)`` per assignment in file order, stripped;
-    ``#`` comments and blank lines are skipped, other lines need an ``=``."""
-    entries = []
+    ``#`` comments and blank lines are skipped, other lines need an ``=``,
+    and a key given twice is refused."""
+    entries, first = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -29,7 +30,11 @@ def read_kv(text: str) -> list:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        entries.append((lineno, key.strip(), value.strip()))
+        key = key.strip()
+        if key in first:
+            raise ValueError(f"line {lineno}: {key!r} already set on line {first[key]}")
+        first[key] = lineno
+        entries.append((lineno, key, value.strip()))
     return entries
 
 

@@ -137,6 +137,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("loss = hinge\n")
 
+    def test_repeated_key_is_refused(self):
+        with pytest.raises(ConfigError, match="^line 3: 'lr' already set on line 2$"):
+            parse_config("dataset = synthetic\nlr = 0.5\nlr = 0.01\n")
+
     def test_idx_requires_existing_files(self):
         with pytest.raises(ConfigError, match="no such file"):
             parse_config("dataset = idx\ntrain_images = /missing\ntrain_labels = /m\ntest_images = /m\ntest_labels = /m\n")
@@ -241,7 +245,7 @@ class TestTrainCommand:
         train, _ = _load_data(cfg)
         out = forward(load_checkpoint(result["checkpoint"]), train.inputs)
         row = Path(result["trace"]).read_text().splitlines()[1].split(",")
-        losses = per_sample_losses(out, train.targets, "l2")
+        losses = per_sample_losses(out, train.targets)
         assert float(row[1]) == float(losses.mean())
         assert losses.argmax() >= 256  # so a ceiling over any leading slice falls short
         assert result["m_ceiling"] == losses.max()
@@ -252,8 +256,8 @@ class TestTrainCommand:
         test split a larger one still."""
         seen = []
 
-        def spy(output, target, loss):
-            seen.append(per_sample_losses(output, target, loss))
+        def spy(output, targets):
+            seen.append(per_sample_losses(output, targets))
             return seen[-1]
 
         monkeypatch.setattr(cli, "per_sample_losses", spy)
@@ -268,6 +272,13 @@ class TestTrainCommand:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")
         assert main(["train", "--config", cfg]) == 2
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "run") + "lr = 0.5\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["train", "--config", cfg]) == 2
+        assert "config error: line 15: 'lr' already set on line 11" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.idx"
@@ -309,8 +320,11 @@ out_dir = {tmp_path / 'run'}
         self, tmp_path, capsys, dataset, extra, code
     ):
         run = tmp_path / "run"
-        if dataset == "synthetic":
-            text = SYNTH_CFG.format(epochs=2, out_dir=run)
+        key = extra.partition(" = ")[0]
+        if dataset == "synthetic":  # the size replaces the config's own line
+            text = "".join(extra + "\n" if line.startswith(key + " = ") else line + "\n"
+                           for line in SYNTH_CFG.format(epochs=2, out_dir=run).splitlines())
+            assert extra in text
         else:
             imgs, lbls = synthetic_glyphs(16, seed=1)
             n_test = 0 if dataset == "empty_idx_test" else 16
@@ -329,10 +343,13 @@ loss = cross_entropy
 epochs = 1
 batch_size = 16
 out_dir = {run}
-"""
-        cfg = write_cfg(tmp_path, text + extra + "\n")
+""" + extra + "\n"
+        cfg = write_cfg(tmp_path, text)
         assert main(["train", "--config", cfg]) == code
-        assert ("config error" if code == 2 else "data error") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("config error" if code == 2 else "data error") in err
+        if code == 2:
+            assert f"{key} must be >= " in err
         assert not (run / "trace.csv").exists()
 
     def test_label_beyond_head_is_input_error(self, tmp_path, capsys):
@@ -389,10 +406,18 @@ out_dir = {tmp_path / 'run'}
         trace = parse_trace_csv(tmp_path / "amp" / "trace.csv")
         assert len(trace.r_a) == 2 and np.all(np.isfinite(trace.r_a))
 
-    def test_loss_head_preflight(self, tmp_path):
-        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r") + "loss = cross_entropy\n"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["train", "--config", cfg]) == 2
+    def _pairing_refused(self, tmp_path, capsys, arch, loss):
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r")
+        text = text.replace("arch = fc-8; fc-4", f"arch = {arch}").replace("loss = l2", f"loss = {loss}")
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        assert f"config error: loss {loss} does not go with the head" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "trace.csv").exists()
+
+    def test_loss_head_preflight(self, tmp_path, capsys):
+        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4", "cross_entropy")
+
+    def test_l2_with_an_abs_head_is_refused(self, tmp_path, capsys):
+        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4; abs", "l2")
 
     def test_analysis_cadence_leaves_gaps(self, tmp_path):
         text = SYNTH_CFG.format(epochs=4, out_dir=tmp_path / "cad") + "analysis_every = 2\n"
@@ -793,6 +818,19 @@ class TestBoundsCommand:
         rep.write_text(text)
         with pytest.raises(ValueError, match="^a layer needs kind dense or conv"):
             report_from_text(text)
+        assert self._bounds_on(rep, capsys) == (2, "")
+
+    def test_repeated_key_is_input_error(self, tmp_path, capsys):
+        """A second copy of a layer line, placed first, is refused even though
+        the derived lines agree with the report's own copy."""
+        from cvnnlab.spectral import report_from_text
+
+        rep = self._report(tmp_path)
+        lines = rep.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("layer.0.s = "))
+        rep.write_text("\n".join(lines[:at] + ["layer.0.s = 5"] + lines[at:]) + "\n")
+        with pytest.raises(ValueError, match=f"^line {at + 2}: 'layer.0.s' already set on line {at + 1}$"):
+            report_from_text(rep.read_text())
         assert self._bounds_on(rep, capsys) == (2, "")
 
     def test_v2_report_is_input_error(self, tmp_path, capsys):

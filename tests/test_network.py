@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvnnlab import lanes, network
+from cvnnlab import config, lanes, network
 from cvnnlab.activations import AMP_TANH, CRELU, SPLIT_TANH, Activation
 from cvnnlab.clinalg import spectral_norm_oracle
 from cvnnlab.config import ConfigError, parse_config
@@ -41,11 +41,11 @@ from cvnnlab.network import (
 from conftest import random_complex, single_lane
 
 
-def finite_diff_grads(net, x, y, loss_kind, h=1e-6):
+def finite_diff_grads(net, x, y, h=1e-6):
     """Central finite differences of the batch loss for every weight."""
 
     def batch_loss():
-        return float(per_sample_losses(forward(net, x), y, loss_kind).mean())
+        return float(per_sample_losses(forward(net, x), y).mean())
 
     out = []
     for pos in range(len(net.layers)):
@@ -168,7 +168,7 @@ class TestBackward:
             [np.zeros(2, complex)],
         )
         x = np.zeros((4, 3), complex)
-        grads = backward(net, x, np.zeros((4, 2), complex), "l2")
+        grads = backward(net, x, np.zeros((4, 2), complex))
         npt.assert_array_equal(grads[0], np.zeros((3, 2), complex))
 
     def test_dense_gradcheck_l2(self, rng):
@@ -176,8 +176,8 @@ class TestBackward:
         net = build_network(layers, seed=5)
         x = random_complex(rng, 8, 4, scale=0.7)
         y = random_complex(rng, 8, 2, scale=0.7)
-        analytic = backward(net, x, y, "l2")
-        numeric = finite_diff_grads(net, x, y, "l2")
+        analytic = backward(net, x, y)
+        numeric = finite_diff_grads(net, x, y)
         assert max_rel_err(analytic, numeric) <= 1e-5
 
     def test_conv_pool_abshead_gradcheck_ce(self, rng):
@@ -191,8 +191,8 @@ class TestBackward:
         net = build_network(layers, seed=11)
         x = random_complex(rng, 6, 36, scale=0.8).reshape(6, 6, 6, 1)
         labels = rng.integers(0, 3, size=6)
-        analytic = backward(net, x, labels, "cross_entropy")
-        numeric = finite_diff_grads(net, x, labels, "cross_entropy")
+        analytic = backward(net, x, labels)
+        numeric = finite_diff_grads(net, x, labels)
         assert max_rel_err(analytic, numeric, floor=1e-6) <= 1e-5
 
     def test_linear_grads_match_real_embedding_calculus(self, rng):
@@ -201,7 +201,7 @@ class TestBackward:
         net = Network([Dense(3, 2)], [w], [np.zeros(2, complex)])
         x = random_complex(rng, 5, 3)
         y = random_complex(rng, 5, 2)
-        dw = backward(net, x, y, "l2")[0]
+        dw = backward(net, x, y)[0]
 
         xs = np.hstack([x.real, x.imag])  # (n, 2 d_in)
         we = np.block([[w.real, w.imag], [-w.imag, w.real]])
@@ -246,8 +246,8 @@ class TestRealInputs:
         x = rng.uniform(0.0, 1.0, size=(9,) + shape)
         labels = rng.integers(0, 3, size=9)
         seen = self._spy_batches(monkeypatch)
-        real = backward(net, x, labels, "cross_entropy")
-        cast = backward(net, x.astype(np.complex128), labels, "cross_entropy")
+        real = backward(net, x, labels)
+        cast = backward(net, x.astype(np.complex128), labels)
         assert seen == [np.float64, np.complex128]
         for got, want in (p for p in zip(real, cast) if p[0] is not None):
             assert got.dtype == np.complex128
@@ -260,7 +260,7 @@ class TestRealInputs:
         with pytest.raises(ValueError, match="batch has no samples"):
             forward(net, x)
         with pytest.raises(ValueError, match="batch has no samples"):
-            backward(net, x, np.zeros(0, dtype=int), "cross_entropy")
+            backward(net, x, np.zeros(0, dtype=int))
 
     def test_forward_output_dtypes_unchanged(self, rng):
         x = rng.uniform(0.0, 1.0, size=(4, 7, 7, 1))
@@ -276,7 +276,7 @@ class TestRealInputs:
         adjoint = network.conv.adjoint
         monkeypatch.setattr(network.conv, "adjoint", lambda *a: calls.append(1) or adjoint(*a))
         net = build_network(self.CONV_FIRST, seed=2)
-        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], "cross_entropy")
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2])
         assert len(calls) == 1  # conv at position 2 only
 
     def test_one_activation_backprop_per_activated_layer(self, rng, monkeypatch):
@@ -284,10 +284,10 @@ class TestRealInputs:
         act_backprop = network.act_backprop
         monkeypatch.setattr(
             network, "act_backprop",
-            lambda act, z, g, *out: calls.append(act.kind) or act_backprop(act, z, g, *out),
+            lambda act, z, g: calls.append(act.kind) or act_backprop(act, z, g),
         )
         net = build_network(self.CONV_FIRST, seed=2)
-        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2], "cross_entropy")
+        backward(net, rng.uniform(size=(3, 9, 9, 1)), [0, 1, 2])
         # last activated layer first
         assert calls == ["crelu", "split_tanh", "crelu"]
 
@@ -353,29 +353,23 @@ def test_pool_backward_scatter_matches_reference_bitwise(shape, window, rng):
 class TestLosses:
     def test_l2_zero_on_match(self, rng):
         out = random_complex(rng, 3, 2)
-        assert float(per_sample_losses(out, out, "l2").mean()) == 0.0
+        assert float(per_sample_losses(out, out).mean()) == 0.0
 
     def test_l2_hand_value(self):
         out = np.array([[3 + 4j, 0j]])
         target = np.zeros((1, 2), complex)
-        assert float(per_sample_losses(out, target, "l2").mean()) == pytest.approx(5.0)
+        assert float(per_sample_losses(out, target).mean()) == pytest.approx(5.0)
 
     def test_ce_uniform_softmax(self):
         probs = np.full((4, 10), 0.1)
-        loss = float(per_sample_losses(probs, np.array([0, 3, 5, 9]), "cross_entropy").mean())
+        loss = float(per_sample_losses(probs, np.array([0, 3, 5, 9])).mean())
         assert loss == pytest.approx(math.log(10.0), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["hinge", "L2", ""])
-    def test_unknown_loss_name_rejected(self, rng, name):
-        net = build_network([Dense(3, 2)], seed=0)
-        x = random_complex(rng, 4, 3)
-        with pytest.raises(ValueError, match="unknown loss"):
-            per_sample_losses(forward(net, x), np.zeros((4, 2), complex), name)
-        with pytest.raises(ValueError, match="unknown loss"):  # before the batch is read
-            backward(net, x[:, :2], np.zeros((4, 2), complex), name)
+    def test_unknown_loss_name_rejected(self, name):
         with pytest.raises(ConfigError) as err:
             parse_config(f"dataset = synthetic\nloss = {name}\n")
-        assert all(known in str(err.value) for known in network.LOSSES)
+        assert all(known in str(err.value) for known in config.LOSSES)
 
     @pytest.mark.parametrize(
         "labels", [[0.5, 1.0], [0.0, 2.0], [True, False]], ids=["fractional", "integral", "bool"]
@@ -384,26 +378,38 @@ class TestLosses:
         net = build_network([Dense(3, 3), AbsHead(3)], seed=0)
         x = random_complex(rng, 2, 3)
         with pytest.raises(ValueError, match="one integer per sample"):
-            per_sample_losses(forward(net, x), np.array(labels), "cross_entropy")
+            per_sample_losses(forward(net, x), np.array(labels))
         with pytest.raises(ValueError, match="one integer per sample"):
-            backward(net, x, np.array(labels), "cross_entropy")
+            backward(net, x, np.array(labels))
 
     def test_ce_needs_abs_head_output(self, rng):
-        with pytest.raises(ValueError, match="abs-head"):
-            per_sample_losses(random_complex(rng, 2, 3), np.array([0, 1]), "cross_entropy")
+        """Labels against a complex output fail the l2 target's shape check."""
+        net = build_network([Dense(3, 2)], seed=0)
+        x = random_complex(rng, 4, 3)
+        labels = np.array([0, 1, 1, 0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            per_sample_losses(forward(net, x), labels)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            backward(net, x, labels)
 
-    def test_l2_rejects_probabilities(self):
-        with pytest.raises(ValueError, match="complex"):
-            per_sample_losses(np.full((2, 3), 0.3), np.zeros((2, 3), complex), "l2")
+    def test_l2_rejects_probabilities(self, rng):
+        """Complex targets against abs-head probabilities fail the label check."""
+        net = build_network([Dense(3, 3), AbsHead(3)], seed=0)
+        x = random_complex(rng, 2, 3)
+        targets = np.zeros((2, 3), complex)
+        with pytest.raises(ValueError, match="one integer per sample"):
+            per_sample_losses(forward(net, x), targets)
+        with pytest.raises(ValueError, match="one integer per sample"):
+            backward(net, x, targets)
 
     def test_l2_target_shape_checked_in_backward_too(self, rng):
         net = build_network([Dense(3, 2)], seed=0)
         x = random_complex(rng, 4, 3)
         target = np.zeros((1, 2), complex)  # one row for a batch of four
         with pytest.raises(ValueError, match="shape mismatch"):
-            per_sample_losses(forward(net, x), target, "l2")
+            per_sample_losses(forward(net, x), target)
         with pytest.raises(ValueError, match="shape mismatch"):
-            backward(net, x, target, "l2")
+            backward(net, x, target)
 
 
 class TestSgd:
@@ -474,14 +480,13 @@ class TestDeterminism:
             rng = np.random.default_rng(123)
             net = build_network([Dense(4, 3, SPLIT_TANH), Dense(3, 2)], seed=9)
             velocities = sgd_init(net)
-            loss = "l2"
             x = random_complex(rng, 16, 4)
             y = random_complex(rng, 16, 2)
             for epoch in range(3):
                 order = np.random.default_rng([9, epoch]).permutation(16)
                 for start in range(0, 16, 8):
                     idx = order[start : start + 8]
-                    grads = backward(net, x[idx], y[idx], loss)
+                    grads = backward(net, x[idx], y[idx])
                     sgd_step(net, grads, 0.05, 0.9, velocities)
             return net
 
@@ -511,18 +516,18 @@ class TestLanes:
         if kind == "conv":
             net = build_network(self.CONV_FIRST, seed=3)
             x = rng.uniform(0.0, 1.0, size=(n, 10, 10, 1))
-            return net, x, rng.integers(0, 3, size=n), "cross_entropy"
+            return net, x, rng.integers(0, 3, size=n)
         if kind == "phase":
             net = build_network(self.PHASE, seed=3)
             x = rng.uniform(0.0, 1.0, size=(n, 10, 10, 1))
-            return net, x, random_complex(rng, n, 2), "l2"
+            return net, x, random_complex(rng, n, 2)
         net = build_network(self.DENSE, seed=3)
-        return net, random_complex(rng, n, 6), random_complex(rng, n, 2), "l2"
+        return net, random_complex(rng, n, 6), random_complex(rng, n, 2)
 
     @pytest.mark.parametrize("kind", ["conv", "dense"])
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 127, 128, 129, 300])
     def test_forward_bytes_match_single_lane(self, kind, n, rng, pooled, monkeypatch):
-        net, x, _, _ = self._case(kind, n, rng)
+        net, x, _ = self._case(kind, n, rng)
         got = forward(net, x)
         want = single_lane(monkeypatch, forward, net, x)
         assert got.shape[0] == n and got.dtype == want.dtype
@@ -545,19 +550,19 @@ class TestLanes:
         """Around the 32-sample step blocks, outside and inside the kept
         store; inside it, after a larger batch has left its values there.
         The blocks also agree, to rounding, with one block of the batch."""
-        net, x, y, loss = self._case(kind, n + 40, rng)
-        want = single_lane(monkeypatch, backward, net, x[:n], y[:n], loss)
-        self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
+        net, x, y = self._case(kind, n + 40, rng)
+        want = single_lane(monkeypatch, backward, net, x[:n], y[:n])
+        self._assert_same_grads(backward(net, x[:n], y[:n]), want)
         with monkeypatch.context() as m:
             m.setattr(network, "_STEP_BLOCK", 1 << 30)
-            whole = backward(net, x[:n], y[:n], loss)
+            whole = backward(net, x[:n], y[:n])
         for g, w in zip(whole, want):
             if g is not None:
                 npt.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
         with network.kept_arrays():
-            backward(net, x[::-1], y[::-1], loss)
-            self._assert_same_grads(backward(net, x[:n], y[:n], loss), want)
-            kept = single_lane(monkeypatch, backward, net, x[:n], y[:n], loss)
+            backward(net, x[::-1], y[::-1])
+            self._assert_same_grads(backward(net, x[:n], y[:n]), want)
+            kept = single_lane(monkeypatch, backward, net, x[:n], y[:n])
             self._assert_same_grads(kept, want)
 
     @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.3), AMP_TANH],
@@ -568,9 +573,9 @@ class TestLanes:
         z[0, 0] = [0.0, 0.3, 0.3j]  # the origin, modReLU's kink and an axis
         grad = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
         want = network.activations.backprop(act, z, grad)
-        got = network.act_backprop(act, z, grad, np.full_like(grad, np.nan))
+        got = network.act_backprop(act, z, grad)
+        assert got is grad  # in place
         assert got.tobytes() == want.tobytes()
-        assert network.act_backprop(act, z, grad, grad).tobytes() == want.tobytes()  # in place
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_conv_apply_on_a_slice_is_the_slice_of_apply(self, dtype, rng):
@@ -590,7 +595,7 @@ class TestLanes:
         assert o_all.tobytes() == out.tobytes() and p_all.tobytes() == patches.tobytes()
 
     def test_forward_inside_a_pool_task_returns(self, rng, pooled):
-        net, x, _, _ = self._case("conv", 300, rng)
+        net, x, _ = self._case("conv", 300, rng)
         want = forward(net, x)
         assert lanes.submit(forward, net, x).result(timeout=60).tobytes() == want.tobytes()
         batches = [x, x[:200], x[:129]]
@@ -621,11 +626,10 @@ class TestKeptArrays:
     def test_returned_gradients_survive_the_next_step(self, rng):
         net = build_network(self.LAYERS, seed=5)
         x, y = self._data(rng, 256)
-        loss = "cross_entropy"
         with network.kept_arrays():
-            first = backward(net, x[:128], y[:128], loss)
+            first = backward(net, x[:128], y[:128])
             saved = [None if g is None else [a.tobytes() for a in g] for g in first]
-            backward(net, x[128:], y[128:], loss)
+            backward(net, x[128:], y[128:])
             kept = list(network._kept.store.values())
             assert kept
             for g, b in zip(first, saved):
@@ -636,12 +640,11 @@ class TestKeptArrays:
     def test_a_ragged_batch_after_full_ones_matches_a_fresh_call(self, rng):
         net = build_network(self.LAYERS, seed=6)
         x, y = self._data(rng, 288)
-        loss = "cross_entropy"
-        want = backward(net, x[256:], y[256:], loss)
+        want = backward(net, x[256:], y[256:])
         with network.kept_arrays():
-            backward(net, x[:128], y[:128], loss)
-            backward(net, x[128:256], y[128:256], loss)
-            got = backward(net, x[256:], y[256:], loss)
+            backward(net, x[:128], y[:128])
+            backward(net, x[128:256], y[128:256])
+            got = backward(net, x[256:], y[256:])
         TestLanes._assert_same_grads(got, want)
 
     def test_nothing_is_kept_after_the_scope(self, rng):
@@ -649,12 +652,12 @@ class TestKeptArrays:
         x, y = self._data(rng, 64)
         assert getattr(network._kept, "store", None) is None
         with network.kept_arrays():
-            backward(net, x, y, "cross_entropy")
+            backward(net, x, y)
             refs = [weakref.ref(a) for a in network._kept.store.values()]
         assert refs and network._kept.store is None
         assert all(r() is None for r in refs)
         with pytest.raises(FloatingPointError), network.kept_arrays():
-            backward(net, x, y, "cross_entropy")
+            backward(net, x, y)
             refs = [weakref.ref(a) for a in network._kept.store.values()]
             raise FloatingPointError("training diverged")
         assert refs and network._kept.store is None
@@ -664,7 +667,7 @@ class TestKeptArrays:
         net = build_network(self.LAYERS, seed=8)
         x, y = self._data(rng, 64)
         with network.kept_arrays():
-            backward(net, x, y, "cross_entropy")
+            backward(net, x, y)
             out = forward(net, x)
             assert not any(np.shares_memory(out, a) for a in network._kept.store.values())
 
@@ -932,7 +935,7 @@ class TestCheckpoints:
             assert w.dtype.isnative
         x, y = random_complex(rng, 5, 3), random_complex(rng, 5, 2)
         for each in (net, loaded):
-            sgd_step(each, backward(each, x, y, "l2"), 0.1, 0.9, sgd_init(each))
+            sgd_step(each, backward(each, x, y), 0.1, 0.9, sgd_init(each))
         for a, b in zip(net.weights, loaded.weights):
             assert a.tobytes() == b.tobytes()
 

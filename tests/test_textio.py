@@ -29,10 +29,11 @@ def test_kv_reader_on_arbitrary_text(text):
     try:
         entries = read_kv(text)
     except ValueError as exc:
-        assert "expected 'key = value'" in str(exc)
+        assert "expected 'key = value'" in str(exc) or "already set on line" in str(exc)
         return
     linenos = [lineno for lineno, _, _ in entries]
     assert linenos == sorted(set(linenos))
+    assert len({key for _, key, _ in entries}) == len(entries)
     for _, key, value in entries:
         assert "=" not in key and "#" not in key + value
         assert key == key.strip() and value == value.strip()
@@ -43,6 +44,11 @@ def test_kv_reader_lines_comments_and_errors():
     assert read_kv(text) == [(3, "a", "1"), (4, "b", "x=y"), (6, "c", "")]
     with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
         read_kv("a = 1\nno equals sign\n")
+
+
+def test_kv_reader_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="^line 4: 'a' already set on line 1$"):
+        read_kv("a = 1\nb = 2\n# a = 3\n a= 1\n")
 
 
 def test_kv_writer_renders_each_type():
@@ -88,6 +94,13 @@ def test_spectral_report_degenerate_aggregates():
     underflow = SpectralReport((_dense(1e-200, math.inf),) * 2, True)
     assert underflow.lipschitz_product == 0.0 and math.isnan(underflow.r_a)
     assert "r_a = nan\n" in report_to_text(underflow)
+
+
+def test_report_reader_refuses_a_repeated_key():
+    text = report_to_text(SpectralReport((_dense(2.0, 1.0),), True))
+    line = next(l for l in text.splitlines() if l.startswith("layer.0.s = "))
+    with pytest.raises(ValueError, match="'layer.0.s' already set on line"):
+        report_from_text(text + line + "\n")  # the same value again
 
 
 @settings(max_examples=200, deadline=None)
