@@ -72,7 +72,10 @@ Outside it, and always in forward, the arrays are fresh.
 
 A checkpoint (format 3) is compact JSON: readable layer records, and each
 weight as one base64 string of its entries in C order as little-endian
-complex128.  The loader refuses every other format version.
+complex128.  The writer streams it in pieces, each weight as base64 of
+fixed slices of its bytes, so it never holds a copy of the file, and it
+refuses a non-finite weight, as the loader does.  The loader refuses every
+other format version.
 """
 
 from __future__ import annotations
@@ -648,9 +651,15 @@ def _layer_from_json(doc):
         raise CheckpointError(f"bad layer record: {exc}") from exc
 
 
-def _b64(arr) -> str:
-    """Base64 of the entries in C order as little-endian complex128."""
-    return base64.b64encode(arr.astype("<c16", copy=False).tobytes()).decode("ascii")
+_B64_SLICE = 3 << 16  # bytes of a weight per base64 piece; a multiple of 3, so pieces join unpadded
+
+
+def _weight_pieces(w):
+    """Base64 of the entries in C order as little-endian complex128, one
+    piece per ``_B64_SLICE`` bytes; the pieces join into the one string."""
+    raw = np.ascontiguousarray(w, dtype="<c16").reshape(-1).view(np.uint8)
+    for start in range(0, raw.size, _B64_SLICE):
+        yield base64.b64encode(raw[start : start + _B64_SLICE]).decode("ascii")
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -660,14 +669,30 @@ def save_checkpoint(net: Network, path) -> None:
     entries in C order as little-endian complex128 (``"<c16"``), so
     doubles round-trip bit for bit, signed zeros and subnormals included,
     and a layer without a weight has null.  The zero thresholds are not
-    stored.  The file is replaced atomically.
+    stored.  A non-finite weight, which the loader would refuse, raises
+    ValueError before anything is written.  The file holds the bytes of
+    one compact ``json.dumps`` of the document and a newline, streamed one
+    base64 piece at a time, so no copy of it is held in memory; it is
+    replaced atomically.
     """
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "layers": [_layer_to_json(s) for s in net.layers],
-        "params": [None if w is None else _b64(w) for w in net.weights],
-    }
-    write_atomic(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
+    for pos, w in enumerate(net.weights):
+        if w is not None and not np.isfinite(w).all():
+            raise ValueError(f"layer {pos} weight: non-finite values")
+    records = json.dumps([_layer_to_json(s) for s in net.layers], separators=(",", ":"), allow_nan=False)
+
+    def pieces():
+        yield f'{{"format_version":{CHECKPOINT_VERSION},"layers":{records},"params":['
+        for pos, w in enumerate(net.weights):
+            sep = "," if pos else ""
+            if w is None:
+                yield sep + "null"
+            else:
+                yield sep + '"'
+                yield from _weight_pieces(w)
+                yield '"'
+        yield "]}\n"
+
+    write_atomic(path, pieces())
 
 
 def _weight_array(text, pos, shape):

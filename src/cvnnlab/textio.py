@@ -1,9 +1,11 @@
 """The text encodings of the files cvnnlab writes and reads back: 17-digit
 floats (the trace and the reports), flat ``key = value`` files (configs and
 reports), and atomic replacement, so a crash never leaves a truncated
-checkpoint or report.  The checkpoint's JSON, whose parameters are base64
-binary rather than decimal text, is written by
-:func:`cvnnlab.network.save_checkpoint`.
+checkpoint or report.  :func:`write_atomic` takes the text whole or as a
+stream of pieces.  The checkpoint's JSON, whose parameters are base64
+binary rather than decimal text, is built by
+:func:`cvnnlab.network.save_checkpoint`, which streams it here one base64
+piece at a time.
 """
 
 from __future__ import annotations
@@ -50,13 +52,20 @@ def kv_text(pairs) -> str:
     return "".join(f"{key} = {_kv_value(value)}\n" for key, value in pairs if value is not None)
 
 
-def write_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (ASCII) through a temp file in the same
-    directory and ``os.replace``; on failure the old file stays as it was."""
+def write_atomic(path, pieces) -> None:
+    """Replace ``path`` with ASCII text through a temp file in the same
+    directory, fsync and ``os.replace``; on failure the old file stays as it
+    was and the temp file is removed.
+
+    ``pieces`` is one ``str`` or an iterable of ``str`` written in turn, so a
+    caller can stream a file it never holds whole; a piece that is not a
+    ``str`` raises TypeError.
+    """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            for piece in (pieces,) if isinstance(pieces, str) else pieces:
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

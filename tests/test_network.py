@@ -5,8 +5,10 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 import warnings
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -924,6 +926,83 @@ class TestCheckpoints:
         params = json.loads(text)["params"]
         assert base64.b64decode(params[0]) == struct.pack("<4d", 1, 0, -0.0, -2)
         assert base64.b64decode(params[2]) == struct.pack("<8d", 1, 0, 2, 0, 3, 0, 0, 4)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, -np.inf)], ids=["nan", "inf"])
+    def test_non_finite_weight_is_refused_before_writing(self, tmp_path, value):
+        # the loader refuses such a file, so the writer must not write it
+        path = tmp_path / "ckpt.json"
+        net = self._net()
+        save_checkpoint(net, path)
+        before = path.read_bytes()
+        net.weights[2][1, 3] = value
+        with pytest.raises(ValueError, match="^layer 2 weight: non-finite values$"):
+            save_checkpoint(net, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    def test_nan_activation_record_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b"old\n")
+        act = Activation("modrelu", b=-0.5)
+        object.__setattr__(act, "b", math.nan)  # past the spec's own check
+        with pytest.raises(ValueError, match="Out of range float values"):
+            save_checkpoint(build_network([Dense(2, 2, act)], seed=1), path)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    # entries per base64 piece of the streamed writer
+    _SLICE = network._B64_SLICE // 16
+
+    @pytest.mark.parametrize("shape, layout", [
+        ((1, 3), "c"),  # 48 bytes, 0 mod 3
+        ((1, 4), "c"),  # 64 bytes, 1 mod 3
+        ((1, 5), "c"),  # 80 bytes, 2 mod 3
+        ((_SLICE // 4, 4), "c"),  # exactly one piece
+        ((_SLICE + 1, 1), "c"),  # one piece and 16 bytes
+        ((_SLICE // 2 + 1, 7), "c"),  # three pieces and part of a fourth
+        ((_SLICE // 2 + 1, 7), "fortran"),
+        ((_SLICE // 2 + 1, 7), "reversed"),
+        ((_SLICE // 2 + 1, 7), "float64"),
+        ((5, 7), "fortran"),
+        ((5, 7), "real_view"),  # strided float64
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_streamed_file_is_one_json_dumps(self, tmp_path, shape, layout):
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = {
+            "c": w,
+            "fortran": np.asfortranarray(w),
+            "reversed": w[::-1, ::-1],
+            "float64": w.real.copy(),
+            "real_view": w.real,
+        }[layout]
+        assert w.flags.c_contiguous == (layout in ("c", "float64"))
+        spec = Dense(*shape, SPLIT_TANH)
+        net = Network([spec, AbsHead(shape[1])], [w, None], [np.zeros(shape[1], complex), None])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        # the oracle: the whole document through one json.dumps
+        doc = {
+            "format_version": 3,
+            "layers": [{"type": "dense", **asdict(spec)}, {"type": "abshead", "out_classes": shape[1]}],
+            "params": [base64.b64encode(w.astype("<c16").tobytes()).decode("ascii"), None],
+        }
+        expected = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_save_holds_one_piece_not_the_file(self, tmp_path):
+        # dense_teacher's net: 6.4 MB of weights, an 8.6 MB file; building
+        # the file in memory took a 24.5 MiB peak
+        net = build_network([Dense(256, 512, SPLIT_TANH), Dense(512, 512, SPLIT_TANH), Dense(512, 16)])
+        path = tmp_path / "ckpt.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(net, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 8563663  # the bench's dense_teacher checkpoint
+        assert peak < 2 * 2**20
 
     def test_loaded_weights_are_writable_and_train(self, tmp_path, rng):
         net = build_network([Dense(3, 4, SPLIT_TANH), Dense(4, 2)], seed=3)

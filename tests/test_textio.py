@@ -141,3 +141,34 @@ def test_write_atomic_unencodable_text_keeps_old_file(tmp_path):
         write_atomic(path, "café\n")
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_atomic_writes_pieces_in_turn(tmp_path):
+    path = tmp_path / "out.txt"
+    write_atomic(path, (piece for piece in ["{", "", "\"a\":1", "}\n"]))
+    assert path.read_bytes() == b'{"a":1}\n'
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_atomic_failing_pieces_keep_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def pieces():
+        yield "new "
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        write_atomic(path, pieces())
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("piece", [b"bytes\n", 7, None])
+def test_write_atomic_refuses_a_piece_that_is_not_str(tmp_path, piece):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        write_atomic(path, ["new\n", piece])
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
