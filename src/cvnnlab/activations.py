@@ -23,8 +23,13 @@ for the inactive coordinate.
 split_tanh and crelu act on each real coordinate alone, so their Jacobian
 is diagonal in the interleaved float64 (re, im) view of a complex array:
 :func:`apply` and :func:`backprop` run them as one real elementwise pass on
-that view.  :func:`jacobian_fields` is the general path, taken by modrelu
-and amp_tanh, and the test oracle for the two diagonal ones.
+that view.  Their backprop reads the activation's output, not its input:
+crelu's output is > 0 exactly where its input is (nan included), and
+split_tanh's derivative 1 - tanh(z)^2 takes the output's own bytes.  So a
+pass that keeps the output need not keep the input (``Activation.diagonal``
+says which kinds these are).  :func:`jacobian_fields` is the general path,
+taken by modrelu and amp_tanh at the input z, and the test oracle for the
+two diagonal ones.
 
 Both take an optional ``out`` array, so the training step can write into
 the whole-batch arrays it keeps across its steps (``backprop`` may be handed
@@ -72,6 +77,11 @@ class Activation:
         if not np.isfinite(self.b):
             raise ValueError("modrelu threshold must be finite")
 
+    @property
+    def diagonal(self) -> bool:
+        """split_tanh or crelu: :func:`backprop` reads the output, not z."""
+        return self.kind in _DIAGONAL
+
 
 SPLIT_TANH = Activation("split_tanh")
 CRELU = Activation("crelu")
@@ -89,7 +99,7 @@ def apply(act: Activation, z, out=None):
     ``out`` (a C-contiguous complex128 array of z's shape, which may be ``z``
     itself) the value is written there and ``out`` is returned."""
     z = np.asarray(z, dtype=np.complex128)
-    if act.kind in _DIAGONAL:
+    if act.diagonal:
         res = np.empty(z.shape, dtype=np.complex128) if out is None else out
         if act.kind == "split_tanh":
             np.tanh(_floats(z), out=_floats(res))
@@ -147,25 +157,28 @@ def jacobian_fields(act: Activation, z):
     raise ValueError(act.kind)  # pragma: no cover
 
 
-def backprop(act: Activation, z, grad, out=None):
+def backprop(act: Activation, saved, grad, out=None):
     """Pull a loss gradient back through the activation.
 
     ``grad`` pairs (dL/dRe out) + i (dL/dIm out); the return value pairs the
-    same partials with respect to the activation input.  This is J^T g with
-    the Jacobian evaluated at pre-activation ``z``; ``z`` and ``grad`` share
-    one shape.  With ``out`` (a C-contiguous complex128 array of that shape,
+    same partials with respect to the activation input z.  This is J^T g
+    with the Jacobian evaluated at z, read from ``saved``: the activation's
+    output ``apply(act, z)`` for the diagonal kinds (split_tanh, crelu),
+    and z itself for modrelu and amp_tanh.  There is one form per kind: a
+    diagonal kind has none that takes z.  ``saved`` and ``grad`` share one
+    shape.  With ``out`` (a C-contiguous complex128 array of that shape,
     which may be ``grad`` itself) the result is written there and ``out`` is
     returned.
     """
-    if act.kind in _DIAGONAL:
-        res = np.empty(np.shape(z), dtype=np.complex128) if out is None else out
-        zf, gf, rf = (_floats(np.atleast_1d(a)) for a in (z, grad, res))
-        if act.kind == "crelu":  # g's bits where z > 0, else +0.0, without a branch
-            np.bitwise_and(gf.view(np.int64), -(zf > 0.0).view(np.int8), out=rf.view(np.int64))
-        else:
-            np.multiply(gf, 1.0 - np.tanh(zf) ** 2, out=rf)
+    if act.diagonal:
+        res = np.empty(np.shape(saved), dtype=np.complex128) if out is None else out
+        yf, gf, rf = (_floats(np.atleast_1d(a)) for a in (saved, grad, res))
+        if act.kind == "crelu":  # g's bits where the output is > 0, else +0.0, without a branch
+            np.bitwise_and(gf.view(np.int64), -(yf > 0.0).view(np.int8), out=rf.view(np.int64))
+        else:  # 1 - tanh(z)^2 from the output tanh(z)
+            np.multiply(gf, 1.0 - yf**2, out=rf)
         return res
-    j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, z)
+    j_rr, j_ri, j_ir, j_ii = jacobian_fields(act, saved)
     g_re, g_im = np.real(grad), np.imag(grad)
     res = (g_re * j_rr + g_im * j_ir) + 1j * (g_re * j_ri + g_im * j_ii)
     if out is None:

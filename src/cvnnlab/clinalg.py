@@ -32,13 +32,20 @@ __all__ = [
 DEFAULT_MAX_ITER = 1000
 _RESIDUAL_SHARE = 1e-10  # Lanczos stopping share of theta (see gram_lanczos)
 _BASIS_BLOCK = 32  # Lanczos basis rows allocated at a time
+_PQ_BLOCK = 1 << 16  # matrix entries whose moduli pq_norm holds at a time
+
+
+def _cmatrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, its layout kept where it is one."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return m
 
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a validated 2-D complex128 array (finite entries only)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    m = _cmatrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -61,11 +68,50 @@ def _p_norms(mods, p):
     top = mods.max(axis=0)
     if math.isinf(p):
         return top
-    _, exp = np.frexp(top)
-    exp = np.maximum(exp, -1022)  # 2**-exp stays finite for a subnormal top
+    exp = _exponents(top)
     mods *= np.ldexp(1.0, -exp)
     mods **= p
     return np.ldexp(np.sum(mods, axis=0) ** (1.0 / p), exp)
+
+
+def _exponents(top):
+    """The power-of-two exponent of each column's largest entry ``top``."""
+    _, exp = np.frexp(top)
+    return np.maximum(exp, -1022)  # 2**-exp stays finite for a subnormal top
+
+
+def _moduli(block, out=None):
+    """``np.abs(block)``, refusing a non-finite entry.  A modulus is finite
+    only where its entry is, so the entries are checked only where a
+    modulus is not (a finite entry beyond the square range can overflow)."""
+    mods = np.abs(block, out=out)
+    if not np.isfinite(mods).all():
+        as_cmatrix(block)  # raises for a non-finite entry; an overflow goes on
+    return mods
+
+
+def _row_major_p_norms(m, p):
+    """:func:`_p_norms` of the moduli of ``m`` (at least two columns, rows
+    laid out first), ``_PQ_BLOCK`` entries at a time.  numpy sums such a
+    matrix's columns row after row, so each block's sum starts from the
+    sums so far, carried as the block's first row: the same additions in
+    the same order.  The column maxima take a pass of their own."""
+    rows = max(1, _PQ_BLOCK // m.shape[1])
+    blocks = [m[start : start + rows] for start in range(0, m.shape[0], rows)]
+    buf = np.zeros((min(rows, m.shape[0]) + 1, m.shape[1]))
+    top = np.zeros(m.shape[1])
+    for block in blocks:
+        np.maximum(top, _moduli(block, out=buf[1 : len(block) + 1]).max(axis=0), out=top)
+    if math.isinf(p):
+        return top
+    exp = _exponents(top)
+    scale = np.ldexp(1.0, -exp)
+    for block in blocks:
+        mods = np.abs(block, out=buf[1 : len(block) + 1])
+        mods *= scale
+        mods **= p
+        buf[0] = np.sum(buf[: len(block) + 1], axis=0)
+    return np.ldexp(buf[0] ** (1.0 / p), exp)
 
 
 def pq_norm(a, p: float, q: float) -> float:
@@ -73,10 +119,26 @@ def pq_norm(a, p: float, q: float) -> float:
 
     Either exponent may be ``math.inf``.  A finite matrix gets a finite
     norm unless the norm itself exceeds the float range.
+
+    The moduli are formed in blocks of about ``_PQ_BLOCK`` entries, never
+    as a copy of the whole matrix, with the bytes of the one-shot formula
+    (:func:`_p_norms` of ``np.abs(a)``).  That formula sums the columns in
+    the order numpy's column sum takes on the layout of ``np.abs(a)``: row
+    after row where rows are laid out first (:func:`_row_major_p_norms`),
+    and pairwise down each column where columns are, as for a transposed
+    weight or a single column.  In that case blocks of whole columns give
+    every column its sum alone.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    cols = _p_norms(np.abs(as_cmatrix(a)), p)
+    m = _cmatrix(a)
+    n_rows, n_cols = m.shape
+    if n_cols > 1 and abs(m.strides[0]) >= abs(m.strides[1]):
+        cols = _row_major_p_norms(m, p)
+    else:
+        width = max(1, _PQ_BLOCK // max(n_rows, 1))
+        parts = [_p_norms(_moduli(m[:, s : s + width]), p) for s in range(0, n_cols, width)]
+        cols = np.concatenate(parts or [np.zeros(0)])
     return float(_p_norms(cols[:, None], q)[0])
 
 

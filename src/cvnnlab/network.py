@@ -65,10 +65,16 @@ numpy error state (``np.errstate``), and a call made on a pool worker runs
 its blocks inline, so calls never nest on the pool.
 
 Inside :func:`kept_arrays`, which training opens around each epoch's steps,
-backward takes its whole-batch arrays (caches and gradient buffers, ~90 MB
+backward takes its whole-batch arrays (caches and gradient buffers, 75.6 MB
 at the desk protocol's batch of 128) from a store that this thread keeps
 from one call to the next instead of mapping them afresh each step.
-Outside it, and always in forward, the arrays are fresh.
+Outside it, and always in forward, the arrays are fresh.  Two rules keep
+the store small.  A layer with a diagonal activation (split_tanh, crelu)
+keeps one array: the activation writes over the pre-activation, as in
+forward, and its backprop reads that output.  A max pool followed by a conv
+layer writes its input gradient into that conv's im2col patches, whose one
+reader is the conv's weight gradient: backward awaits that gradient before
+the pool's turn, so the patches are dead by then.
 
 A checkpoint (format 3) is compact JSON: readable layer records, and each
 weight as one base64 string of its entries in C order as little-endian
@@ -335,12 +341,14 @@ def _in_blocks(fn, n):
     return lanes.run_blocks(fn, [slice(s, s + _STEP_BLOCK) for s in range(0, n, _STEP_BLOCK)])
 
 
-def act_backprop(act: Activation, z, grad):
+def act_backprop(act: Activation, saved, grad):
     """:func:`cvnnlab.activations.backprop` of the batch, written over
-    ``grad`` in ``_STEP_BLOCK`` blocks across the lanes.  backward makes one
-    call per activated layer, on the calling thread: the bench wraps this
-    function, and its span stack is single-threaded."""
-    _in_blocks(lambda rows: activations.backprop(act, z[rows], grad[rows], grad[rows]), len(z))
+    ``grad`` in ``_STEP_BLOCK`` blocks across the lanes; ``saved`` is what
+    that function reads (the output of a diagonal activation, else the
+    pre-activation).  backward makes one call per activated layer, on the
+    calling thread: the bench wraps this function, and its span stack is
+    single-threaded."""
+    _in_blocks(lambda rows: activations.backprop(act, saved[rows], grad[rows], grad[rows]), len(saved))
     return grad
 
 
@@ -381,6 +389,20 @@ def _pool_backward(grad, flat_idx, dx):
     return dx
 
 
+def _pool_dx(pos, shape, caches):
+    """The array that layer ``pos``, a max pool, writes its input gradient
+    into in :func:`backward`: the front of the next layer's im2col patches
+    when that layer is a conv whose patches hold as many entries (complex,
+    as the pool's output is), else a :func:`_step_array` of its own.  Those
+    patches are dead by then: :func:`backward` awaits the conv's weight
+    gradient, their one reader, before the pool's turn."""
+    size = math.prod(shape)
+    patches = caches[pos + 1].get("patches") if pos + 1 < len(caches) else None
+    if patches is not None and patches.size >= size:
+        return patches.reshape(-1)[:size].reshape(shape)
+    return _step_array(pos, "dx", shape, np.complex128)
+
+
 def _softmax(scores):
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -392,9 +414,11 @@ def _layer_forward(pos, spec, w, x, cache):
     has a lane, is one block, run on this thread.  With the dict ``cache``
     (the training step) each array that ``new`` hands out comes from
     :func:`_step_array` and is kept in ``cache`` under the name it is stored
-    by, beside the layer's input (``"input"``), and the activation writes an
-    array of its own.  Without it the arrays are fresh and the activation
-    overwrites the pre-activation."""
+    by, beside the layer's input (``"input"``).  Without it the arrays are
+    fresh.  The activation overwrites the pre-activation ``"pre"``, except
+    in the training step for a kind whose backprop reads z (not
+    ``act.diagonal``), where it writes an array of its own, ``"out"``.  So
+    ``"pre"`` holds what :func:`act_backprop` reads."""
     n = x.shape[0]
 
     def new(name, shape, dtype):
@@ -417,7 +441,8 @@ def _layer_forward(pos, spec, w, x, cache):
             def product(rows):
                 conv.apply(x[rows], w, pre[rows], patches[rows])
 
-        out = new("out", pre.shape, np.complex128) if act and cache is not None else pre
+        keep_z = act and not act.diagonal and cache is not None
+        out = new("out", pre.shape, np.complex128) if keep_z else pre
 
         def block(rows):
             product(rows)
@@ -551,7 +576,7 @@ def backward(net: Network, batch, targets):
         cache = caches[pos]
         x = cache["input"]
         if isinstance(spec, (Dense, Conv)) and spec.activation is not None:
-            grad = act_backprop(spec.activation, cache["pre"], grad)
+            grad = act_backprop(spec.activation, cache["pre"], grad)  # see _layer_forward
         if isinstance(spec, Dense):
             flat = x.reshape(n, -1)
             dw = lanes.submit(matmul_complex, flat.conj().T, grad)  # beside the input gradient
@@ -571,7 +596,7 @@ def backward(net: Network, batch, targets):
             grads[pos] = dw.result().reshape(kernel.shape)
         elif isinstance(spec, MaxPoolModulus):
             if pos:
-                dx = _step_array(pos, "dx", x.shape, np.complex128)
+                dx = _pool_dx(pos, x.shape, caches)
                 idx = cache["idx"]
                 _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx[rows]), n)
                 grad = dx

@@ -162,11 +162,11 @@ def analyze(net: Network, input_shape) -> SpectralReport:
             kernel = net.weights[pos]
             res = conv_spectral_norm(kernel, shapes[pos])
             try:
-                m = layer_matrix(kernel, shapes[pos])
                 # the weight-matrix orientation (inputs x outputs) is the
                 # transpose of the column-action lowering, so ||A^T||_{2,1}
-                # is the (2,1) norm of the lowering itself
-                b = pq_norm(m, 2, 1)
+                # is the (2,1) norm of the lowering itself.  No name holds
+                # the lowering: it is freed before the next one is built
+                b = pq_norm(layer_matrix(kernel, shapes[pos]), 2, 1)
             except LoweringBudgetError:
                 b = None  # sn-product-only
         converged = converged and res.converged

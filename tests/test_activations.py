@@ -35,6 +35,11 @@ def fd_jacobian(act, z, h=1e-6):
     return j
 
 
+def saved(act, z):
+    """What :func:`backprop` reads: the output of a diagonal kind, else z."""
+    return apply(act, z) if act.diagonal else z
+
+
 def sample_differentiable(act, rng, margin=1e-3):
     while True:
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -124,7 +129,7 @@ class TestJacobian:
         z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         for act in ALL_KINDS:
-            out = backprop(act, z, g)
+            out = backprop(act, saved(act, z), g)
             for i in range(10):
                 j = jacobian(act, complex(z[i]))
                 ref = j.T @ np.array([g[i].real, g[i].imag])
@@ -182,11 +187,38 @@ class TestDiagonalPaths:
 
         monkeypatch.setattr(activations, "jacobian_fields", refuse)
         for (z, g), (want_apply, want_back) in zip(cases, want):
-            got_apply, got_back = apply(act, z), backprop(act, z, g)
+            got_apply = apply(act, z)
+            got_back = backprop(act, got_apply, g)
             assert np.shape(got_apply) == np.shape(z) and np.shape(got_back) == np.shape(z)
             assert _bits(got_apply) == _bits(want_apply)
             assert _bits(got_back) == _bits(want_back)
         assert isinstance(apply(act, complex(cases[2][0])), complex)
+
+    @pytest.mark.parametrize("act", [CRELU, SPLIT_TANH])
+    def test_output_form_is_the_z_form_bytewise(self, act):
+        """backprop from the output has the bytes of the earlier form that
+        read z, kept here as the oracle: crelu's g where z > 0, split_tanh's
+        g (1 - tanh(z)^2), each on the (re, im) view."""
+
+        def z_form(z, g):
+            zf, gf = z.view(np.float64), g.view(np.float64)
+            if act.kind == "crelu":
+                res = np.bitwise_and(gf.view(np.int64), -(zf > 0.0).view(np.int8))
+                return res.view(np.float64)
+            return gf * (1.0 - np.tanh(zf) ** 2)
+
+        parts = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+                          np.inf, -np.inf, np.nan, -np.nan, 0.75, -3.0])
+        g_parts = np.array([1.0, -2.5, -0.0, 0.0, 5e-324, 1e300, -np.inf, np.nan])
+        z = np.empty(parts.size**2, dtype=np.complex128)
+        z.real, z.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        g = np.empty(z.size, dtype=np.complex128)
+        g.real = np.resize(g_parts, z.size)
+        g.imag = np.resize(g_parts[::-1], z.size)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and the like
+            want = z_form(z, g)
+            got = backprop(act, apply(act, z), g)
+        assert got.tobytes() == want.tobytes()
 
     def test_crelu_backprop_is_masked_select_bitwise(self):
         # g passes bit for bit where Re/Im z > 0 (signed zeros, infinities and

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -73,6 +74,66 @@ class TestPqNorm:
             a = scale * random_complex(rng, 9, 7)
             mods = np.abs(a)
             assert pq_norm(a, 2, 1) == float(np.sum(np.sum(mods**2, axis=0) ** 0.5))
+
+
+class TestPqNormInBlocks:
+    """pq_norm forms its moduli in blocks with the bytes of the one-shot
+    formula, the oracle here: numpy's column sum of the whole modulus
+    matrix, pairwise down a single column or a column-major layout and row
+    after row otherwise."""
+
+    @staticmethod
+    def _one_shot(a, p, q):
+        def p_norms(mods, p):  # each column scaled by the power of two at its top
+            if mods.shape[0] == 0:
+                return np.zeros(mods.shape[1])
+            top = mods.max(axis=0)
+            if math.isinf(p):
+                return top
+            exp = np.maximum(np.frexp(top)[1], -1022)
+            mods *= np.ldexp(1.0, -exp)
+            mods **= p
+            return np.ldexp(np.sum(mods, axis=0) ** (1.0 / p), exp)
+
+        cols = p_norms(np.abs(as_cmatrix(a)), p)
+        return float(p_norms(cols[:, None], q)[0])
+
+    @pytest.mark.parametrize("shape", [(3000, 40), (40, 3000), (70000, 2), (1, 5000),
+                                       (5000, 1), (1, 1), (0, 3), (3, 0)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    def test_bytes_equal_the_one_shot_formula(self, shape, scale):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        a = scale * (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+                     + 1j * rng.standard_normal(shape))
+        # the layouts analyze hands in (a lowering, a transposed weight),
+        # and strided views of both
+        for view in (a, a.T, a[::2, ::-1], a.T[::-1, ::3]):
+            for p in (1, 2, 3, math.inf):
+                for q in (1, 2, math.inf):
+                    assert pq_norm(view, p, q) == self._one_shot(view, p, q), (view.shape, p, q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("shape", [(3000, 40), (40, 3000), (5000, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_non_finite_entries_raise(self, bad, shape):
+        a = np.ones(shape, dtype=np.complex128)
+        a[-1, -1] = bad  # in the last block
+        for view in (a, a.T):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                pq_norm(view, 2, 1)
+
+    def test_memory_is_a_block_not_a_copy(self):
+        # the one-shot modulus matrix of this 32 MiB input is 16 MiB, and
+        # the one-shot formula peaked at 16.1 MiB
+        a = random_complex(np.random.default_rng(3), 2048, 1024)
+        tracemalloc.start()
+        try:
+            pq_norm(a, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRealEmbedding:

@@ -574,8 +574,9 @@ class TestLanes:
         z = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
         z[0, 0] = [0.0, 0.3, 0.3j]  # the origin, modReLU's kink and an axis
         grad = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        want = network.activations.backprop(act, z, grad)
-        got = network.act_backprop(act, z, grad)
+        saved = network.activations.apply(act, z) if act.diagonal else z
+        want = network.activations.backprop(act, saved, grad)
+        got = network.act_backprop(act, saved, grad)
         assert got is grad  # in place
         assert got.tobytes() == want.tobytes()
 
@@ -672,6 +673,54 @@ class TestKeptArrays:
             backward(net, x, y)
             out = forward(net, x)
             assert not any(np.shares_memory(out, a) for a in network._kept.store.values())
+
+
+class TestPoolIntoPatches:
+    """A max pool followed by a conv layer writes its input gradient into
+    that conv's im2col patches, dead once the conv's weight gradient is
+    formed; where the patches are smaller it keeps a gradient of its own."""
+
+    # conv2's patches: 6*6 positions * 3*3*3 taps = 972 entries per sample,
+    # more than the pool's 16*16*3 = 768 inputs
+    LARGER = [Conv(3, 3, 1, 3, CRELU), MaxPoolModulus(2), Conv(3, 3, 3, 4, SPLIT_TANH),
+              MaxPoolModulus(2), Dense(36, 3), AbsHead(3)]
+    # a 1x1 conv after the pool: 8*8*3 = 192 entries, fewer than 768
+    SMALLER = [Conv(3, 3, 1, 3, SPLIT_TANH), MaxPoolModulus(2), Conv(1, 1, 3, 2, CRELU),
+               Dense(128, 3), AbsHead(3)]
+
+    @pytest.mark.parametrize("layers", [LARGER, SMALLER], ids=["larger", "smaller"])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 128])
+    def test_gradient_bytes_hold_in_every_setting(self, layers, n, rng, pooled, monkeypatch):
+        net = build_network(layers, seed=4)
+        x, y = rng.uniform(0.0, 1.0, size=(n + 40, 18, 18, 1)), rng.integers(0, 3, size=n + 40)
+        got = backward(net, x[:n], y[:n])
+        with monkeypatch.context() as m:  # the pool's own gradient array, as before the rule
+            m.setattr(network, "_pool_dx",
+                      lambda pos, shape, caches: network._step_array(pos, "dx", shape, np.complex128))
+            want = single_lane(monkeypatch, backward, net, x[:n], y[:n])
+        TestLanes._assert_same_grads(got, want)
+        TestLanes._assert_same_grads(single_lane(monkeypatch, backward, net, x[:n], y[:n]), want)
+        with network.kept_arrays():
+            backward(net, x[::-1], y[::-1])  # leaves other values in the store
+            TestLanes._assert_same_grads(backward(net, x[:n], y[:n]), want)
+            TestLanes._assert_same_grads(single_lane(monkeypatch, backward, net, x[:n], y[:n]), want)
+            own_dx = (1, "dx") in network._kept.store
+        assert own_dx == (layers is self.SMALLER)
+
+    def test_desk_step_keeps_one_array_per_activated_layer(self, rng):
+        layers = config.build_layers(
+            "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs", CRELU, (28, 28, 1))
+        net = build_network(layers, seed=0)
+        x, y = rng.uniform(0.0, 1.0, size=(128, 28, 28, 1)), rng.integers(0, 10, size=128)
+        with network.kept_arrays():
+            backward(net, x, y)
+            store = dict(network._kept.store)
+        activated = [pos for pos, spec in enumerate(layers) if getattr(spec, "activation", None)]
+        assert activated == [0, 2, 4]
+        assert not any((pos, "out") in store for pos in activated)
+        assert (1, "dx") not in store  # written into conv2's patches
+        # 102.9 MB before: an "out" beside each CReLU layer's "pre", and pool1's dx
+        assert sum(a.nbytes for a in store.values()) <= 80e6
 
 
 class TestShapesAndMetadata:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -215,6 +216,22 @@ class TestFreshDeskNetworks:
         oracle = spectral_norm_oracle(layer_matrix(kernel, shapes[2], memory_budget=None))
         assert res.converged
         assert abs(res.value - oracle) <= 1e-8 * oracle
+
+
+    def test_analyze_holds_one_lowering_at_a_time(self):
+        # the lowerings went into pq_norm one by one, conv1's released before
+        # conv2's was built, and pq_norm took no whole-matrix modulus copy:
+        # 103.5 MiB before, against conv1's 68.9 MiB lowering
+        net = build_network(self.LAYERS, seed=0)
+        shapes = infer_shapes(self.LAYERS, self.SHAPE)
+        conv1_bytes = 16 * math.prod(shapes[1]) * math.prod(self.SHAPE)
+        tracemalloc.start()
+        try:
+            analyze(net, self.SHAPE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < conv1_bytes + 4 * 2**20
 
 
 class TestAnalyze:
