@@ -253,7 +253,7 @@ def cover_check(
         worst = max(worst, error)
         if error <= eps:
             within += 1
-        distinct.add(tuple(int(c) for c in counts))
+        distinct.add(counts.tobytes())  # one shape and dtype for every sample
     if worst > math.sqrt(2.0) * eps:
         raise AssertionError(
             f"worst error {f17(worst)} exceeds sqrt(2) * eps = {f17(math.sqrt(2.0) * eps)}"

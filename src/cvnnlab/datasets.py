@@ -2,10 +2,12 @@
 
 IDX is the big-endian binary format of the classic digit benchmarks:
 a 4-byte magic (0x00000803 for images, 0x00000801 for labels), 4-byte
-dimension fields, then the unsigned-byte payload.  Loading scales pixels
-by 1/255 and keeps them real (float64): a real input is a complex input
-with zero imaginary part, which the network's first weighted layer
-multiplies without forming that part (see :mod:`cvnnlab.network`).
+dimension fields, then the unsigned-byte payload.  Loading keeps pixels as
+the file's uint8 levels, read once into the array the dataset holds; the
+network scales them by 1/255 to real float64 pixels where it reads them,
+one block at a time (see :mod:`cvnnlab.network`).  A real input is a
+complex input with zero imaginary part, which the network's first
+weighted layer multiplies without forming that part.
 
 Synthetic regression data feeds the L2-loss theory path: inputs have
 i.i.d. standard complex gaussian entries and targets come from a frozen
@@ -19,6 +21,7 @@ through the same pipeline.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -49,14 +52,15 @@ class IdxError(Exception):
 
 @dataclass
 class Dataset:
-    """Inputs are real image pixels or complex vectors; image data keeps its
-    (h, w, c) shape per sample."""
+    """Inputs are image pixels or complex vectors; image data keeps its
+    (h, w, c) shape per sample.  IDX pixels are uint8 levels, which the
+    network reads as ``levels / 255.0``."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.inputs)):
+        if self.inputs.dtype.kind not in "biu" and not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs must be finite")
         if len(self.inputs) != len(self.targets):
             raise ValueError("inputs and targets must align")
@@ -67,28 +71,35 @@ class Dataset:
 
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
-    """The uint8 payload of an IDX file, shaped by its ``ndim`` dimension fields."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The uint8 payload of an IDX file, shaped by its ``ndim`` dimension
+    fields.  The file size is checked against the header before the payload
+    is read, straight into the array returned."""
     header = 4 + 4 * ndim
-    # the magic is checked as soon as its 4 bytes exist, before the dimensions
-    if len(data) >= 4 and (found := struct.unpack_from(">I", data)[0]) != magic:
-        raise IdxError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
-    if len(data) < header:
-        raise IdxError(f"{path}: truncated header")
-    shape = struct.unpack_from(f">{ndim}I", data, 4)
-    expected = header + math.prod(shape)
-    if len(data) < expected:
-        raise IdxError(f"{path}: payload short by {expected - len(data)} bytes")
-    if len(data) > expected:
-        raise IdxError(f"{path}: {len(data) - expected} trailing bytes")
-    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(shape).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        # the magic is checked as soon as its 4 bytes exist, before the dimensions
+        if len(head) >= 4 and (found := struct.unpack_from(">I", head)[0]) != magic:
+            raise IdxError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+        if len(head) < header:
+            raise IdxError(f"{path}: truncated header")
+        shape = struct.unpack_from(f">{ndim}I", head, 4)
+        size, expected = os.fstat(fh.fileno()).st_size, header + math.prod(shape)
+        if size < expected:
+            raise IdxError(f"{path}: payload short by {expected - size} bytes")
+        if size > expected:
+            raise IdxError(f"{path}: {size - expected} trailing bytes")
+        payload = np.empty(expected - header, dtype=np.uint8)
+        got = fh.readinto(payload)
+    if got < payload.size:  # the file shrank after its size was read
+        raise IdxError(f"{path}: payload short by {payload.size - got} bytes")
+    return payload.reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Paired image/label IDX files as an image dataset.
 
-    Inputs are real float64 pixels scaled by 1/255, shaped (n, h, w, 1).
+    Inputs are the file's uint8 pixel levels, shaped (n, h, w, 1); the
+    network scales them by 1/255 where it reads them.
     """
     images = _read_idx(images_path, IMAGE_MAGIC, 3)  # (count, rows, cols)
     labels = _read_idx(labels_path, LABEL_MAGIC, 1)
@@ -96,8 +107,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     if images.shape[0] == 0:
         raise IdxError(f"{images_path}: no samples")
-    pixels = images.astype(np.float64) / 255.0
-    return Dataset(inputs=pixels[..., None], targets=labels.astype(np.int64))
+    return Dataset(inputs=images[..., None], targets=labels.astype(np.int64))
 
 
 def _write_idx(array, path, magic: int, ndim: int, shape_error: str) -> None:
@@ -196,6 +206,10 @@ def synthetic_glyphs(
     way to induce a generalization gap that widens as training memorizes.
     Fully deterministic in ``seed``; the prototypes are the same for every seed.
     """
+    if not 0.0 <= label_noise <= 1.0:  # also nan
+        raise ValueError(f"label_noise must lie in [0, 1], got {label_noise}")
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
     classes, size = 10, 28
     proto_rng = np.random.default_rng(7)
     common = _box_blur(proto_rng.standard_normal((size, size)))

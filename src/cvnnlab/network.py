@@ -12,6 +12,10 @@ activation 2x2 Jacobians plug in uniformly (none of the supported
 activations is holomorphic).  The gradient with respect to the network
 input is never used, so backprop stops at layer 0's weight gradient.
 
+A uint8 batch holds image pixel levels (as :func:`cvnnlab.datasets.load_idx`
+returns them), which the network reads as the float64 pixels
+``levels / 255.0``: :func:`forward` converts each block it walks and
+:func:`backward` its step batch, so no float copy of a whole split is made.
 A real batch (image pixels) stays real up to a dense or conv layer 0, whose
 forward product and weight gradient then take real GEMMs on the weight's
 (re, im) view (:func:`cvnnlab.clinalg.matmul_complex`); any other layer 0
@@ -478,25 +482,35 @@ def _forward_walk(net: Network, x, caches=None):
 def forward(net: Network, batch):
     """Network output for a batch; real softmax probabilities after an abs head,
     a complex feature matrix otherwise.  The batch runs in blocks of
-    ``_STEP_BLOCK`` samples across the lanes, each walked through every layer."""
+    ``_STEP_BLOCK`` samples across the lanes, each read as layer 0's input
+    (:func:`_layer0_input`) and walked through every layer."""
     batch = _checked_batch(net, batch)
-    return np.concatenate(_in_blocks(lambda rows: _forward_walk(net, batch[rows]), len(batch)))
+    return np.concatenate(_in_blocks(
+        lambda rows: _forward_walk(net, _layer0_input(net, batch[rows])), len(batch)))
 
 
 def _checked_batch(net: Network, batch):
-    """The batch, its sample shape checked against the layers: complex, or
-    float64 when it is real and layer 0 is dense or conv."""
+    """The batch as an array, its sample shape checked against the layers."""
     batch = np.asarray(batch)
     if batch.ndim not in (2, 4):
         raise ValueError(f"batch must be (n, d) or (n, h, w, c), got {batch.shape}")
     if batch.shape[0] == 0:
         raise ValueError("batch has no samples")
     infer_shapes(net.layers, batch.shape[1:])
-    if np.iscomplexobj(batch):
-        return batch
+    return batch
+
+
+def _layer0_input(net: Network, x):
+    """The samples ``x`` as layer 0 reads them.  uint8 pixel levels become
+    float64 ``levels / 255.0``; then a complex array passes unchanged, and
+    a real one is float64 when layer 0 is dense or conv, else complex."""
+    if x.dtype == np.uint8:
+        x = np.divide(x, 255.0, dtype=np.float64)
+    if np.iscomplexobj(x):
+        return x
     if net.layers and isinstance(net.layers[0], (Dense, Conv)):
-        return batch.astype(np.float64, copy=False)
-    return batch.astype(np.complex128)
+        return x.astype(np.float64, copy=False)
+    return x.astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +559,7 @@ def backward(net: Network, batch, targets):
     components), ``None`` elsewhere.  No gradient is formed with respect to
     the batch: the pass ends at layer 0's ``dW``.
     """
-    batch = _checked_batch(net, batch)
+    batch = _layer0_input(net, _checked_batch(net, batch))
     caches: list = []
     out = _forward_walk(net, batch, caches)
     n = batch.shape[0]

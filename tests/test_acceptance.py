@@ -492,7 +492,7 @@ def test_criterion_10_format_fidelity(tmp_path):
     (tmp_path / "imgs").write_bytes(image_bytes)
     (tmp_path / "lbls").write_bytes(label_bytes)
     ds = load_idx(tmp_path / "imgs", tmp_path / "lbls")
-    write_idx_images(np.rint(ds.inputs[..., 0] * 255).astype(np.uint8), tmp_path / "imgs2")
+    write_idx_images(ds.inputs[..., 0], tmp_path / "imgs2")
     write_idx_labels(ds.targets, tmp_path / "lbls2")
     assert (tmp_path / "imgs2").read_bytes() == image_bytes
     assert (tmp_path / "lbls2").read_bytes() == label_bytes

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ def idx_readers(images_path, labels_path):
 
 def write_back(ds, images_path, labels_path):
     """Write a loaded image dataset back as IDX files."""
-    write_idx_images(np.rint(ds.inputs[..., 0] * 255).astype(np.uint8), images_path)
+    write_idx_images(ds.inputs[..., 0], images_path)
     write_idx_labels(ds.targets, labels_path)
 
 
@@ -52,8 +54,8 @@ class TestLoadIdx:
     def test_hand_crafted_fixture(self, idx_fixture):
         images_path, labels_path, _, _ = idx_fixture
         ds = load_idx(images_path, labels_path)
-        npt.assert_allclose(ds.inputs.real.ravel(), [0.0, 1.0, 128 / 255, 0.0])
-        npt.assert_array_equal(ds.inputs.imag, np.zeros_like(ds.inputs.imag))
+        assert ds.inputs.dtype == np.uint8  # the file's levels; the network scales them
+        assert ds.inputs.ravel().tolist() == [0, 255, 128, 0]
         assert ds.targets.tolist() == [7]
         assert ds.inputs.shape == (1, 2, 2, 1)
 
@@ -106,12 +108,36 @@ class TestLoadIdx:
         labels = rng.integers(0, 10, size=5).astype(np.uint8)
         write_idx_images(images, tmp_path / "i"), write_idx_labels(labels, tmp_path / "l")
         ds = load_idx(tmp_path / "i", tmp_path / "l")
-        # real pixels, finite, in [0, 1]: no complex cast on the way in
-        assert ds.inputs.dtype == np.float64 and ds.inputs.shape == (5, 4, 4, 1)
-        assert np.all(np.isfinite(ds.inputs))
-        assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 1.0)
-        # pixels are exact multiples of 1/255
-        npt.assert_array_equal(np.rint(ds.inputs * 255), ds.inputs * 255)
+        # the levels as written, which the network reads as levels / 255 in [0, 1]
+        assert ds.inputs.dtype == np.uint8 and ds.inputs.shape == (5, 4, 4, 1)
+        npt.assert_array_equal(ds.inputs[..., 0], images)
+
+    def test_load_peaks_near_its_payload(self, tmp_path, rng):
+        """The pixels are read once, into the array the dataset holds."""
+        images = rng.integers(0, 256, size=(4000, 28, 28)).astype(np.uint8)
+        write_idx_images(images, tmp_path / "i")
+        write_idx_labels(rng.integers(0, 10, size=4000), tmp_path / "l")
+        tracemalloc.start()
+        try:
+            ds = load_idx(tmp_path / "i", tmp_path / "l")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(ds.inputs[..., 0], images)
+        assert peak <= 1.25 * images.nbytes
+
+    def test_header_beyond_the_file_is_refused_before_allocating(self, idx_fixture, tmp_path):
+        big = tmp_path / "big.idx"
+        dims = (2**32 - 1,) * 3
+        big.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, *dims) + bytes(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxError, match=f"payload short by {math.prod(dims) - 4} bytes"):
+                load_idx(big, idx_fixture[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_dataset_rejects_non_finite_inputs(self):
         from cvnnlab.datasets import Dataset
@@ -241,6 +267,16 @@ class TestGlyphs:
         write_idx_labels(lbls, tmp_path / "gl")
         ds = load_idx(tmp_path / "gi", tmp_path / "gl")
         assert ds.inputs.shape == (32, 28, 28, 1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"label_noise": -0.1}, "label_noise"),
+        ({"label_noise": 1.5}, "label_noise"),
+        ({"label_noise": float("nan")}, "label_noise"),
+        ({"max_shift": -1}, "max_shift"),
+    ])
+    def test_refuses_bad_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            synthetic_glyphs(8, seed=0, **kwargs)
 
     def test_bytes_pinned(self):
         # the 10 classes, 28x28 size, prototype seed 7 and 3 blur passes are

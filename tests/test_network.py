@@ -567,6 +567,32 @@ class TestLanes:
             kept = single_lane(monkeypatch, backward, net, x[:n], y[:n])
             self._assert_same_grads(kept, want)
 
+    # each on (n, 10, 10, 1) images
+    LEVELS_FIRST = {
+        "conv": CONV_FIRST,
+        "dense": [Dense(100, 6, CRELU), Dense(6, 3, SPLIT_TANH), AbsHead(3)],
+        "pool": [MaxPoolModulus(2), Conv(3, 3, 1, 2, CRELU), Dense(18, 3), AbsHead(3)],
+    }
+
+    @pytest.mark.parametrize("kind", ["conv", "dense", "pool"])
+    @pytest.mark.parametrize("n", [31, 32, 33, 127, 128, 129])
+    @pytest.mark.parametrize("lanes_used", ["one", "many"])
+    def test_uint8_levels_read_as_their_float_pixels(self, kind, n, lanes_used, rng, pooled,
+                                                     monkeypatch):
+        """A uint8 batch gives the bytes of its float64 pixels levels / 255.0,
+        through forward and backward."""
+        net = build_network(self.LEVELS_FIRST[kind], seed=3)
+        levels = rng.integers(0, 256, size=(n, 10, 10, 1)).astype(np.uint8)
+        pixels = levels.astype(np.float64) / 255.0
+        labels = rng.integers(0, 3, size=n)
+
+        def run(fn, *args):
+            return single_lane(monkeypatch, fn, *args) if lanes_used == "one" else fn(*args)
+
+        assert run(forward, net, levels).tobytes() == run(forward, net, pixels).tobytes()
+        self._assert_same_grads(run(backward, net, levels, labels),
+                                run(backward, net, pixels, labels))
+
     @pytest.mark.parametrize("act", [SPLIT_TANH, CRELU, Activation("modrelu", b=-0.3), AMP_TANH],
                              ids=lambda a: a.kind)
     @pytest.mark.parametrize("n", [1, 33, 100])
