@@ -99,6 +99,9 @@ class TraceError(Exception):
 # training
 
 
+_SYNTHETIC_NOISE = 0.1  # scale of the complex gaussian noise on the synthetic teacher's targets
+
+
 def _load_data(cfg: ExperimentConfig):
     """(train, test) per the config's dataset block."""
     if cfg.dataset == "idx":
@@ -114,10 +117,10 @@ def _load_data(cfg: ExperimentConfig):
     teacher_layers = build_layers(cfg.arch, act, (cfg.synthetic_dim,))
     teacher = build_network(teacher_layers, seed=cfg.synthetic_teacher_seed)
     train = synthetic_regression(
-        cfg.synthetic_train_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise, seed=cfg.seed + 1
+        cfg.synthetic_train_n, cfg.synthetic_dim, teacher, _SYNTHETIC_NOISE, seed=cfg.seed + 1
     )
     test = synthetic_regression(
-        cfg.synthetic_test_n, cfg.synthetic_dim, teacher, cfg.synthetic_noise, seed=cfg.seed + 2
+        cfg.synthetic_test_n, cfg.synthetic_dim, teacher, _SYNTHETIC_NOISE, seed=cfg.seed + 2
     )
     return train, test
 

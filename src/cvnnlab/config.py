@@ -7,7 +7,7 @@ separated by semicolons using the model-table shorthand:
     5x5,10      convolution, 5x5 kernel, 10 output channels (stride 1, valid)
     maxpool,2x2 modulus max-pooling
     fc-500      fully connected layer with 500 outputs
-    abs         modulus + softmax head (must come last)
+    abs         entry moduli, the class scores of the cross-entropy (last only)
 
 The configured activation follows every weighted layer except the final
 one.  Dimensions are resolved against the dataset's input shape when the
@@ -58,7 +58,6 @@ class ExperimentConfig:
     synthetic_train_n: int = 256
     synthetic_test_n: int = 128
     synthetic_dim: int = 16
-    synthetic_noise: float = 0.1
     synthetic_teacher_seed: int = 99
     # model
     arch: str = "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs"
@@ -109,11 +108,10 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-# the smallest accepted value of each size, seed and noise; a subsample of 0 keeps everything
+# the smallest accepted value of each size and seed; a subsample of 0 keeps everything
 _MINIMUMS = dict(
     epochs=1, batch_size=1, analysis_every=1, synthetic_train_n=1, synthetic_test_n=1,
-    synthetic_dim=1, train_subsample=0, test_subsample=0, synthetic_noise=0.0, seed=0,
-    synthetic_teacher_seed=0,
+    synthetic_dim=1, train_subsample=0, test_subsample=0, seed=0, synthetic_teacher_seed=0,
 )
 
 

@@ -153,7 +153,7 @@ def synthetic_regression(n: int, d: int, teacher: Network, noise: float, seed: i
 
 
 def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
-    """Deterministic subsample; class-stratified when targets are labels.
+    """Deterministic class-stratified subsample of a labelled dataset.
 
     Per-class quotas follow largest-remainder apportionment, so every class
     count is within one sample of exact proportionality.
@@ -161,21 +161,18 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     if n_keep > ds.n:
         raise ValueError(f"n_keep={n_keep} exceeds dataset size {ds.n}")
     rng = np.random.default_rng(seed)
-    if np.issubdtype(ds.targets.dtype, np.integer):
-        classes, counts = np.unique(ds.targets, return_counts=True)
-        exact = counts * (n_keep / ds.n)
-        base = np.floor(exact).astype(int)
-        remainder = n_keep - int(base.sum())
-        order = np.lexsort((classes, -(exact - base)))
-        quotas = base.copy()
-        quotas[order[:remainder]] += 1
-        keep = []
-        for cls, quota in zip(classes, quotas):
-            idx = np.flatnonzero(ds.targets == cls)
-            keep.append(rng.choice(idx, size=quota, replace=False))
-        sel = np.sort(np.concatenate(keep))
-    else:
-        sel = np.sort(rng.choice(ds.n, size=n_keep, replace=False))
+    classes, counts = np.unique(ds.targets, return_counts=True)
+    exact = counts * (n_keep / ds.n)
+    base = np.floor(exact).astype(int)
+    remainder = n_keep - int(base.sum())
+    order = np.lexsort((classes, -(exact - base)))
+    quotas = base.copy()
+    quotas[order[:remainder]] += 1
+    keep = []
+    for cls, quota in zip(classes, quotas):
+        idx = np.flatnonzero(ds.targets == cls)
+        keep.append(rng.choice(idx, size=quota, replace=False))
+    sel = np.sort(np.concatenate(keep))
     return Dataset(inputs=ds.inputs[sel], targets=ds.targets[sel])
 
 

@@ -31,12 +31,12 @@ entry of largest modulus per window: the first in row-major order among
 ties, and the first nan in a window with a nan modulus (as ``np.argmax``).
 It caches the flat index of that entry into the layer input, and its
 backward pass scatters through it.  The abs head maps a complex feature
-vector to entry moduli followed by softmax.
+vector to its entry moduli, the real class scores.
 
-The head decides the loss: cross-entropy on the abs head's class
-probabilities, and the l2 distance on a complex output otherwise.  This
-module computes per-sample losses and their gradients; the training loop
-keeps the loss ceiling M.
+The head decides the loss: softmax cross-entropy of the abs head's scores
+(the softmax belongs to the loss), and the l2 distance on a complex output
+otherwise.  This module computes per-sample losses and their gradients; the
+training loop keeps the loss ceiling M.
 
 Networks are threshold-free, as the bounds assume: a :class:`Network`
 refuses a nonzero threshold, so its thresholds are zeros, made from the
@@ -458,10 +458,8 @@ def _layer_forward(pos, spec, w, x, cache):
         shape = (n,) + spec.output_shape(x.shape[1:])
         out, idx = new("out", shape, np.complex128), new("idx", shape, np.intp)
         _in_blocks(lambda rows: _pool_forward(x[rows], spec.window, out[rows], idx[rows]), n)
-    elif isinstance(spec, AbsHead):
-        out = _softmax(np.abs(x.reshape(n, -1)))
-    else:  # pragma: no cover
-        raise TypeError(spec)
+    else:  # AbsHead
+        out = np.abs(x.reshape(n, -1), out=new("out", (n, spec.out_classes), np.float64))
     return out
 
 
@@ -480,10 +478,10 @@ def _forward_walk(net: Network, x, caches=None):
 
 
 def forward(net: Network, batch):
-    """Network output for a batch; real softmax probabilities after an abs head,
-    a complex feature matrix otherwise.  The batch runs in blocks of
-    ``_STEP_BLOCK`` samples across the lanes, each read as layer 0's input
-    (:func:`_layer0_input`) and walked through every layer."""
+    """Network output for a batch: the class scores (real entry moduli) after
+    an abs head, a complex feature matrix otherwise.  The batch runs in
+    blocks of ``_STEP_BLOCK`` samples across the lanes, each read as layer
+    0's input (:func:`_layer0_input`) and walked through every layer."""
     batch = _checked_batch(net, batch)
     return np.concatenate(_in_blocks(
         lambda rows: _forward_walk(net, _layer0_input(net, batch[rows])), len(batch)))
@@ -519,14 +517,17 @@ def _layer0_input(net: Network, x):
 
 def per_sample_losses(output, targets) -> np.ndarray:
     """The loss of each sample, by the head that made ``output``: the l2
-    distance of a complex output row from its target, or -log of the
-    labelled class's abs-head probability."""
+    distance of a complex output row from its target, or the cross-entropy
+    ``log(sum(exp(s - max s))) - (s[label] - max s)`` of the abs head's
+    scores s, finite for finite scores."""
     if np.iscomplexobj(output):
         out, tgt = _checked_l2_target(output, targets)
         return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
-    probs = np.atleast_2d(output)
-    labels = _checked_labels(targets, probs)
-    return -np.log(probs[np.arange(probs.shape[0]), labels])
+    scores = np.atleast_2d(output)
+    labels = _checked_labels(targets, scores)
+    top = scores.max(axis=1)
+    lse = np.log(np.sum(np.exp(scores - top[:, None]), axis=1))
+    return lse - (scores[np.arange(scores.shape[0]), labels] - top)
 
 
 def _checked_l2_target(output, target):
@@ -537,11 +538,11 @@ def _checked_l2_target(output, target):
     return out, tgt
 
 
-def _checked_labels(target, probs):
+def _checked_labels(target, scores):
     labels = np.asarray(target)
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0] or labels.dtype.kind not in "iu":
+    if labels.ndim != 1 or labels.shape[0] != scores.shape[0] or labels.dtype.kind not in "iu":
         raise ValueError("labels must be one integer per sample")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.min() < 0 or labels.max() >= scores.shape[1]:
         raise ValueError("label out of range")
     return labels
 
@@ -552,7 +553,8 @@ def _checked_labels(target, probs):
 
 def backward(net: Network, batch, targets):
     """Gradients of the batch-mean loss for every weight: cross-entropy
-    after an abs head, l2 otherwise (:func:`per_sample_losses`).
+    after an abs head, l2 otherwise (:func:`per_sample_losses`), pulled
+    back through every layer, the abs head included, in one loop.
 
     Returns a list aligned with ``net.layers``: a complex ``dW`` for weighted
     layers (re/im parts pair the partials w.r.t. the re/im weight
@@ -572,20 +574,13 @@ def backward(net: Network, batch, targets):
         norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
         scale = np.where(norms > 0.0, 1.0 / (n * np.where(norms > 0, norms, 1.0)), 0.0)
         grad = diff * scale
-        start = len(net.layers)
-    else:  # cross-entropy through the abs head
+    else:  # softmax cross-entropy of the abs head's scores
         labels = _checked_labels(targets, out)
-        g_scores = out.copy()
-        g_scores[np.arange(n), labels] -= 1.0
-        g_scores /= n
-        x = caches[-1]["input"]
-        z = x.reshape(n, -1)
-        mods = np.abs(z)
-        safe = np.where(mods > 0.0, mods, 1.0)
-        grad = (np.where(mods > 0.0, g_scores / safe, 0.0) * z).reshape(x.shape)
-        start = len(net.layers) - 1
+        grad = _softmax(out)
+        grad[np.arange(n), labels] -= 1.0
+        grad /= n
 
-    for pos in range(start - 1, -1, -1):
+    for pos in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[pos]
         cache = caches[pos]
         x = cache["input"]
@@ -614,8 +609,10 @@ def backward(net: Network, batch, targets):
                 idx = cache["idx"]
                 _in_blocks(lambda rows: _pool_backward(grad[rows], idx[rows], dx[rows]), n)
                 grad = dx
-        else:  # pragma: no cover - AbsHead handled at the top
-            raise TypeError(spec)
+        else:  # AbsHead: the modulus takes g to g z / |z|, and to 0 where z is 0
+            mods = cache["out"]
+            safe = np.where(mods > 0.0, mods, 1.0)
+            grad = (np.where(mods > 0.0, grad / safe, 0.0) * x.reshape(n, -1)).reshape(x.shape)
     return grads
 
 

@@ -101,14 +101,15 @@ class TestConfigParsing:
             pass
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
-    @pytest.mark.parametrize("key", ["lr", "synthetic_noise", "momentum"])
+    @pytest.mark.parametrize("key", ["lr", "momentum"])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: .* is not finite"):
             parse_config(f"dataset = synthetic\n{key} = {value}\n")
 
     @pytest.mark.parametrize(
         "key, value",
-        [("thresholds", "trainable"), ("lr_decay_step", "10"), ("lr_decay_factor", "0.5")],
+        [("thresholds", "trainable"), ("lr_decay_step", "10"), ("lr_decay_factor", "0.5"),
+         ("synthetic_noise", "0.1")],
     )
     def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "run") + f"{key} = {value}\n"
@@ -116,9 +117,7 @@ class TestConfigParsing:
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize(
-        "key, value", [("synthetic_noise", "-0.5"), ("seed", "-1"), ("synthetic_teacher_seed", "-1")]
-    )
+    @pytest.mark.parametrize("key, value", [("seed", "-1"), ("synthetic_teacher_seed", "-1")])
     def test_negative_noise_or_seed_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0"):
             parse_config(f"dataset = synthetic\n{key} = {value}\n")

@@ -120,12 +120,15 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, random_complex(rng, 3, 5))
 
-    def test_abs_head_probabilities(self, rng):
-        net = build_network([Dense(4, 3), AbsHead(3)], seed=1)
-        out = forward(net, random_complex(rng, 5, 4))
-        assert not np.iscomplexobj(out)
-        npt.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
-        assert np.all(out >= 0)
+    def test_abs_head_returns_the_moduli_of_the_layer_below(self, rng):
+        """The abs head's output is the class scores, the entry moduli of its
+        flattened input, bit for bit: the softmax belongs to the loss."""
+        net = build_network([Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), AbsHead(8)], seed=1)
+        x = random_complex(rng, 5, 36).reshape(5, 6, 6, 1)
+        below = forward(Network(net.layers[:2], net.weights[:2], net.thresholds[:2]), x)
+        out = forward(net, x)
+        assert out.dtype == np.float64 and out.shape == (5, 8)
+        assert out.tobytes() == np.abs(below.reshape(5, -1)).tobytes()
 
     def test_lipschitz_composition_with_zero_thresholds(self, rng):
         layers = [Dense(5, 4, SPLIT_TANH), Dense(4, 3, SPLIT_TANH), Dense(3, 3, SPLIT_TANH)]
@@ -363,9 +366,24 @@ class TestLosses:
         assert float(per_sample_losses(out, target).mean()) == pytest.approx(5.0)
 
     def test_ce_uniform_softmax(self):
-        probs = np.full((4, 10), 0.1)
-        loss = float(per_sample_losses(probs, np.array([0, 3, 5, 9])).mean())
+        scores = np.full((4, 10), 0.1)  # equal scores: a uniform softmax
+        loss = float(per_sample_losses(scores, np.array([0, 3, 5, 9])).mean())
         assert loss == pytest.approx(math.log(10.0), rel=1e-12)
+
+    def test_ce_stays_finite_where_the_label_probability_underflows(self):
+        """A score gap of 1000 rounds the labelled class's softmax probability
+        to 0; the log-sum-exp loss is still the gap, and the gradient is the
+        one a rounded softmax gives."""
+        net = build_network([Dense(2, 3), AbsHead(3)])
+        net.weights[0][...] = 0.0
+        net.weights[0][0, 0] = 1e3
+        x, labels = np.array([[1.0 + 0j, 0j]]), np.array([1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss = per_sample_losses(forward(net, x), labels)
+            grads = backward(net, x, labels)
+        assert loss.shape == (1,) and float(loss[0]) == pytest.approx(1000.0, rel=1e-12)
+        assert grads[0].tobytes() == np.array([[1, 0, 0], [0, 0, 0]], np.complex128).tobytes()
 
     @pytest.mark.parametrize("name", ["hinge", "L2", ""])
     def test_unknown_loss_name_rejected(self, name):
@@ -395,7 +413,7 @@ class TestLosses:
             backward(net, x, labels)
 
     def test_l2_rejects_probabilities(self, rng):
-        """Complex targets against abs-head probabilities fail the label check."""
+        """Complex targets against abs-head scores fail the label check."""
         net = build_network([Dense(3, 3), AbsHead(3)], seed=0)
         x = random_complex(rng, 2, 3)
         targets = np.zeros((2, 3), complex)
