@@ -17,8 +17,6 @@ def main():
     ap.add_argument("--train-n", type=int, default=4000)
     ap.add_argument("--test-n", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--pixel-noise", type=float, default=0.35)
-    ap.add_argument("--max-shift", type=int, default=4)
     ap.add_argument("--label-noise", type=float, default=0.10,
                     help="fraction of training labels flipped to a random other class")
     args = ap.parse_args()
@@ -26,13 +24,8 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_imgs, train_lbls = synthetic_glyphs(
-        args.train_n, seed=args.seed, noise=args.pixel_noise,
-        max_shift=args.max_shift, label_noise=args.label_noise,
-    )
-    test_imgs, test_lbls = synthetic_glyphs(
-        args.test_n, seed=args.seed + 1, noise=args.pixel_noise,
-        max_shift=args.max_shift,
-    )
+        args.train_n, seed=args.seed, label_noise=args.label_noise)
+    test_imgs, test_lbls = synthetic_glyphs(args.test_n, seed=args.seed + 1)
     write_idx_images(train_imgs, out / "train-images-idx3-ubyte")
     write_idx_labels(train_lbls, out / "train-labels-idx1-ubyte")
     write_idx_images(test_imgs, out / "t10k-images-idx3-ubyte")

@@ -140,9 +140,13 @@ def run_training(cfg: ExperimentConfig):
     train, test = _load_data(cfg)
     input_shape = train.inputs.shape[1:]
     layers = build_layers(cfg.arch, act, input_shape)
-    if (cfg.loss == "cross_entropy") != isinstance(layers[-1], AbsHead):
+    abs_head = isinstance(layers[-1], AbsHead)
+    if (cfg.loss == "cross_entropy") != abs_head:
         raise ConfigError(f"loss {cfg.loss} does not go with the head: cross_entropy "
                           "goes with a final abs layer and l2 with a complex output")
+    if (cfg.dataset == "idx") != abs_head:
+        raise ConfigError(f"dataset {cfg.dataset} does not go with the head: idx labels "
+                          "go with a final abs layer and synthetic targets with a complex output")
     net = build_network(layers, seed=cfg.seed)
     velocities = sgd_init(net)
 

@@ -176,6 +176,10 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     return Dataset(inputs=ds.inputs[sel], targets=ds.targets[sel])
 
 
+_PIXEL_NOISE = 0.35  # std of the gaussian noise added to each glyph pixel in [0, 1]
+_MAX_SHIFT = 4  # largest glyph translation, in pixels along each axis
+
+
 def _box_blur(img: np.ndarray) -> np.ndarray:
     """Three passes of a 3x3 mean filter with edge padding."""
     out = img.astype(float)
@@ -189,13 +193,12 @@ def _box_blur(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthetic_glyphs(
-    n: int, seed: int, noise: float = 0.35, max_shift: int = 4, label_noise: float = 0.0
-):
+def synthetic_glyphs(n: int, seed: int, label_noise: float = 0.0):
     """Procedural 10-class task of 28x28 images: (uint8 images, labels).
 
     Each class is a fixed smoothed random prototype; samples are random
-    translations of their prototype plus pixel noise.  Class prototypes mix
+    translations of their prototype by up to ``_MAX_SHIFT`` pixels plus
+    gaussian pixel noise of std ``_PIXEL_NOISE``.  Class prototypes mix
     a shared component with an individual one, which keeps classes
     confusable enough for a visible generalization gap at small sample
     sizes.  ``label_noise`` reassigns that fraction of labels to a random
@@ -205,8 +208,6 @@ def synthetic_glyphs(
     """
     if not 0.0 <= label_noise <= 1.0:  # also nan
         raise ValueError(f"label_noise must lie in [0, 1], got {label_noise}")
-    if max_shift < 0:
-        raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
     classes, size = 10, 28
     proto_rng = np.random.default_rng(7)
     common = _box_blur(proto_rng.standard_normal((size, size)))
@@ -218,8 +219,8 @@ def synthetic_glyphs(
         protos.append(p)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-    noise_field = rng.normal(0.0, noise, size=(n, size, size))
+    shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
+    noise_field = rng.normal(0.0, _PIXEL_NOISE, size=(n, size, size))
     images = np.empty((n, size, size), dtype=np.uint8)
     for i in range(n):
         img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1))

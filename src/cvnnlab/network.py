@@ -35,8 +35,10 @@ vector to its entry moduli, the real class scores.
 
 The head decides the loss: softmax cross-entropy of the abs head's scores
 (the softmax belongs to the loss), and the l2 distance on a complex output
-otherwise.  This module computes per-sample losses and their gradients; the
-training loop keeps the loss ceiling M.
+otherwise.  One function (:func:`_loss`) states each loss once: it checks the
+targets and gives both the per-sample losses, which evaluation reads, and
+the gradient of their mean, where backprop starts.  The training loop keeps
+the loss ceiling M.
 
 Networks are threshold-free, as the bounds assume: a :class:`Network`
 refuses a nonzero threshold, so its thresholds are zeros, made from the
@@ -229,15 +231,12 @@ def infer_shapes(layers, input_shape):
     """Feature shape after each layer, starting from ``input_shape``.
 
     ``input_shape`` is (d,) for dense inputs or (h, w, c) for images.
-    Raises ValueError when consecutive layers do not compose or when an
-    AbsHead appears anywhere but last.
+    Raises ValueError when consecutive layers do not compose.
     """
     shapes = [tuple(int(s) for s in input_shape)]
     for pos, spec in enumerate(layers):
         if not isinstance(spec, LayerSpec):
             raise TypeError(f"unknown layer spec {spec!r}")
-        if isinstance(spec, AbsHead) and pos != len(layers) - 1:
-            raise ValueError("abs head must be the final layer")
         try:
             shapes.append(spec.output_shape(shapes[-1]))
         except ValueError as exc:
@@ -254,6 +253,8 @@ class Network:
         self.thresholds = list(thresholds)
         if len(self.weights) != len(self.layers) or len(self.thresholds) != len(self.layers):
             raise ValueError("parameter lists must align with layers")
+        if any(isinstance(spec, AbsHead) for spec in self.layers[:-1]):
+            raise ValueError("abs head must be the final layer")
         for spec, w, h in zip(self.layers, self.weights, self.thresholds):
             got = None if w is None else w.shape
             if got != spec.weight_shape():
@@ -407,11 +408,6 @@ def _pool_dx(pos, shape, caches):
     return _step_array(pos, "dx", shape, np.complex128)
 
 
-def _softmax(scores):
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _layer_forward(pos, spec, w, x, cache):
     """Layer ``pos``'s output for the batch ``x``, each stage run in blocks
     across the lanes (:func:`_in_blocks`); a forward block, which already
@@ -519,32 +515,37 @@ def per_sample_losses(output, targets) -> np.ndarray:
     """The loss of each sample, by the head that made ``output``: the l2
     distance of a complex output row from its target, or the cross-entropy
     ``log(sum(exp(s - max s))) - (s[label] - max s)`` of the abs head's
-    scores s, finite for finite scores."""
-    if np.iscomplexobj(output):
-        out, tgt = _checked_l2_target(output, targets)
-        return np.sqrt(np.sum(np.abs(out - tgt) ** 2, axis=1))
-    scores = np.atleast_2d(output)
-    labels = _checked_labels(targets, scores)
-    top = scores.max(axis=1)
-    lse = np.log(np.sum(np.exp(scores - top[:, None]), axis=1))
-    return lse - (scores[np.arange(scores.shape[0]), labels] - top)
+    scores s, finite for finite scores.  :func:`backward` takes its output
+    gradient from the same function (:func:`_loss`)."""
+    return _loss(np.atleast_2d(output), targets)[0]
 
 
-def _checked_l2_target(output, target):
-    out = np.atleast_2d(output)
-    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
-    if out.shape != tgt.shape:
-        raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
-    return out, tgt
-
-
-def _checked_labels(target, scores):
-    labels = np.asarray(target)
-    if labels.ndim != 1 or labels.shape[0] != scores.shape[0] or labels.dtype.kind not in "iu":
+def _loss(out, targets):
+    """(loss of each sample, gradient of their mean w.r.t. ``out``) for the
+    2-D output ``out``: l2 for a complex output, softmax cross-entropy of an
+    abs head's real scores otherwise.  Each kind of target is checked here."""
+    n = out.shape[0]
+    if np.iscomplexobj(out):  # l2: no abs head
+        tgt = np.atleast_2d(np.asarray(targets, dtype=np.complex128))
+        if out.shape != tgt.shape:
+            raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
+        diff = out - tgt
+        norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
+        grad = diff * np.where(norms > 0.0, 1.0 / (n * np.where(norms > 0, norms, 1.0)), 0.0)
+        return norms[:, 0], grad
+    labels = np.asarray(targets)
+    if labels.ndim != 1 or labels.shape[0] != n or labels.dtype.kind not in "iu":
         raise ValueError("labels must be one integer per sample")
-    if labels.min() < 0 or labels.max() >= scores.shape[1]:
+    if labels.min() < 0 or labels.max() >= out.shape[1]:
         raise ValueError("label out of range")
-    return labels
+    rows = np.arange(n)
+    top = out.max(axis=1, keepdims=True)
+    e = np.exp(out - top)  # softmax cross-entropy of the abs head's scores
+    total = e.sum(axis=1, keepdims=True)
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return np.log(total[:, 0]) - (out[rows, labels] - top[:, 0]), grad
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +554,9 @@ def _checked_labels(target, scores):
 
 def backward(net: Network, batch, targets):
     """Gradients of the batch-mean loss for every weight: cross-entropy
-    after an abs head, l2 otherwise (:func:`per_sample_losses`), pulled
-    back through every layer, the abs head included, in one loop.
+    after an abs head, l2 otherwise.  The output gradient comes from the
+    function that gives :func:`per_sample_losses` (:func:`_loss`), and is
+    pulled back through every layer, the abs head included, in one loop.
 
     Returns a list aligned with ``net.layers``: a complex ``dW`` for weighted
     layers (re/im parts pair the partials w.r.t. the re/im weight
@@ -567,19 +569,7 @@ def backward(net: Network, batch, targets):
     n = batch.shape[0]
     grads: list = [None] * len(net.layers)
 
-    # gradient at the network output
-    if np.iscomplexobj(out):  # l2: no abs head
-        out, tgt = _checked_l2_target(out, targets)
-        diff = out - tgt
-        norms = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
-        scale = np.where(norms > 0.0, 1.0 / (n * np.where(norms > 0, norms, 1.0)), 0.0)
-        grad = diff * scale
-    else:  # softmax cross-entropy of the abs head's scores
-        labels = _checked_labels(targets, out)
-        grad = _softmax(out)
-        grad[np.arange(n), labels] -= 1.0
-        grad /= n
-
+    grad = _loss(out, targets)[1]
     for pos in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[pos]
         cache = caches[pos]

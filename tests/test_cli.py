@@ -405,18 +405,30 @@ out_dir = {tmp_path / 'run'}
         trace = parse_trace_csv(tmp_path / "amp" / "trace.csv")
         assert len(trace.r_a) == 2 and np.all(np.isfinite(trace.r_a))
 
-    def _pairing_refused(self, tmp_path, capsys, arch, loss):
-        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r")
+    def _pairing_refused(self, tmp_path, capsys, arch, loss, refused, data="dataset = synthetic"):
+        text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "r").replace("dataset = synthetic", data)
         text = text.replace("arch = fc-8; fc-4", f"arch = {arch}").replace("loss = l2", f"loss = {loss}")
         assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
-        assert f"config error: loss {loss} does not go with the head" in capsys.readouterr().err
+        assert f"config error: {refused} does not go with the head" in capsys.readouterr().err
         assert not (tmp_path / "r" / "trace.csv").exists()
 
     def test_loss_head_preflight(self, tmp_path, capsys):
-        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4", "cross_entropy")
+        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4", "cross_entropy", "loss cross_entropy")
 
     def test_l2_with_an_abs_head_is_refused(self, tmp_path, capsys):
-        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4; abs", "l2")
+        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4; abs", "l2", "loss l2")
+
+    def test_idx_labels_without_an_abs_head_are_refused(self, tmp_path, capsys):
+        imgs, lbls = synthetic_glyphs(32, seed=1)
+        write_idx_images(imgs, tmp_path / "ti")
+        write_idx_labels(lbls, tmp_path / "tl")
+        data = "dataset = idx\n" + "".join(
+            f"{split}_{kind} = {tmp_path / name}\n"
+            for split in ("train", "test") for kind, name in (("images", "ti"), ("labels", "tl")))
+        self._pairing_refused(tmp_path, capsys, "fc-10", "l2", "dataset idx", data)
+
+    def test_synthetic_targets_with_an_abs_head_are_refused(self, tmp_path, capsys):
+        self._pairing_refused(tmp_path, capsys, "fc-8; fc-4; abs", "cross_entropy", "dataset synthetic")
 
     def test_analysis_cadence_leaves_gaps(self, tmp_path):
         text = SYNTH_CFG.format(epochs=4, out_dir=tmp_path / "cad") + "analysis_every = 2\n"
@@ -592,6 +604,19 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "3"]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "dense expects 5 inputs" in err
+
+    def test_abs_head_before_the_last_layer_is_data_error(self, tmp_path, capsys):
+        """A checkpoint whose abs head sits before its dense layer cannot
+        compose, whatever the input shape: it is refused on load."""
+        net = build_network([Conv(3, 3, 1, 2), MaxPoolModulus(1), Dense(72, 2)], seed=0)
+        ck = tmp_path / "ck.json"
+        save_checkpoint(net, ck)
+        doc = json.loads(ck.read_text())
+        doc["layers"][1] = {"type": "abshead", "out_classes": 72}  # 6x6x2 features in, as the pool's
+        ck.write_text(json.dumps(doc))
+        assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "8x8x1"]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "abs head must be the final layer" in err
 
     def test_format_2_checkpoint_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"

@@ -272,7 +272,6 @@ class TestGlyphs:
         ({"label_noise": -0.1}, "label_noise"),
         ({"label_noise": 1.5}, "label_noise"),
         ({"label_noise": float("nan")}, "label_noise"),
-        ({"max_shift": -1}, "max_shift"),
     ])
     def test_refuses_bad_arguments(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

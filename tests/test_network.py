@@ -789,7 +789,8 @@ class TestShapesAndMetadata:
 
     def test_abs_head_must_be_last(self):
         with pytest.raises(ValueError, match="final"):
-            infer_shapes([AbsHead(4), Dense(4, 4)], (4,))
+            Network([AbsHead(4), Dense(4, 4)], [None, np.zeros((4, 4), complex)],
+                    [None, np.zeros(4, complex)])
 
     def test_composition_mismatch(self):
         with pytest.raises(ValueError, match="expects"):

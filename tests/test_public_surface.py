@@ -6,11 +6,17 @@ when another module of the package, a file under ``bench/`` or one under
 or names it to be patched as a ``(<module>, "<name>", ...)`` entry.  Tests
 do not count: a helper that only its own tests use is not public.  KEEP
 lists the few exported names that need no such caller, each with its reason.
+
+The structure rules below hold where one module owns a decision: no line of
+the files a rule names may match its regex.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cvnnlab"
@@ -137,3 +143,30 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert not reached, f"private names imported across modules: {reached}"
+
+
+def _package_except(*names):
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in names]
+
+
+@pytest.mark.parametrize("pattern, files, rule", [
+    pytest.param(r"\.[0-9]+g", _package_except("textio.py"),
+                 "format floats with cvnnlab.textio.f17", id="only-textio-formats-floats"),
+    pytest.param(r"lipschitz_probe", [PACKAGE / "spectral.py"],
+                 "analyze must take rho from activations.declared_lipschitz",
+                 id="spectral-never-names-the-probe"),
+    pytest.param(r"^\s*(from|import)\b.*\blanes\b|\blanes\.[A-Za-z_]+\(",
+                 _package_except("lanes.py", "network.py"),
+                 "deal blocks to cvnnlab.lanes from cvnnlab.network only", id="only-network-deals-lanes"),
+    pytest.param(r"^\s*(from|import)\b", [PACKAGE / "__init__.py"],
+                 "src/cvnnlab/__init__.py holds its docstring and __version__ only",
+                 id="package-root-imports-nothing"),
+])
+def test_structure_rule(pattern, files, rule):
+    hits = [
+        f"{path.name}:{number}: {line}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert not hits, f"{rule}: {hits}"
