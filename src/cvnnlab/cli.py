@@ -25,8 +25,10 @@ epoch,train_loss,train_acc,test_acc,excess_risk,sn_product,r_a,layer_norms
 where layer_norms is a ';'-joined list of per-layer spectral norms.  The
 loss, accuracy and excess-risk fields are always finite; the
 sn_product, r_a, and layer_norms fields are empty on epochs without
-analysis, and r_a is empty in sn-product-only mode (a conv lowering over
-the memory budget, or an activation with no finite Lipschitz constant).
+analysis, and r_a is empty in sn-product-only mode (a conv lowering of
+more than 2^24 entries, or an activation with no finite Lipschitz
+constant).  The budget limits the size of the lowering, not the memory
+analysis holds: a lowering is built and read in row blocks.
 All printed floats and those in the trace and reports carry 17
 significant digits (:func:`cvnnlab.textio.f17`); the checkpoint keeps its
 parameters as binary.  Identical config and seed
@@ -272,7 +274,7 @@ def cmd_train(args) -> int:
 def _report_warnings(report: SpectralReport) -> list[str]:
     warnings = []
     if any(rec.b is None for rec in report.layers):
-        warnings.append("sn-product-only: conv lowering exceeded the memory budget")
+        warnings.append("sn-product-only: conv lowering exceeded the size budget")
     if any(math.isinf(rec.rho) for rec in report.layers):
         warnings.append("sn-product-only: an activation has no finite Lipschitz constant")
     if not report.power_iteration_converged:

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "frobenius_norm",
     "pq_norm",
+    "pq_norm_in_row_blocks",
     "matmul_complex",
     "LanczosResult",
     "gram_lanczos",
@@ -90,28 +91,36 @@ def _moduli(block, out=None):
     return mods
 
 
-def _row_major_p_norms(m, p):
-    """:func:`_p_norms` of the moduli of ``m`` (at least two columns, rows
-    laid out first), ``_PQ_BLOCK`` entries at a time.  numpy sums such a
-    matrix's columns row after row, so each block's sum starts from the
-    sums so far, carried as the block's first row: the same additions in
-    the same order.  The column maxima take a pass of their own."""
-    rows = max(1, _PQ_BLOCK // m.shape[1])
-    blocks = [m[start : start + rows] for start in range(0, m.shape[0], rows)]
-    buf = np.zeros((min(rows, m.shape[0]) + 1, m.shape[1]))
-    top = np.zeros(m.shape[1])
-    for block in blocks:
-        np.maximum(top, _moduli(block, out=buf[1 : len(block) + 1]).max(axis=0), out=top)
+def _row_block_p_norms(blocks, p):
+    """:func:`_p_norms` of the moduli of a matrix of at least two columns,
+    read from the nonempty row blocks, top to bottom, that ``blocks()``
+    yields: the same blocks on each call, one call per pass.  numpy sums a
+    row-major matrix's columns row after row, so each block's sum starts
+    from the sums so far, carried as the block's first row: the same
+    additions in the same order, for any partition into row blocks.  The
+    column maxima take a pass of their own."""
+    buf = np.zeros((1, 0))  # the carried sums, then a block's moduli
+    top = None
+    for block in blocks():
+        if len(block) >= len(buf):
+            buf = np.zeros((len(block) + 1, block.shape[1]))
+        block_top = _moduli(block, out=buf[1 : len(block) + 1]).max(axis=0)
+        top = block_top if top is None else np.maximum(top, block_top, out=top)
     if math.isinf(p):
         return top
     exp = _exponents(top)
     scale = np.ldexp(1.0, -exp)
-    for block in blocks:
+    for block in blocks():
         mods = np.abs(block, out=buf[1 : len(block) + 1])
         mods *= scale
         mods **= p
         buf[0] = np.sum(buf[: len(block) + 1], axis=0)
     return np.ldexp(buf[0] ** (1.0 / p), exp)
+
+
+def _check_exponents(p, q):
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be >= 1")
 
 
 def pq_norm(a, p: float, q: float) -> float:
@@ -124,22 +133,34 @@ def pq_norm(a, p: float, q: float) -> float:
     as a copy of the whole matrix, with the bytes of the one-shot formula
     (:func:`_p_norms` of ``np.abs(a)``).  That formula sums the columns in
     the order numpy's column sum takes on the layout of ``np.abs(a)``: row
-    after row where rows are laid out first (:func:`_row_major_p_norms`),
-    and pairwise down each column where columns are, as for a transposed
-    weight or a single column.  In that case blocks of whole columns give
-    every column its sum alone.
+    after row where rows are laid out first (row blocks, as in
+    :func:`pq_norm_in_row_blocks`), and pairwise down each column where
+    columns are, as for a transposed weight or a single column.  In that
+    case blocks of whole columns give every column its sum alone.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
+    _check_exponents(p, q)
     m = _cmatrix(a)
     n_rows, n_cols = m.shape
-    if n_cols > 1 and abs(m.strides[0]) >= abs(m.strides[1]):
-        cols = _row_major_p_norms(m, p)
+    if n_rows > 0 and n_cols > 1 and abs(m.strides[0]) >= abs(m.strides[1]):
+        rows = max(1, _PQ_BLOCK // n_cols)
+        cols = _row_block_p_norms(lambda: (m[s : s + rows] for s in range(0, n_rows, rows)), p)
     else:
         width = max(1, _PQ_BLOCK // max(n_rows, 1))
         parts = [_p_norms(_moduli(m[:, s : s + width]), p) for s in range(0, n_cols, width)]
         cols = np.concatenate(parts or [np.zeros(0)])
     return float(_p_norms(cols[:, None], q)[0])
+
+
+def pq_norm_in_row_blocks(blocks, p: float, q: float) -> float:
+    """:func:`pq_norm` of a row-major matrix of at least two columns that is
+    never held whole: ``blocks()`` yields its row blocks, each nonempty,
+    top to bottom, and is called once per pass over them (twice, or once
+    for p = inf).  Every addition keeps the order of :func:`pq_norm` on the
+    whole matrix and a maximum does not depend on order, so the result has
+    the same bytes for any partition into row blocks.  A non-finite entry
+    raises the same ValueError."""
+    _check_exponents(p, q)
+    return float(_p_norms(_row_block_p_norms(blocks, p)[:, None], q)[0])
 
 
 def real_embedding(a) -> np.ndarray:

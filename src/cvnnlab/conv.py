@@ -37,11 +37,11 @@ __all__ = [
     "DEFAULT_LOWERING_BUDGET",
 ]
 
-DEFAULT_LOWERING_BUDGET = 1 << 24  # complex entries (~256 MiB)
+DEFAULT_LOWERING_BUDGET = 1 << 24  # entries of a whole lowering (256 MiB if held at once)
 
 
 class LoweringBudgetError(Exception):
-    """Explicit conv lowering would exceed the configured memory budget."""
+    """A conv lowering has more entries than the budget allows."""
 
 
 def patch_shape(input_shape, kernel_shape):
@@ -94,8 +94,16 @@ def weight_grad(patches, g):
     return (p2.T @ g2.conj()).conj() if np.iscomplexobj(p2) else matmul_complex(p2.T, g2)
 
 
-def layer_matrix(kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERING_BUDGET):
-    """Dense matrix M with M @ vec(input) = vec(conv(input)), vec row-major (y, x, c)."""
+def layer_matrix(
+    kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERING_BUDGET, positions=None
+):
+    """Dense matrix M with M @ vec(input) = vec(conv(input)), vec row-major (y, x, c).
+
+    Row p*cout + co belongs to output position p (row-major (y, x)) and
+    channel co.  ``positions=(a, b)`` builds rows [a*cout, b*cout) alone,
+    the output positions a <= p < b, with the bytes of those rows of the
+    whole matrix.  The budget counts the entries of the whole matrix, so
+    a block of a lowering over budget is refused too."""
     kh, kw, cin, cout = kernel.shape
     h, w, cin2 = input_shape
     if cin2 != cin:
@@ -109,13 +117,17 @@ def layer_matrix(kernel, input_shape, memory_budget: int | None = DEFAULT_LOWERI
         raise LoweringBudgetError(
             f"lowering needs {out_size * in_size} entries, budget {memory_budget}"
         )
+    first, stop = (0, oh * ow) if positions is None else positions
+    if not 0 <= first <= stop <= oh * ow:
+        raise ValueError(f"positions {positions} outside [0, {oh * ow}]")
     # one assignment places every kernel entry: output position p and tap
-    # (ky, kx, ci, co) land at row p*cout + co, column in_pos(p, ky, kx)*cin + ci
-    oy, ox = np.divmod(np.arange(oh * ow), ow)
+    # (ky, kx, ci, co) land at row (p - first)*cout + co, column
+    # in_pos(p, ky, kx)*cin + ci
+    oy, ox = np.divmod(np.arange(first, stop), ow)
     ky, kx = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
-    in_pos = (oy[:, None, None] + ky) * w + (ox[:, None, None] + kx)  # (oh*ow, kh, kw)
-    rows = (oy * ow + ox)[:, None, None, None, None] * cout + np.arange(cout)
+    in_pos = (oy[:, None, None] + ky) * w + (ox[:, None, None] + kx)  # (stop - first, kh, kw)
+    rows = np.arange(stop - first)[:, None, None, None, None] * cout + np.arange(cout)
     cols = in_pos[..., None, None] * cin + np.arange(cin)[:, None]
-    m = np.zeros((out_size, in_size), dtype=np.complex128)
+    m = np.zeros(((stop - first) * cout, in_size), dtype=np.complex128)
     m[rows, cols] = kernel
     return m

@@ -11,12 +11,16 @@ Dense layers contribute their weight matrix directly (stored in the
 map they induce on a fixed input shape: the spectral norm comes from
 Lanczos through the operator of :mod:`cvnnlab.conv` that training runs
 (its apply and adjoint on a batch of one), and the (2,1) norm from that
-module's explicit dense lowering of the map.  Each rho_i is the
-activation's declared constant on all of C
+module's explicit dense lowering of the map.  The lowering is built and
+read in row blocks of about 2^16 entries
+(:func:`cvnnlab.clinalg.pq_norm_in_row_blocks`), so no whole lowering is
+held, and b has the bytes of the whole lowering's norm.  Each rho_i is
+the activation's declared constant on all of C
 (:func:`cvnnlab.activations.declared_lipschitz`); nothing is probed.  When
-a lowering exceeds the memory budget, or an activation has no finite
-constant (modrelu with b > 0), the report degrades to sn-product-only mode
-and R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
+a lowering has more entries than the budget of
+:func:`cvnnlab.conv.layer_matrix`, or an activation has no finite constant
+(modrelu with b > 0), the report degrades to sn-product-only mode and
+R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
 are 1-Lipschitz and contribute neither s_i nor b_i.  A report stores the
 layer records and one flag; its products, R_A and mode derive from them.
 
@@ -41,9 +45,10 @@ from .clinalg import (
     LanczosResult,
     gram_lanczos,
     pq_norm,
+    pq_norm_in_row_blocks,
     spectral_norm_power,
 )
-from .conv import LoweringBudgetError, layer_matrix
+from .conv import LoweringBudgetError, layer_matrix, patch_shape
 from .network import Conv, Dense, Network, infer_shapes
 from .textio import kv_text, read_kv
 
@@ -142,6 +147,27 @@ class SpectralReport:
             return math.inf
 
 
+_LOWERING_BLOCK = 1 << 16  # lowering entries analyze builds at a time
+
+
+def _lowering_21_norm(kernel, input_shape) -> float:
+    """(2,1) norm of the lowering of a conv layer, built in blocks of whole
+    output positions.  The weight-matrix orientation (inputs x outputs) is
+    the transpose of the column-action lowering, so ||A^T||_{2,1} is the
+    (2,1) norm of the lowering itself.  A lowering over budget raises
+    LoweringBudgetError at its first block."""
+    if math.prod(input_shape) == 1:  # one column, which pq_norm sums pairwise
+        return pq_norm(layer_matrix(kernel, input_shape), 2, 1)
+    _, n_pos, _ = patch_shape((1, *input_shape), kernel.shape)
+    step = max(1, _LOWERING_BLOCK // (kernel.shape[-1] * math.prod(input_shape)))
+
+    def blocks():
+        for first in range(0, n_pos, step):
+            yield layer_matrix(kernel, input_shape, positions=(first, min(first + step, n_pos)))
+
+    return pq_norm_in_row_blocks(blocks, 2, 1)
+
+
 def analyze(net: Network, input_shape) -> SpectralReport:
     """Per-layer spectral data and the aggregate complexity of a network.
 
@@ -162,11 +188,8 @@ def analyze(net: Network, input_shape) -> SpectralReport:
             kernel = net.weights[pos]
             res = conv_spectral_norm(kernel, shapes[pos])
             try:
-                # the weight-matrix orientation (inputs x outputs) is the
-                # transpose of the column-action lowering, so ||A^T||_{2,1}
-                # is the (2,1) norm of the lowering itself.  No name holds
-                # the lowering: it is freed before the next one is built
-                b = pq_norm(layer_matrix(kernel, shapes[pos]), 2, 1)
+                # built and read in row blocks: no whole lowering is held
+                b = _lowering_21_norm(kernel, shapes[pos])
             except LoweringBudgetError:
                 b = None  # sn-product-only
         converged = converged and res.converged

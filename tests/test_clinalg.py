@@ -11,6 +11,7 @@ from cvnnlab.clinalg import (
     as_cmatrix,
     frobenius_norm,
     pq_norm,
+    pq_norm_in_row_blocks,
     real_embedding,
     spectral_norm_oracle,
     spectral_norm_power,
@@ -134,6 +135,46 @@ class TestPqNormInBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestPqNormInRowBlocks:
+    """pq_norm of a matrix read from row blocks a caller yields has the bytes
+    of pq_norm on the whole matrix, for any partition into row blocks."""
+
+    @staticmethod
+    def blocks_of(a, cuts):
+        return lambda: (a[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+
+    @pytest.mark.parametrize("shape", [(1700, 40), (200, 7), (9, 2), (1, 5000)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300])
+    def test_bytes_equal_pq_norm_for_any_partition(self, shape, scale):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        a = scale * (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+                     + 1j * rng.standard_normal(shape))
+        n = shape[0]
+        partitions = [{0, n}, set(range(n + 1)), {0, 1, n}, {0, n - 1, n}]
+        partitions += [{0, n, *rng.choice(np.arange(1, n), k, replace=False)}
+                       for k in (2, 9) if n > k]
+        for cuts in map(sorted, partitions):
+            for p in (1, 2, 3, math.inf):
+                for q in (1, 2, math.inf):
+                    got = pq_norm_in_row_blocks(self.blocks_of(a, cuts), p, q)
+                    assert got == pq_norm(a, p, q), (len(cuts), p, q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry_in_the_last_block_raises_as_pq_norm(self, bad):
+        a = np.ones((300, 40), dtype=np.complex128)
+        a[-1, -1] = bad
+        with pytest.raises(ValueError) as whole:
+            pq_norm(a, 2, 1)
+        with pytest.raises(ValueError) as blocks:
+            pq_norm_in_row_blocks(self.blocks_of(a, [0, 100, 200, 300]), 2, 1)
+        assert str(blocks.value) == str(whole.value) == "matrix entries must be finite"
+
+    def test_exponents_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="p and q must be >= 1"):
+            pq_norm_in_row_blocks(self.blocks_of(np.ones((2, 2)), [0, 2]), 0.5, 1)
 
 
 class TestRealEmbedding:

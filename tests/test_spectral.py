@@ -6,18 +6,22 @@ import numpy.testing as npt
 import pytest
 
 from cvnnlab.activations import CRELU, Activation
-from cvnnlab.clinalg import spectral_norm_oracle, spectral_norm_power
+from cvnnlab.clinalg import pq_norm, spectral_norm_oracle, spectral_norm_power
 from cvnnlab.config import build_layers
 from cvnnlab.conv import LoweringBudgetError, adjoint, apply, layer_matrix, weight_grad
 from cvnnlab.covering import covering_bound_linear
+from cvnnlab.datasets import synthetic_glyphs
 from cvnnlab.network import (
     AbsHead,
     Conv,
     Dense,
     MaxPoolModulus,
     Network,
+    backward,
     build_network,
     infer_shapes,
+    sgd_init,
+    sgd_step,
 )
 from cvnnlab.spectral import (
     BoundInputs,
@@ -83,6 +87,30 @@ class TestLayerMatrix:
         k = random_kernel(rng, 3, 3, 1, 1)
         with pytest.raises(LoweringBudgetError):
             layer_matrix(k, (10, 10, 1), memory_budget=10)
+
+    @pytest.mark.parametrize("kernel_shape, input_shape", [
+        ((3, 2, 2, 3), (7, 5, 2)),
+        ((1, 1, 1, 2), (4, 3, 1)),
+        ((4, 3, 2, 1), (4, 3, 2)),
+    ], ids=["3x2-cin2-cout3", "1x1", "kernel-as-input"])
+    def test_position_blocks_are_rows_of_the_whole(self, rng, kernel_shape, input_shape):
+        k = random_kernel(rng, *kernel_shape)
+        whole = layer_matrix(k, input_shape)
+        cout = kernel_shape[-1]
+        n_pos = whole.shape[0] // cout
+        for step in range(1, n_pos + 1):
+            for a in range(0, n_pos, step):
+                b = min(a + step, n_pos)
+                block = layer_matrix(k, input_shape, positions=(a, b))
+                assert block.tobytes() == whole[a * cout : b * cout].tobytes(), (step, a)
+        for bad in ((-1, 1), (2, 1), (0, n_pos + 1)):
+            with pytest.raises(ValueError, match="positions"):
+                layer_matrix(k, input_shape, positions=bad)
+
+    def test_budget_counts_the_whole_lowering_in_a_block(self, rng):
+        k = random_kernel(rng, 3, 3, 1, 1)
+        with pytest.raises(LoweringBudgetError):
+            layer_matrix(k, (10, 10, 1), memory_budget=10, positions=(0, 1))
 
 
 # (batch, kernel (kh, kw, cin, cout), input (h, w)) for the operator tests
@@ -232,6 +260,70 @@ class TestFreshDeskNetworks:
         finally:
             tracemalloc.stop()
         assert peak < conv1_bytes + 4 * 2**20
+
+    def test_analyze_holds_one_lowering_block_at_a_time(self):
+        # each lowering is built and read in blocks of about 2^16 entries:
+        # 69.5 MiB when analyze held conv1's whole 68.9 MiB lowering
+        net = build_network(self.LAYERS, seed=0)
+        tracemalloc.start()
+        try:
+            analyze(net, self.SHAPE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestStreamedConvB:
+    """analyze builds and reads each conv lowering in blocks of whole output
+    positions; its b has the bytes of pq_norm on the whole lowering."""
+
+    @staticmethod
+    def whole_lowering_b(kernel, shape):
+        return pq_norm(layer_matrix(kernel, shape, memory_budget=None), 2, 1)
+
+    def test_desk_conv_layers_fresh_and_after_a_step(self):
+        shape = (28, 28, 1)
+        layers = build_layers(
+            "5x5,10; maxpool,2x2; 5x5,20; maxpool,2x2; fc-500; fc-10; abs", CRELU, shape
+        )
+        net = build_network(layers, seed=0)
+        images, labels = synthetic_glyphs(32, seed=0)
+        shapes = infer_shapes(layers, shape)
+        for step in range(2):
+            rep = analyze(net, shape)
+            convs = [rec for rec in rep.layers if rec.kind == "conv"]
+            assert [rec.position for rec in convs] == [0, 2]
+            for rec in convs:
+                kernel = net.weights[rec.position]
+                assert rec.b == self.whole_lowering_b(kernel, shapes[rec.position]), (step, rec)
+            if step == 0:
+                grads = backward(net, images[..., None], labels)
+                sgd_step(net, grads, lr=0.01, momentum=0.9, velocities=sgd_init(net))
+                assert not np.array_equal(net.weights[0], build_network(layers, seed=0).weights[0])
+
+    # the (1, 1, 1, 300) lowering is one column, which pq_norm sums pairwise
+    # and not row after row; the (2, 2, 1000, 1) lowering's 10 positions
+    # split 3, 3, 3, 1 at 18000 entries a position; the (2, 2, 1100, 4)
+    # lowering has more than 2^16 entries a position, so each of its 9
+    # blocks is one position
+    @pytest.mark.parametrize("kernel_shape, input_shape", [
+        ((3, 2, 2, 3), (7, 5, 2)),
+        ((1, 1, 1, 1), (6, 5, 1)),
+        ((1, 1, 3, 2), (4, 4, 3)),
+        ((5, 4, 2, 3), (5, 4, 2)),
+        ((1, 1, 1, 300), (1, 1, 1)),
+        ((2, 2, 1000, 1), (6, 3, 1000)),
+        ((2, 2, 1100, 4), (4, 4, 1100)),
+    ], ids=lambda v: "x".join(map(str, v)))
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-310])
+    def test_odd_shapes_and_extreme_entries(self, kernel_shape, input_shape, scale):
+        rng = np.random.default_rng(math.prod(kernel_shape))
+        kernel = scale * random_kernel(rng, *kernel_shape)
+        net = Network([Conv(*kernel_shape)], [kernel], [np.zeros(kernel_shape[-1], complex)])
+        with np.errstate(over="ignore", invalid="ignore"):  # Lanczos overflows at 1e300
+            b = analyze(net, input_shape).layers[0].b
+        assert b is not None and b == self.whole_lowering_b(kernel, input_shape)
 
 
 class TestAnalyze:
