@@ -1,4 +1,4 @@
-"""Complex activation functions, their 2x2 real Jacobians, and Lipschitz data.
+"""Complex activation functions, their 2x2 real Jacobians, and a Lipschitz probe.
 
 Four activations are supported:
 
@@ -7,13 +7,13 @@ Four activations are supported:
 * ``modrelu``    -- ReLU on the modulus with threshold b, phase preserved.
 * ``amp_tanh``   -- tanh on the modulus, phase preserved.
 
-Each activation declares one Lipschitz constant valid on all of C, and
-spectral analysis reads that constant.  split_tanh, crelu and amp_tanh are
-1-Lipschitz (amp_tanh's Jacobian has singular values sech^2(r) and
-tanh(r)/r, both <= 1).  modrelu with b <= 0 is the proximal map of -b|z|,
-hence 1-Lipschitz; with b > 0 it jumps at 0 and has no finite constant.
-The sampling probe only bounds a constant from below; it checks the
-declared values and is never an input to the analysis.
+Every activation is 1-Lipschitz on all of C, by contract: split_tanh,
+crelu and amp_tanh are (amp_tanh's Jacobian has singular values sech^2(r)
+and tanh(r)/r, both <= 1), and modrelu with b <= 0 is the proximal map of
+-b|z|.  modrelu with b > 0 jumps at 0, so the paper's bounds, which need
+Lipschitz activations, say nothing about it, and :class:`Activation`
+refuses it.  The sampling probe only bounds a constant from below; it
+checks the constant 1 and is never an input to the analysis.
 
 Jacobians are the partials of (Re out, Im out) with respect to
 (Re in, Im in), the object complex backprop consumes.  At kinks (modrelu
@@ -55,7 +55,6 @@ __all__ = [
     "apply",
     "jacobian_fields",
     "backprop",
-    "declared_lipschitz",
     "lipschitz_probe",
 ]
 
@@ -74,8 +73,8 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if not np.isfinite(self.b):
-            raise ValueError("modrelu threshold must be finite")
+        if not -math.inf < self.b <= 0.0:  # nan fails too
+            raise ValueError(f"modrelu threshold must be finite and <= 0 (1-Lipschitz), got {self.b}")
 
     @property
     def diagonal(self) -> bool:
@@ -185,11 +184,6 @@ def backprop(act: Activation, saved, grad, out=None):
         return res
     out[...] = res
     return out
-
-
-def declared_lipschitz(act: Activation) -> float:
-    """Lipschitz constant on all of C: 1, or inf for modrelu with b > 0."""
-    return math.inf if act.kind == "modrelu" and act.b > 0.0 else 1.0
 
 
 def lipschitz_probe(

@@ -138,7 +138,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def parse_activation(spec: str) -> Activation:
-    """Activation names: split_tanh, crelu, amp_tanh, modrelu:<b>."""
+    """Activation names: split_tanh, crelu, amp_tanh, modrelu:<b> with b <= 0."""
     spec = spec.strip()
     if spec.startswith("modrelu"):
         _, _, arg = spec.partition(":")

@@ -1,10 +1,12 @@
 """Per-layer norm extraction, spectral complexity, and closed-form bound evaluators.
 
 The spectral complexity of a network with weighted layers (A_1 .. A_L),
-activation Lipschitz constants rho_i, spectral norms s_i = ||A_i||_sigma and
-(2,1) norms b_i = ||A_i^T||_{2,1} is
+spectral norms s_i = ||A_i||_sigma and (2,1) norms b_i = ||A_i^T||_{2,1} is
 
-    R_A = (prod_i rho_i s_i) * (sum_i (b_i / s_i)^(2/3))^(3/2).
+    R_A = (prod_i s_i) * (sum_i (b_i / s_i)^(2/3))^(3/2).
+
+Every activation is 1-Lipschitz (:mod:`cvnnlab.activations` refuses
+modrelu with b > 0), so no Lipschitz factor enters the product.
 
 Dense layers contribute their weight matrix directly (stored in the
 (d_{i-1}, d_i) orientation).  Convolutional layers act through the linear
@@ -14,15 +16,13 @@ Lanczos through the operator of :mod:`cvnnlab.conv` that training runs
 module's explicit dense lowering of the map.  The lowering is built and
 read in row blocks of about 2^16 entries
 (:func:`cvnnlab.clinalg.pq_norm_in_row_blocks`), so no whole lowering is
-held, and b has the bytes of the whole lowering's norm.  Each rho_i is
-the activation's declared constant on all of C
-(:func:`cvnnlab.activations.declared_lipschitz`); nothing is probed.  When
-a lowering has more entries than the budget of
-:func:`cvnnlab.conv.layer_matrix`, or an activation has no finite constant
-(modrelu with b > 0), the report degrades to sn-product-only mode and
-R_A-based bounds refuse to run.  Modulus max-pooling and the abs head
-are 1-Lipschitz and contribute neither s_i nor b_i.  A report stores the
-layer records and one flag; its products, R_A and mode derive from them.
+held, and b has the bytes of the whole lowering's norm.  When a lowering
+has more entries than the budget of :func:`cvnnlab.conv.layer_matrix`,
+its layer has no b, the report has no R_A (sn-product-only mode) and
+R_A-based bounds refuse to run; that budget is the mode's one cause.
+Modulus max-pooling and the abs head are 1-Lipschitz and contribute
+neither s_i nor b_i.  A report stores the layer records and one flag;
+sn_product and R_A derive from them.
 
 Bound evaluators cover the i.i.d. and sequential generalization bounds, the
 empirical Rademacher complexity ceiling behind the i.i.d. bound, and the
@@ -39,7 +39,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import conv
-from .activations import declared_lipschitz
 from .clinalg import (
     DEFAULT_MAX_ITER,
     LanczosResult,
@@ -97,15 +96,13 @@ class LayerNorms:
     position: int
     kind: str  # "dense" | "conv"
     s: float
-    b: float | None
-    rho: float
+    b: float | None  # None only for a conv lowering over budget
 
     def __post_init__(self):
         # written as "not x >= 0" so that nan fails too
-        if self.kind not in ("dense", "conv") or not (
-            self.position >= 0 and self.s >= 0 and (self.b is None or self.b >= 0) and self.rho > 0
-        ):
-            raise ValueError(f"a layer needs kind dense or conv, position, s, b >= 0, rho > 0: {self}")
+        has_b = self.b >= 0 if self.b is not None else self.kind == "conv"
+        if self.kind not in ("dense", "conv") or not (self.position >= 0 and self.s >= 0 and has_b):
+            raise ValueError(f"a layer needs kind dense or conv, position, s, b >= 0 (a conv may lack b): {self}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,8 @@ class SpectralReport:
     power_iteration_converged: bool  # every layer's solve; the name predates Lanczos
 
     @property
-    def sn_product_only(self) -> bool:
-        return any(rec.b is None or math.isinf(rec.rho) for rec in self.layers)
-
-    @property
     def _zero_map(self) -> bool:
-        # a zero map makes the network constant, whatever rho or s = inf elsewhere
+        # a zero map makes the network constant, whatever s = inf elsewhere
         return any(rec.s == 0.0 for rec in self.layers)
 
     @property
@@ -129,12 +122,9 @@ class SpectralReport:
         return 0.0 if self._zero_map else math.prod(rec.s for rec in self.layers)
 
     @property
-    def lipschitz_product(self) -> float:
-        return 0.0 if self._zero_map else math.prod(rec.rho * rec.s for rec in self.layers)
-
-    @property
     def r_a(self) -> float | None:
-        if self.sn_product_only:
+        """None (sn-product-only) when a layer has no b."""
+        if any(rec.b is None for rec in self.layers):
             return None
         if self._zero_map:
             return 0.0
@@ -142,7 +132,7 @@ class SpectralReport:
             return math.inf  # b / s would read 0 (or nan) and hide the overflow
         ratio_sum = sum((rec.b / rec.s) ** (2.0 / 3.0) for rec in self.layers)
         try:
-            return self.lipschitz_product * ratio_sum**1.5
+            return self.sn_product * ratio_sum**1.5
         except OverflowError:  # a hand-made record with b / s beyond any layer width
             return math.inf
 
@@ -171,8 +161,7 @@ def _lowering_21_norm(kernel, input_shape) -> float:
 def analyze(net: Network, input_shape) -> SpectralReport:
     """Per-layer spectral data and the aggregate complexity of a network.
 
-    ``input_shape`` fixes the linear map induced by each conv layer; an
-    identity activation counts as rho = 1.
+    ``input_shape`` fixes the linear map induced by each conv layer.
     """
     shapes = infer_shapes(net.layers, input_shape)
     records = []
@@ -193,9 +182,8 @@ def analyze(net: Network, input_shape) -> SpectralReport:
             except LoweringBudgetError:
                 b = None  # sn-product-only
         converged = converged and res.converged
-        rho = 1.0 if spec.activation is None else declared_lipschitz(spec.activation)
         kind = "dense" if isinstance(spec, Dense) else "conv"
-        records.append(LayerNorms(position=pos, kind=kind, s=res.value, b=b, rho=rho))
+        records.append(LayerNorms(position=pos, kind=kind, s=res.value, b=b))
     if not records:
         raise ValueError("network has no weighted layers")
     return SpectralReport(tuple(records), power_iteration_converged=converged)
@@ -275,30 +263,31 @@ def pac_sample_size(
 # ---------------------------------------------------------------------------
 # flat key-value serialization
 
-REPORT_FORMAT = "spectral-report-v3"
+REPORT_FORMAT = "spectral-report-v4"
 
-_REPORT_FLAGS = ("sn_product_only", "power_iteration_converged")
+_AGGREGATES = ("sn_product", "r_a")
 
 
 def report_to_text(report: SpectralReport) -> str:
-    """Format ``spectral-report-v3``: the flags, each layer's fields under
+    """Format ``spectral-report-v4``: the flag, each layer's fields under
     ``layer.<i>.`` and the aggregates; a None ``b`` or ``r_a`` is left out."""
-    pairs = [("format", REPORT_FORMAT), ("layer_count", len(report.layers))]
-    pairs += [(name, getattr(report, name)) for name in _REPORT_FLAGS]
+    pairs = [("format", REPORT_FORMAT), ("layer_count", len(report.layers)),
+             ("power_iteration_converged", report.power_iteration_converged)]
     for i, rec in enumerate(report.layers):
         pairs += [(f"layer.{i}.{name}", value) for name, value in asdict(rec).items()]
-    pairs += [(name, getattr(report, name)) for name in ("sn_product", "lipschitz_product", "r_a")]
+    pairs += [(name, getattr(report, name)) for name in _AGGREGATES]
     return kv_text(pairs)
 
 
 def report_from_text(text: str) -> SpectralReport:
     """Inverse of :func:`report_to_text`.  A missing key, a flag other than
     ``true`` or ``false``, a report with no layers, an invalid layer record,
-    or an ``sn_product_only`` or aggregate line other than the writer prints
-    for the layers raises ValueError.
+    or an aggregate line other than the writer prints for the layers raises
+    ValueError.
 
-    Earlier formats are refused: a v1 text may carry a probed rho, and a v2
-    text may describe a network with nonzero thresholds."""
+    Earlier formats are refused: a v1 text may carry a probed rho, a v2
+    text may describe a network with nonzero thresholds, and a v3 text may
+    describe modrelu with b > 0 (rho = inf)."""
     kv = {key: value for _, key, value in read_kv(text)}
     if kv.get("format") != REPORT_FORMAT:
         raise ValueError(f"unsupported report format {kv.get('format')!r}")
@@ -324,15 +313,13 @@ def report_from_text(text: str) -> SpectralReport:
             kind=get(f"layer.{i}.kind", str),
             s=get(f"layer.{i}.s"),
             b=get(f"layer.{i}.b") if f"layer.{i}.b" in kv else None,
-            rho=get(f"layer.{i}.rho"),
         )
         for i in range(layer_count)
     )
     report = SpectralReport(layers, flag("power_iteration_converged"))
-    flag("sn_product_only")
     # compared as printed text, so that nan, inf and an absent r_a compare as written
     derived = {key: value for _, key, value in read_kv(report_to_text(report))}
-    for key in ("sn_product_only", "sn_product", "lipschitz_product", "r_a"):
+    for key in _AGGREGATES:
         if kv.get(key) != derived.get(key):
             get(key, str)  # a missing line is named
             raise ValueError(f"{key} = {kv[key]} does not follow from the layers "

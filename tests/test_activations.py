@@ -11,7 +11,6 @@ from cvnnlab.activations import (
     Activation,
     apply,
     backprop,
-    declared_lipschitz,
     jacobian_fields,
     lipschitz_probe,
 )
@@ -89,6 +88,13 @@ class TestApply:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Activation("relu")
+
+    @pytest.mark.parametrize("b", [0.5, 5e-324, math.inf, -math.inf, math.nan])
+    def test_modrelu_threshold_must_be_finite_and_not_positive(self, b):
+        # b > 0 jumps at 0: no Lipschitz constant, so no bound applies
+        with pytest.raises(ValueError, match="modrelu threshold must be finite and <= 0"):
+            Activation("modrelu", b=b)
+        assert Activation("modrelu", b=-0.0).b == 0.0 and Activation("modrelu", b=-1e300).b == -1e300
 
 
 class TestJacobian:
@@ -240,18 +246,16 @@ class TestDiagonalPaths:
 
 
 class TestDeclaredLipschitz:
+    """Every activation is 1-Lipschitz by contract; the constant is tight."""
+
     def test_split_tanh(self):
-        assert declared_lipschitz(SPLIT_TANH) == 1.0
+        assert np.linalg.norm(jacobian(SPLIT_TANH, 0j), 2) == 1.0
 
     def test_crelu(self):
-        assert declared_lipschitz(CRELU) == 1.0
+        assert np.linalg.norm(jacobian(CRELU, 1 + 1j), 2) == 1.0
 
     def test_amp_tanh_instantiated(self):
-        assert declared_lipschitz(AMP_TANH) == 1.0
-
-    def test_modrelu_unknown(self):
-        assert declared_lipschitz(Activation("modrelu", b=-1.0)) == 1.0
-        assert declared_lipschitz(Activation("modrelu", b=0.5)) == math.inf
+        assert np.linalg.norm(jacobian(AMP_TANH, 0j), 2) == 1.0
 
     @pytest.mark.parametrize(
         "act",
@@ -265,12 +269,12 @@ class TestDeclaredLipschitz:
         z = (t[:, None] + 1j * t[None, :]).ravel()
         jac = np.stack(jacobian_fields(act, z), axis=-1).reshape(-1, 2, 2)
         worst = float(np.linalg.norm(jac, ord=2, axis=(1, 2)).max())
-        assert 0.0 < worst <= declared_lipschitz(act) + 1e-12  # rounding only
+        assert 0.0 < worst <= 1.0 + 1e-12  # rounding only
 
     @pytest.mark.parametrize("act", [AMP_TANH, Activation("modrelu", b=-0.5)])
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 50.0])
     def test_probe_under_declared(self, act, alpha):
-        assert lipschitz_probe(act, alpha, 50_000, seed=4) <= declared_lipschitz(act) + 1e-12
+        assert lipschitz_probe(act, alpha, 50_000, seed=4) <= 1.0 + 1e-12
 
 
 class TestProbe:

@@ -29,6 +29,7 @@ from cvnnlab.config import (
 from cvnnlab.datasets import synthetic_glyphs, write_idx_images, write_idx_labels
 from cvnnlab.network import (
     AbsHead,
+    CheckpointError,
     Conv,
     Dense,
     MaxPoolModulus,
@@ -553,31 +554,29 @@ class TestAnalyzeCommand:
             "analyze", "--checkpoint", str(ck), "--input-shape", "65x65x1", "--out", str(out),
         ])
         assert rc == 5
-        text = out.read_text()
-        assert "sn_product_only = true" in text
-        assert "r_a" not in [line.split(" = ")[0] for line in text.splitlines()]
+        keys = [line.split(" = ")[0] for line in out.read_text().splitlines()]
+        assert "layer.0.b" not in keys and "r_a" not in keys and "layer.1.b" in keys
 
-    def test_discontinuous_modrelu_has_no_r_a(self, tmp_path, capsys):
+    def test_positive_modrelu_threshold_is_config_error(self, tmp_path, capsys):
+        """modrelu with b > 0 jumps at 0: no bound applies, so no run starts."""
         text = SYNTH_CFG.format(epochs=1, out_dir=tmp_path / "mod")
         cfg = write_cfg(tmp_path, text.replace("split_tanh", "modrelu:0.5"))
-        assert main(["train", "--config", cfg]) == 0
-        row = (tmp_path / "mod" / "trace.csv").read_text().splitlines()[1].split(",")
-        assert row[5] != "" and row[6] == ""  # sn_product kept, r_a empty
-        out = tmp_path / "rep.txt"
-        rc = main([
-            "analyze", "--checkpoint", str(tmp_path / "mod" / "checkpoint.json"),
-            "--input-shape", "6", "--out", str(out),
-        ])
-        assert rc == 5
-        text = out.read_text()
-        assert "layer.0.rho = inf\n" in text
-        assert "r_a" not in [line.split(" = ")[0] for line in text.splitlines()]
-        assert "no finite Lipschitz constant" in capsys.readouterr().out
-        rc = main([
-            "bounds", "--report", str(out), "--mode", "iid",
-            "--m", "1", "--n", "100", "--w", "8", "--z-norm", "10", "--delta", "0.1",
-        ])
-        assert rc == 2
+        assert main(["train", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "modrelu threshold must be finite and <= 0" in captured.err
+        assert not (tmp_path / "mod").exists()
+
+    def test_positive_modrelu_threshold_checkpoint_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        save_checkpoint(build_network([Dense(2, 2, parse_activation("modrelu:-0.5"))], seed=1), ck)
+        doc = json.loads(ck.read_text())
+        doc["layers"][0]["activation"]["b"] = 0.5
+        ck.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="bad activation record"):
+            load_checkpoint(ck)
+        assert main(["analyze", "--checkpoint", str(ck), "--input-shape", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "modrelu threshold must be finite and <= 0" in captured.err
 
     def test_bad_layer_dimension_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
@@ -787,8 +786,7 @@ class TestBoundsCommand:
         assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("power_iteration_converged", "yes"), ("sn_product_only", "TRUE"),
-        ("layer_count", "0"), ("layer_count", "-3"),
+        ("power_iteration_converged", "yes"), ("layer_count", "0"), ("layer_count", "-3"),
     ])
     def test_malformed_flag_or_layer_count_is_input_error(self, tmp_path, capsys, key, value):
         from cvnnlab.spectral import report_from_text
@@ -815,7 +813,7 @@ class TestBoundsCommand:
         ])
         return rc, capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", ["sn_product_only = true", "r_a = 1e-9", "sn_product = 7"])
+    @pytest.mark.parametrize("line", ["r_a = 1e-9", "sn_product = 7"])
     def test_aggregate_disagreeing_with_layers_is_input_error(self, tmp_path, capsys, line):
         from cvnnlab.spectral import report_from_text
 
@@ -830,7 +828,8 @@ class TestBoundsCommand:
         assert self._bounds_on(rep, capsys) == (2, "")
 
     @pytest.mark.parametrize("key, value", [
-        ("kind", "banana"), ("position", "-7"), ("rho", "-5"), ("s", "-2"), ("b", "nan"),
+        ("kind", "banana"), ("position", "-7"), ("s", "-2"), ("b", "nan"),
+        ("b", None),  # a dense layer without b, and so without r_a: only a conv may lack b
     ])
     def test_invalid_layer_record_is_input_error(self, tmp_path, capsys, key, value):
         from cvnnlab.spectral import report_from_text
@@ -838,7 +837,8 @@ class TestBoundsCommand:
         rep = self._report(tmp_path)
         field = f"layer.0.{key} = "
         text = "".join(field + value + "\n" if l.startswith(field) else l + "\n"
-                       for l in rep.read_text().splitlines())
+                       for l in rep.read_text().splitlines()
+                       if value is not None or not l.startswith((field, "r_a = ")))
         rep.write_text(text)
         with pytest.raises(ValueError, match="^a layer needs kind dense or conv"):
             report_from_text(text)
@@ -857,18 +857,21 @@ class TestBoundsCommand:
             report_from_text(rep.read_text())
         assert self._bounds_on(rep, capsys) == (2, "")
 
-    def test_v2_report_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_earlier_report_format_is_input_error(self, tmp_path, capsys, version):
+        from cvnnlab.spectral import report_from_text
+
         rep = self._report(tmp_path)
-        text = rep.read_text().replace("spectral-report-v3", "spectral-report-v2", 1)
-        rep.write_text(text.replace("power_iteration_converged",
-                                    "thresholds_nonzero = true\npower_iteration_converged", 1))
+        rep.write_text(rep.read_text().replace("spectral-report-v4", f"spectral-report-{version}", 1))
+        with pytest.raises(ValueError, match=f"^unsupported report format 'spectral-report-{version}'$"):
+            report_from_text(rep.read_text())
         assert self._bounds_on(rep, capsys) == (2, "")
 
     def test_r_a_beyond_the_float_range_reads_inf(self, tmp_path, capsys):
         from cvnnlab.spectral import LayerNorms, SpectralReport, report_from_text, report_to_text
 
         # b / s = 1e308 per layer: the ratio sum is finite, its 1.5th power is not
-        rec = LayerNorms(position=0, kind="dense", s=1e-8, b=1e300, rho=1.0)
+        rec = LayerNorms(position=0, kind="dense", s=1e-8, b=1e300)
         report = SpectralReport((rec, rec), power_iteration_converged=True)
         assert report.r_a == math.inf
         rep = tmp_path / "rep.txt"
@@ -986,13 +989,14 @@ class TestOtherCommands:
         assert est <= 1.0 + 1e-12
         assert "declared = 1" in out
 
-    def test_probe_modrelu_declared_unknown(self, capsys):
+    def test_probe_refuses_positive_modrelu_threshold(self, capsys):
         rc = main(["lipschitz-probe", "--kind", "modrelu:-0.5", "--domain-bound", "2", "--pairs", "2000", "--seed", "1"])
         assert rc == 0
         assert "declared = 1\n" in capsys.readouterr().out
         rc = main(["lipschitz-probe", "--kind", "modrelu:0.5", "--domain-bound", "2", "--pairs", "2000"])
-        assert rc == 0
-        assert "declared = inf\n" in capsys.readouterr().out
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "modrelu threshold must be finite and <= 0" in captured.err
 
     @pytest.mark.parametrize("bound", ["nan", "inf", "8.99e307"])
     def test_probe_bound_whose_width_is_not_finite_is_input_error(self, bound, capsys):

@@ -367,7 +367,7 @@ class TestAnalyze:
         with np.errstate(over="ignore", invalid="ignore"):
             rep = analyze(net, (2,))
         assert rep.layers[0].s == math.inf
-        assert (rep.sn_product, rep.lipschitz_product, rep.r_a) == (0.0, 0.0, 0.0)
+        assert (rep.sn_product, rep.r_a) == (0.0, 0.0)
 
     def test_dense_values_match_direct_ops(self, rng):
         from cvnnlab.clinalg import pq_norm, spectral_norm_power
@@ -395,13 +395,11 @@ class TestAnalyze:
         layers = [Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)]
         net = build_network(layers, seed=2)
         full = analyze(net, (6, 6, 1))
-        assert not full.sn_product_only
         assert full.r_a is not None and full.r_a > 0
         # the conv's lowering has 4225^2 entries, above the 2^24 budget
         layers = [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)]
         net = build_network(layers, seed=2)
         limited = analyze(net, (65, 65, 1))
-        assert limited.sn_product_only
         assert limited.r_a is None
         assert limited.layers[0].b is None
         # a 1x1 single-channel conv is its one tap k times the identity
@@ -410,21 +408,10 @@ class TestAnalyze:
         assert limited.sn_product == pytest.approx(expected, rel=1e-12)
 
     def test_modrelu_marks_empirical(self, rng):
+        # modrelu is 1-Lipschitz: one layer's R_A is s * (b / s) = b
         net = build_network([Dense(3, 3, Activation("modrelu", b=-0.5))], seed=4)
         rep = analyze(net, (3,))
-        assert rep.layers[0].rho == 1.0
-        assert rep.r_a is not None and not rep.sn_product_only
-
-    def test_modrelu_positive_threshold_has_no_r_a(self):
-        net = build_network([Dense(3, 3, Activation("modrelu", b=0.5)), Dense(3, 2)], seed=4)
-        rep = analyze(net, (3,))
-        assert rep.layers[0].rho == math.inf
-        assert rep.sn_product_only and rep.r_a is None
-        assert math.isfinite(rep.sn_product)
-        net.weights[0][:] = 0.0  # a zero map is constant whatever rho
-        rep = analyze(net, (3,))
-        assert rep.lipschitz_product == 0.0
-        assert report_from_text(report_to_text(rep)) == rep
+        assert rep.r_a == pytest.approx(rep.layers[0].b, rel=1e-12)
 
     def test_pool_and_head_contribute_nothing(self, rng):
         layers = [Conv(3, 3, 1, 2, CRELU), MaxPoolModulus(2), Dense(8, 4), AbsHead(4)]
@@ -624,19 +611,19 @@ class TestReportSerialization:
         text = report_to_text(rep)
         back = report_from_text(text)
         assert back == rep
-        # an infinite rho sets the derived sn_product_only flag
-        net = build_network([Dense(3, 4, Activation("modrelu", b=0.5)), Dense(4, 2)], seed=3)
+        net = build_network([Dense(3, 4, Activation("modrelu", b=-0.5)), Dense(4, 2)], seed=3)
         rep = analyze(net, (3,))
-        assert rep.sn_product_only
         assert report_from_text(report_to_text(rep)) == rep
 
     def test_sn_product_only_round_trip(self, rng):
         layers = [Conv(1, 1, 1, 1, CRELU), MaxPoolModulus(5), Dense(169, 4), AbsHead(4)]
         net = build_network(layers, seed=2)
         rep = analyze(net, (65, 65, 1))  # a lowering above the budget
-        back = report_from_text(report_to_text(rep))
-        assert back.r_a is None
-        assert back.sn_product_only
+        text = report_to_text(rep)
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert "layer.0.b" not in keys and "r_a" not in keys and "layer.1.b" in keys
+        back = report_from_text(text)
+        assert back == rep and back.layers[0].b is None and back.r_a is None
 
     @pytest.mark.parametrize(
         "key", ["layer.0.position", "layer_count", "sn_product", "power_iteration_converged"]
@@ -652,12 +639,13 @@ class TestReportSerialization:
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
         text = report_to_text(analyze(net, (2,)))
         assert "layer.0.s = 1\n" in text
-        assert text.startswith("format = spectral-report-v3\n")
-        assert len(text.splitlines()) == 12  # format, count, 2 flags, 5 layer fields, 3 aggregates
-        assert "empirical_rho" not in text
+        assert text.startswith("format = spectral-report-v4\n")
+        assert len(text.splitlines()) == 9  # format, count, flag, 4 layer fields, 2 aggregates
+        assert "rho" not in text and "sn_product_only" not in text
 
-    def test_v1_report_rejected(self):
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_earlier_report_format_rejected(self, version):
         net = Network([Dense(2, 2)], [np.eye(2, dtype=complex)], [np.zeros(2, complex)])
-        text = report_to_text(analyze(net, (2,))).replace("-v3\n", "-v1\n", 1)
-        with pytest.raises(ValueError, match="unsupported report format 'spectral-report-v1'"):
+        text = report_to_text(analyze(net, (2,))).replace("-v4\n", f"-{version}\n", 1)
+        with pytest.raises(ValueError, match=f"unsupported report format 'spectral-report-{version}'"):
             report_from_text(text)
